@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import selectors
 import subprocess
 import sys
 import threading
@@ -248,7 +249,9 @@ def run_loadtest(
 
 # -- live-server scaffolding ----------------------------------------------------
 
-_BOUND_RE = re.compile(r"serving on ([\d.]+):(\d+)")
+#: The bound-address banner of ``repro serve --tcp``, single-node
+#: ("serving on H:P") or cluster ("serving N-shard cluster on H:P").
+_BOUND_RE = re.compile(r"serving (?:\d+-shard cluster )?on ([\d.]+):(\d+)")
 
 
 def spawn_tcp_server(
@@ -258,7 +261,9 @@ def spawn_tcp_server(
 
     The bound address is parsed from the server's stderr banner; the
     stderr pipe is then drained by a daemon thread so the child can
-    never block on a full pipe buffer.
+    never block on a full pipe buffer.  Raises ``RuntimeError`` (and kills
+    the child) if no banner arrives within ``startup_timeout_s``, whether
+    the child exits, prints something else, or stays silent.
     """
     proc = subprocess.Popen(
         [python, "-m", "repro.cli", "serve", "--tcp", "127.0.0.1:0", *serve_args],
@@ -269,22 +274,33 @@ def spawn_tcp_server(
     )
     assert proc.stderr is not None
     deadline = time.monotonic() + startup_timeout_s
-    for line in proc.stderr:
-        match = _BOUND_RE.search(line)
-        if match:
-            threading.Thread(
-                target=_drain, args=(proc.stderr,), daemon=True
-            ).start()
-            return proc, match.group(1), int(match.group(2))
-        if time.monotonic() > deadline:
-            break
+    fd = proc.stderr.fileno()
+    buf = b""
+    with selectors.DefaultSelector() as sel:
+        sel.register(fd, selectors.EVENT_READ)
+        while sel.select(max(deadline - time.monotonic(), 0.0)):
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break
+            buf += chunk
+            # Complete lines only: a port cut mid-read must not match.
+            lines = buf[: buf.rfind(b"\n") + 1].decode(errors="replace")
+            match = _BOUND_RE.search(lines)
+            if match:
+                threading.Thread(
+                    target=_drain, args=(proc.stderr,), daemon=True
+                ).start()
+                return proc, match.group(1), int(match.group(2))
     proc.kill()
+    proc.wait()
+    proc.stderr.close()
     raise RuntimeError("server did not report a bound address")
 
 
 def _drain(stream: Any) -> None:
-    for _ in stream:
-        pass
+    with stream:
+        for _ in stream:
+            pass
 
 
 def _await_first_answer(

@@ -12,10 +12,11 @@ analogue of the PR-2 executor seam — with two backends:
   against the window per step).  Ground truth for the parity suite and the
   counting semantics behind every BENCH_* record so far.
 * :class:`BlockKernel` (``"block"``) — columnar batches: candidates flow
-  through in chunks, each chunk is filtered against the accumulated
-  skyline with two broadcast comparisons, and intra-chunk dominance is one
-  pairwise matrix.  Same results bit for bit (the skyline is unique);
-  orders of magnitude fewer interpreter transitions.
+  through in chunks that grow from ``FIRST_CHUNK`` to ``BLOCK_CHUNK`` rows,
+  each chunk is filtered against the accumulated skyline with two
+  broadcast comparisons, and intra-chunk dominance is one pairwise matrix.
+  Same results bit for bit (the skyline is unique); orders of magnitude
+  fewer interpreter transitions.
 
 The block backend's :meth:`~DominanceKernel.skyline` applies the
 Ciaccia–Martinenghi *sort-first* ordering (monotone entropy score with a
@@ -75,10 +76,22 @@ ENV_KERNEL = "REPRO_KERNEL"
 #: so the flag has to reach them the way ``$REPRO_KERNEL`` would).
 _DEFAULT_KERNEL: str | None = None
 
-#: Candidate-chunk rows per block-kernel step.  Bounds the intra-chunk
-#: pairwise matrix at ``(1024, 1024, d)`` bools and keeps every broadcast
-#: well inside cache-friendly territory.
+#: Largest candidate chunk of a block-kernel sweep.  Bounds the intra-chunk
+#: pairwise matrix at ``(1024, 1024)`` bools and keeps every broadcast well
+#: inside cache-friendly territory.
 BLOCK_CHUNK = 1024
+
+#: First candidate chunk of a block-kernel sweep; each later chunk doubles
+#: up to ``BLOCK_CHUNK``.  The sweep starts with an empty accumulated
+#: skyline, so a first chunk goes wholly through the m×m intra-chunk
+#: matrix; kept small, it only seeds the skyline prefix the prescreen
+#: then uses to kill most of every later chunk cheaply.
+FIRST_CHUNK = 64
+
+#: Candidate-chunk rows per ``filter_survivors`` step.  Its window is the
+#: small filter set, never the m×m matrix, so larger steps only cut
+#: per-step overhead.
+FILTER_CHUNK = 4096
 
 #: Window-side chunk rows when filtering a candidate chunk against a large
 #: accumulated skyline (memory stays O(BLOCK_CHUNK · WINDOW_CHUNK · d)).
@@ -384,11 +397,13 @@ class ScalarKernel(DominanceKernel):
 class BlockKernel(DominanceKernel):
     """Columnar batch backend — whole chunks per step.
 
-    Candidates advance ``BLOCK_CHUNK`` rows at a time: the chunk is
-    filtered against the accumulated skyline with two chunked broadcast
+    A sweep takes candidates in chunks of ``FIRST_CHUNK`` rows, doubling up
+    to ``BLOCK_CHUNK`` (see :func:`_sweep_chunks`): each chunk is filtered
+    against the accumulated skyline with two chunked broadcast
     comparisons, then intra-chunk dominance resolves in one pairwise
     matrix.  With the sort-first precondition nothing is ever evicted, so
     the accumulated skyline only grows — append-only, no rescans.
+    ``filter_survivors`` steps over ``FILTER_CHUNK`` rows at a time.
     """
 
     name = "block"
@@ -414,8 +429,8 @@ class BlockKernel(DominanceKernel):
         # order), so an 8-filter prescreen pass kills most rows before the
         # full-width filter broadcast sees the survivors.
         head = min(8, flt.shape[0])
-        for start in range(0, n, BLOCK_CHUNK):
-            stop = min(start + BLOCK_CHUNK, n)
+        for start in range(0, n, FILTER_CHUNK):
+            stop = min(start + FILTER_CHUNK, n)
             chunk = pts[start:stop]
             csum = psum[start:stop]
             live = ~_any_dominates_block(
@@ -448,8 +463,7 @@ class BlockKernel(DominanceKernel):
         sky_sums = np.empty(sky_buf.shape[0])
         sky_len = 0
         tests = 0
-        for start in range(0, n, BLOCK_CHUNK):
-            stop = min(start + BLOCK_CHUNK, n)
+        for start, stop in _sweep_chunks(n):
             chunk = pts[start:stop]
             survivors = np.arange(chunk.shape[0])
             surv = chunk
@@ -531,6 +545,21 @@ class BlockKernel(DominanceKernel):
         order = sort_first_order(pts)
         mask = self.sweep_sorted(pts[order], counter=counter, stage=stage)
         return np.sort(order[mask]).astype(np.intp)
+
+
+def _sweep_chunks(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` candidate chunks of a block sweep over ``n`` rows.
+
+    ``FIRST_CHUNK`` rows first, each later chunk twice the last, capped at
+    ``BLOCK_CHUNK``; the final chunk is cut short at ``n``.
+    """
+    bounds: list[tuple[int, int]] = []
+    start, size = 0, FIRST_CHUNK
+    while start < n:
+        stop = min(start + size, n)
+        bounds.append((start, stop))
+        start, size = stop, min(size * 2, BLOCK_CHUNK)
+    return bounds
 
 
 def _any_dominates_block(

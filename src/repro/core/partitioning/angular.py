@@ -24,6 +24,11 @@ measurement (see DESIGN.md §5):
   illustration but collapses in high dimensions, where angular coordinates
   concentrate near π/2 (a ten-dimensional suffix norm dwarfs any single
   coordinate, so ø₁ ≈ π/2 for almost every point).
+
+Only *split* axes (more than one sector) matter to a sector id, so
+``fit`` and ``assign`` compute just those angle columns
+(:func:`~repro.core.hyperspherical.angle_columns`) — under the default
+``"first-axis"`` allocation that is ø₁ alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.hyperspherical import MAX_ANGLE, angular_coordinates
+from repro.core.hyperspherical import MAX_ANGLE, angle_columns
 from repro.core.partitioning.base import SpacePartitioner
 from repro.core.partitioning.grid import balanced_axis_counts
 
@@ -113,62 +118,59 @@ class AngularPartitioner(SpacePartitioner):
         return balanced_axis_counts(self._requested, n_axes)
 
     def _fit(self, points: np.ndarray) -> None:
-        angles = angular_coordinates(points)  # (n, d-1), values in [0, π/2]
-        n_axes = angles.shape[1]
-        if self._explicit_boundaries is not None:
-            if len(self._explicit_boundaries) != n_axes:
-                raise ValueError(
-                    f"{len(self._explicit_boundaries)} boundary arrays for "
-                    f"{n_axes} angle axes"
-                )
-            counts = [b.size + 1 for b in self._explicit_boundaries]
-            self._counts = counts
-            self.num_partitions = int(np.prod(counts))
-            radix = np.ones(n_axes, dtype=np.int64)
-            for i in range(n_axes - 2, -1, -1):
-                radix[i] = radix[i + 1] * counts[i + 1]
-            self._radix = radix
-            self._boundaries = list(self._explicit_boundaries)
-            return
-        counts = self._axis_counts(n_axes)
+        n_axes = points.shape[1] - 1
+        explicit = self._explicit_boundaries
+        if explicit is not None and len(explicit) != n_axes:
+            raise ValueError(
+                f"{len(explicit)} boundary arrays for {n_axes} angle axes"
+            )
+        counts = (
+            [b.size + 1 for b in explicit]
+            if explicit is not None
+            else self._axis_counts(n_axes)
+        )
+        split = [axis for axis, k in enumerate(counts) if k > 1]
+        # Quantile bins need the split axes' angles; every other mode needs
+        # none, but the call still validates (d ≥ 2, non-negative).
+        quantile = explicit is None and self.bins == "quantile"
+        angles = angle_columns(points, split if quantile else [])
         self._counts = counts
         self.num_partitions = int(np.prod(counts)) if counts else 1
         radix = np.ones(n_axes, dtype=np.int64)
         for i in range(n_axes - 2, -1, -1):
             radix[i] = radix[i + 1] * counts[i + 1]
         self._radix = radix
+        if explicit is not None:
+            self._boundaries = list(explicit)
+            return
 
-        boundaries: list[np.ndarray] = []
-        for axis, k in enumerate(counts):
-            if self.bins == "equal-width":
-                edges = np.linspace(0.0, MAX_ANGLE, k + 1)[1:-1]
-            else:
+        boundaries = [np.empty(0) for _ in counts]
+        for col, axis in enumerate(split):
+            k = counts[axis]
+            if quantile:
                 qs = np.linspace(0, 1, k + 1)[1:-1]
-                edges = np.quantile(angles[:, axis], qs)
-            boundaries.append(np.asarray(edges, dtype=np.float64))
+                edges = np.quantile(angles[:, col], qs)
+            else:
+                edges = np.linspace(0.0, MAX_ANGLE, k + 1)[1:-1]
+            boundaries[axis] = np.asarray(edges, dtype=np.float64)
         self._boundaries = boundaries
 
     def _assign(self, points: np.ndarray) -> np.ndarray:
-        angles = angular_coordinates(points)
-        if angles.shape[1] != len(self._counts):
+        if points.shape[1] - 1 != len(self._counts):
             raise ValueError(
                 f"expected {len(self._counts) + 1}-dimensional points, "
                 f"got {points.shape[1]}"
             )
-        return self.sector_of_angles(angles)
-
-    def sector_of_angles(self, angles: np.ndarray) -> np.ndarray:
-        """Sector ids for pre-computed angle vectors."""
-        angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-        ids = np.zeros(angles.shape[0], dtype=np.int64)
-        for axis, edges in enumerate(self._boundaries):
-            if edges.size == 0:
-                continue
+        split = [axis for axis, edges in enumerate(self._boundaries) if edges.size]
+        angles = angle_columns(points, split)
+        ids = np.zeros(points.shape[0], dtype=np.int64)
+        for col, axis in enumerate(split):
             # searchsorted gives the bin index; boundary ownership goes to
             # the upper bin (right-open bins); clamping keeps π/2 in range.
-            bin_idx = np.searchsorted(edges, angles[:, axis], side="right")
-            bin_idx = np.clip(bin_idx, 0, self._counts[axis] - 1)
-            ids += bin_idx * self._radix[axis]
+            bin_idx = np.searchsorted(
+                self._boundaries[axis], angles[:, col], side="right"
+            )
+            ids += np.clip(bin_idx, 0, self._counts[axis] - 1) * self._radix[axis]
         return ids
 
     def _detail(self) -> Mapping[str, object]:

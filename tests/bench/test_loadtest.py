@@ -8,6 +8,7 @@ live ``run_loadtest`` against an in-process server.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.bench.loadtest import (
     _build_request,
     percentile_ms,
     run_loadtest,
+    spawn_tcp_server,
 )
 from repro.serving.server import make_tcp_server
 from repro.serving.service import SkylineService
@@ -101,6 +103,48 @@ class TestPercentile:
         lat = [0.001, 0.002, 0.003, 0.004, 0.005]
         assert percentile_ms(lat, 50) == pytest.approx(3.0)
         assert percentile_ms(lat, 100) == pytest.approx(5.0)
+
+
+def _fake_server(tmp_path, body):
+    """An executable standing in for the interpreter ``spawn_tcp_server`` runs."""
+    script = tmp_path / "fake-python"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(0o755)
+    return str(script)
+
+
+class TestSpawnTcpServer:
+    def test_cluster_banner_is_parsed(self, tmp_path):
+        python = _fake_server(
+            tmp_path,
+            'echo "booting" >&2\n'
+            'echo "serving 3-shard cluster on 127.0.0.1:45123" >&2\n'
+            "exec sleep 30\n",
+        )
+        proc, host, port = spawn_tcp_server(python=python, startup_timeout_s=10)
+        try:
+            assert (host, port) == ("127.0.0.1", 45123)
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_single_node_banner_is_parsed(self, tmp_path):
+        python = _fake_server(
+            tmp_path, 'echo "serving on 127.0.0.1:45124" >&2\nexec sleep 30\n'
+        )
+        proc, host, port = spawn_tcp_server(python=python, startup_timeout_s=10)
+        try:
+            assert (host, port) == ("127.0.0.1", 45124)
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_silent_child_times_out(self, tmp_path):
+        python = _fake_server(tmp_path, "exec sleep 30\n")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="bound address"):
+            spawn_tcp_server(python=python, startup_timeout_s=0.5)
+        assert time.monotonic() - started < 5.0
 
 
 class TestLiveRun:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.hyperspherical import (
     MAX_ANGLE,
+    angle_columns,
     angular_coordinates,
     from_hyperspherical,
     to_hyperspherical,
@@ -130,3 +131,64 @@ class TestScaleInvariance:
         _, angles = to_hyperspherical(pts)
         _, scaled_angles = to_hyperspherical(pts * scale)
         assert np.allclose(angles, scaled_angles, atol=1e-9)
+
+
+def _reversed_cumsum_transform(pts):
+    """The transform as first written: one reversed cumulative sum."""
+    d = pts.shape[1]
+    sums = np.cumsum((pts**2)[:, ::-1], axis=1)[:, ::-1]
+    return np.sqrt(sums[:, 0]), np.arctan2(np.sqrt(sums[:, 1:]), pts[:, : d - 1])
+
+
+def _awkward_points(d, seed=0):
+    """Random rows of several magnitudes plus all-zero and on-axis rows."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack(
+        [
+            rng.random((200, d)),
+            rng.lognormal(size=(200, d)) * 1e3,
+            rng.random((50, d)) * 1e-6,
+            np.zeros((3, d)),
+            np.eye(d) * 2.5,
+        ]
+    )
+    pts[::7, 0] = 0.0  # zero first coordinate: ø₁ = π/2
+    pts[::11, 1:] = 0.0  # on the first axis: every angle 0
+    return pts
+
+
+class TestPartialAngles:
+    @pytest.mark.parametrize("d", [2, 3, 6, 8, 10])
+    def test_column_accumulation_matches_reversed_cumsum_bitwise(self, d):
+        pts = _awkward_points(d, seed=d)
+        r, angles = to_hyperspherical(pts)
+        r_ref, angles_ref = _reversed_cumsum_transform(pts)
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(angles, angles_ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 8, 10])
+    def test_angle_columns_match_full_transform_bitwise(self, d):
+        pts = _awkward_points(d, seed=d + 1)
+        _, angles = to_hyperspherical(pts)
+        for axes in ([0], [d - 2], list(range(d - 1)), sorted({0, (d - 1) // 2, d - 2})):
+            assert np.array_equal(angle_columns(pts, axes), angles[:, axes]), axes
+        assert angle_columns(pts, []).shape == (pts.shape[0], 0)
+
+    def test_angle_columns_validate_like_the_transform(self):
+        for axes in ([], [0], [1]):
+            with pytest.raises(ValueError, match="non-negative"):
+                angle_columns(np.array([[1.0, 2.0, -0.1]]), axes)
+        with pytest.raises(ValueError, match="2 dimensions"):
+            angle_columns(np.array([[1.0]]), [])
+        with pytest.raises(ValueError, match="out of range"):
+            angle_columns(np.ones((2, 3)), [2])
+
+    @given(nonneg_points, st.data())
+    @settings(max_examples=80)
+    def test_property_partial_equals_full_equals_reference(self, pts, data):
+        d = pts.shape[1]
+        axes = data.draw(st.lists(st.integers(0, d - 2), unique=True).map(sorted))
+        r, angles = to_hyperspherical(pts)
+        r_ref, angles_ref = _reversed_cumsum_transform(pts)
+        assert np.array_equal(r, r_ref) and np.array_equal(angles, angles_ref)
+        assert np.array_equal(angle_columns(pts, axes), angles[:, axes])

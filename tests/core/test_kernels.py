@@ -8,6 +8,8 @@ from repro.core.filtering import compute_filter_points
 from repro.core.kernels import (
     BLOCK_CHUNK,
     ENV_KERNEL,
+    FILTER_CHUNK,
+    FIRST_CHUNK,
     KERNEL_NAMES,
     BlockKernel,
     ScalarKernel,
@@ -16,7 +18,9 @@ from repro.core.kernels import (
     make_kernel,
     set_default_kernel,
     sort_first_order,
+    _sweep_chunks,
 )
+from repro.core.sfs import sfs_skyline
 from repro.core.skyline import skyline_numpy
 
 
@@ -106,14 +110,64 @@ class TestBackendParity:
             assert np.array_equal(scalar, oracle), name
             assert np.array_equal(block, oracle), name
 
+    def test_sweep_chunks_grow_then_hold(self):
+        bounds = _sweep_chunks(5 * BLOCK_CHUNK)
+        sizes = [stop - start for start, stop in bounds]
+        assert sizes[0] == FIRST_CHUNK
+        assert all(b == min(2 * a, BLOCK_CHUNK) for a, b in zip(sizes, sizes[1:-1]))
+        assert BLOCK_CHUNK in sizes
+        assert bounds[0][0] == 0 and bounds[-1][1] == 5 * BLOCK_CHUNK
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert _sweep_chunks(0) == []
+        assert _sweep_chunks(FIRST_CHUNK - 1) == [(0, FIRST_CHUNK - 1)]
+
     def test_block_chunk_boundaries(self):
-        # Sizes straddling the candidate-chunk width exercise the chunked
-        # sweep's window bookkeeping.
-        for n in (BLOCK_CHUNK - 1, BLOCK_CHUNK, BLOCK_CHUNK + 37):
+        # Sizes straddling every candidate-chunk boundary (63/64/65,
+        # 191/192/193, ... up to the end of the second steady BLOCK_CHUNK
+        # step) exercise the growing sweep's window bookkeeping.
+        bounds = _sweep_chunks(4 * BLOCK_CHUNK)
+        full = [i for i, (a, b) in enumerate(bounds) if b - a == BLOCK_CHUNK]
+        stops = [stop for _, stop in bounds[: full[1] + 1]]
+        sizes = sorted({b + delta for b in stops for delta in (-1, 0, 1)})
+        assert {FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1} <= set(sizes)
+        for n in sizes:
             pts = _rng(n).random((n, 3))
+            oracle = skyline_numpy(pts)
+            assert np.array_equal(get_kernel("block").skyline(pts), oracle), n
             assert np.array_equal(
-                get_kernel("block").skyline(pts), skyline_numpy(pts)
-            )
+                sfs_skyline(pts, kernel="block").indices, oracle
+            ), n
+
+    @pytest.mark.parametrize(
+        "boundary", [FIRST_CHUNK, 3 * FIRST_CHUNK, 31 * FIRST_CHUNK]
+    )
+    def test_ties_and_dominators_across_a_chunk_boundary(self, boundary):
+        # A sweep input in valid sort-first order, built so that an exact
+        # duplicate and a dominated row sit in the chunk after their twin
+        # and their dominator.  Rows on the simplex Σv = 1 dominate nothing
+        # among themselves, so any order of them is valid; rows with
+        # Σv > 1 cannot dominate them, so they may follow in sum order.
+        assert boundary in {stop for _, stop in _sweep_chunks(4 * boundary)}
+        rng = _rng(boundary)
+        front = rng.dirichlet(np.ones(4), size=boundary + 40)
+        front[boundary] = front[boundary - 1]  # twin across the boundary
+        front[boundary + 1] = front[boundary - 2] + [0.25, 0.0, 0.0, 0.0]
+        tail = rng.dirichlet(np.ones(4), size=100) + rng.random((100, 4))
+        tail = tail[np.argsort(tail.sum(axis=1), kind="stable")]
+        rows = np.vstack([front, tail])
+        oracle = skyline_numpy(rows)
+        members = set(oracle.tolist())
+        assert {boundary - 1, boundary, boundary - 2} <= members
+        assert boundary + 1 not in members
+        want = np.zeros(rows.shape[0], dtype=bool)
+        want[oracle] = True
+        for name in KERNEL_NAMES:
+            assert np.array_equal(get_kernel(name).sweep_sorted(rows), want), name
+        shuffled = rng.permutation(rows.shape[0])
+        pts = rows[shuffled]
+        oracle = skyline_numpy(pts)
+        assert np.array_equal(get_kernel("block").skyline(pts), oracle)
+        assert np.array_equal(sfs_skyline(pts, kernel="block").indices, oracle)
 
     def test_single_point_ops_agree(self):
         window = _rng(1).random((64, 5))
@@ -169,6 +223,16 @@ class TestFilterSurvivors:
             )
             assert counter.tests == filters.shape[0] * pts.shape[0]
         assert np.array_equal(masks["scalar"], masks["block"])
+
+    def test_rows_not_a_multiple_of_the_filter_chunk(self):
+        n = FILTER_CHUNK + 123
+        pts = _rng(9).random((n, 4))
+        filters = compute_filter_points(pts, k=12, sample=256)
+        scalar = get_kernel("scalar").filter_survivors(filters, pts)
+        block = get_kernel("block").filter_survivors(filters, pts)
+        assert np.array_equal(scalar, block)
+        assert block[skyline_numpy(pts)].all()
+        assert not block[FILTER_CHUNK:].all()
 
     def test_empty_filter_set_prunes_nothing(self):
         pts = _rng(8).random((30, 3))

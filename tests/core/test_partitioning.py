@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.hyperspherical import MAX_ANGLE, to_hyperspherical
 from repro.core.partitioning import (
     AngularPartitioner,
     DimensionalPartitioner,
@@ -304,6 +305,74 @@ class TestAngular:
         p = AngularPartitioner(4).fit(pts)
         ids = p.assign(pts)
         assert ids.shape == (pts.shape[0],)
+
+
+def _explicit_allocation(d):
+    """Split the first and the last angle axis (just ø₁ when d = 2)."""
+    return [3] if d == 2 else [2] + [1] * (d - 3) + [3]
+
+
+def _reference_sectors(pts, counts, bins):
+    """Boundaries and ids from the full-angle transform, built from scratch."""
+    _, angles = to_hyperspherical(pts)
+    boundaries, ids = [], np.zeros(pts.shape[0], dtype=np.int64)
+    radix = 1
+    for axis in range(len(counts) - 1, -1, -1):
+        k = counts[axis]
+        if k == 1:
+            edges = np.empty(0)
+        elif bins == "quantile":
+            edges = np.quantile(angles[:, axis], np.linspace(0, 1, k + 1)[1:-1])
+        else:
+            edges = np.linspace(0.0, MAX_ANGLE, k + 1)[1:-1]
+        boundaries.insert(0, edges)
+        bin_idx = np.searchsorted(edges, angles[:, axis], side="right")
+        ids += np.clip(bin_idx, 0, k - 1) * radix
+        radix *= k
+    return boundaries, ids
+
+
+class TestAngularPartialAngles:
+    """Computing only split axes' angles changes no boundary and no id."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 8, 10])
+    @pytest.mark.parametrize("bins", ["quantile", "equal-width"])
+    @pytest.mark.parametrize("allocation", ["first-axis", "balanced", "explicit"])
+    def test_bit_identical_to_full_angle_reference(self, d, bins, allocation):
+        rng = np.random.default_rng(d)
+        pts = np.vstack(
+            [rng.lognormal(size=(400, d)), np.zeros((4, d)), np.eye(d), np.eye(d) * 9]
+        )
+        pts[::9, 0] = 0.0
+        pts[::13, 1:] = 0.0
+        alloc = _explicit_allocation(d) if allocation == "explicit" else allocation
+        p = AngularPartitioner(8, bins=bins, allocation=alloc).fit(pts)
+        counts = p.summary().detail["counts_per_angle_axis"]
+        boundaries, ids = _reference_sectors(pts, counts, bins)
+        assert len(p._boundaries) == len(boundaries)
+        for got, want in zip(p._boundaries, boundaries):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert np.array_equal(p.assign(pts), ids)
+
+    @pytest.mark.parametrize("bins", ["quantile", "equal-width"])
+    @pytest.mark.parametrize("allocation", ["first-axis", "balanced", [1, 2]])
+    def test_negative_data_rejected_on_every_path(self, bins, allocation):
+        good = np.random.default_rng(0).random((20, 3))
+        bad = np.array([[1.0, 2.0, -0.5]])
+        with pytest.raises(ValueError, match="non-negative"):
+            AngularPartitioner(4, bins=bins, allocation=allocation).fit(bad)
+        p = AngularPartitioner(4, bins=bins, allocation=allocation).fit(good)
+        with pytest.raises(ValueError, match="non-negative"):
+            p.assign(bad)
+
+    def test_negative_data_rejected_with_explicit_boundaries(self):
+        p = AngularPartitioner(4, boundaries=[np.array([0.5]), np.array([])])
+        with pytest.raises(ValueError, match="non-negative"):
+            p.fit(np.array([[1.0, 2.0, -0.5]]))
+
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match="2 dimensions"):
+            AngularPartitioner(4).fit(np.ones((5, 1)))
 
 
 class TestRandom:
