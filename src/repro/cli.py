@@ -34,7 +34,8 @@ Usage::
     --workers   pool size for the thread/process executors
     --pipelined overlap the two-job skyline chain (see docs/tuning.md)
     --kernel    dominance backend: scalar (default; the reference) or
-                block (columnar + filter pruning; see docs/kernels.md)
+                block (columnar + filter pruning; see docs/kernels.md);
+                `serve` and `coordinator` default to block instead
     --faults F  inject deterministic faults from a FaultPlan JSON file
                 (chaos mode; see docs/fault_tolerance.md)
 
@@ -464,8 +465,9 @@ def _run_serve(argv: List[str]) -> int:
         "--kernel",
         choices=["scalar", "block"],
         default=None,
-        help="dominance backend for every dataset (default: $REPRO_KERNEL "
-        "or scalar; block enables columnar kernels + filter pruning)",
+        help="dominance backend for every dataset and query (default: "
+        "$REPRO_KERNEL or block; scalar is the point-at-a-time reference, "
+        "answers are identical)",
     )
     parser.add_argument(
         "--trace",
@@ -513,6 +515,7 @@ def _run_serve(argv: List[str]) -> int:
         "dataset with --data-dir (default 256)",
     )
     args = parser.parse_args(argv)
+    args.kernel = _serving_kernel(args.kernel)
 
     from repro.serving.server import make_tcp_server, serve_stdio
     from repro.serving.service import ServeConfig, SkylineService
@@ -612,6 +615,15 @@ def _run_serve(argv: List[str]) -> int:
         if code:
             return code
     return 0
+
+
+def _serving_kernel(flag: str | None) -> str:
+    """The servers' kernel: ``--kernel``, else ``$REPRO_KERNEL``, else
+    ``block`` — the experiments and ``repro bench`` keep ``scalar``, whose
+    dominance-test counts are their metric."""
+    from repro.core.kernels import default_kernel_name
+
+    return flag or default_kernel_name(fallback="block")
 
 
 def _install_exit_signal_handlers() -> None:
@@ -784,7 +796,7 @@ def _run_coordinator(argv: List[str]) -> int:
         choices=["scalar", "block"],
         default=None,
         help="dominance backend for merges and filter selection "
-        "(default: $REPRO_KERNEL or scalar)",
+        "(default: $REPRO_KERNEL or block)",
     )
     parser.add_argument(
         "--filter-k", type=int, default=None, metavar="K",
@@ -808,6 +820,7 @@ def _run_coordinator(argv: List[str]) -> int:
         help="default per-query deadline in seconds (default: none)",
     )
     args = parser.parse_args(argv)
+    args.kernel = _serving_kernel(args.kernel)
 
     from repro.serving.cluster import (
         ClusterConfig,

@@ -30,7 +30,8 @@ Selection mirrors the executor seam: every entry point takes an optional
 the process default — ``set_default_kernel`` (the CLI's ``--kernel``), then
 ``$REPRO_KERNEL``, then ``"scalar"`` — so exporting ``REPRO_KERNEL=block``
 flips every default-configured algorithm in the process without touching
-call sites.
+call sites.  The servers (``repro serve`` / ``repro coordinator``) fall
+back to ``"block"`` instead.
 
 Every kernel op counts the pairwise dominance tests it performs into the
 caller's :class:`~repro.core.dominance.DominanceCounter`, so the paper's
@@ -103,17 +104,18 @@ WINDOW_CHUNK = 1024
 _PRESCREEN = 32
 
 
-def default_kernel_name() -> str:
+def default_kernel_name(fallback: str = "scalar") -> str:
     """The kernel used when none is requested.
 
     Resolution order: :func:`set_default_kernel` (CLI ``--kernel``), then
-    ``$REPRO_KERNEL``, then ``"scalar"`` — the reference path, keeping
-    measurements comparable with every earlier BENCH record unless a run
-    opts in to the block backend.
+    ``$REPRO_KERNEL``, then ``fallback`` — ``"scalar"``, the reference
+    path, keeping measurements comparable with every earlier BENCH record
+    unless a run opts in to the block backend.  ``repro serve`` passes
+    ``"block"``: served answers are identical, only faster.
     """
     if _DEFAULT_KERNEL is not None:
         return _DEFAULT_KERNEL
-    return os.environ.get(ENV_KERNEL, "").strip().lower() or "scalar"
+    return os.environ.get(ENV_KERNEL, "").strip().lower() or fallback
 
 
 def set_default_kernel(name: str | None) -> str | None:
@@ -267,10 +269,19 @@ class DominanceKernel:
         self,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "sweep",
     ) -> np.ndarray:
-        """Skyline mask of ``rows`` **already in a monotone-score order**.
+        """k-skyband mask of ``rows`` **already in a monotone-score order**.
+
+        ``k = 1`` (the default) is the skyline mask; larger ``k`` keeps
+        every row dominated by fewer than ``k`` others.  Each row is
+        counted only against the rows kept before it: every dominator
+        precedes the row it dominates, and a row outside the band always
+        has ``k`` dominators inside it (the earliest out-of-band dominator
+        of a row has its own ``k`` in-band dominators, which dominate the
+        row too), so the kept prefix always holds enough of them.
 
         Precondition (the SFS invariant): no row dominates an earlier row.
         Violating it produces wrong masks — callers sort via
@@ -327,9 +338,11 @@ class ScalarKernel(DominanceKernel):
         self,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "sweep",
     ) -> np.ndarray:
+        _check_k(k)
         pts = validate_points(rows)
         n, d = pts.shape
         keep = np.zeros(n, dtype=bool)
@@ -340,8 +353,14 @@ class ScalarKernel(DominanceKernel):
             w = len(window)
             if w:
                 tests += w
-                if dominates_any(window_buf[:w], pts[idx]):  # repro: allow[kernel-seam]
-                    continue
+                view, point = window_buf[:w], pts[idx]
+                if k == 1:
+                    if dominates_any(view, point):  # repro: allow[kernel-seam]
+                        continue
+                else:
+                    le = (view <= point).all(axis=1)
+                    if (le & (view < point).any(axis=1)).sum() >= k:
+                        continue
             if w == window_buf.shape[0]:
                 grown = np.empty((window_buf.shape[0] * 2, d))
                 grown[:w] = window_buf[:w]
@@ -402,7 +421,9 @@ class BlockKernel(DominanceKernel):
     against the accumulated skyline with two chunked broadcast
     comparisons, then intra-chunk dominance resolves in one pairwise
     matrix.  With the sort-first precondition nothing is ever evicted, so
-    the accumulated skyline only grows — append-only, no rescans.
+    the accumulated skyline only grows — append-only, no rescans.  A
+    ``k > 1`` sweep accumulates the k-skyband the same way, counting
+    dominators per candidate instead of testing for any.
     ``filter_survivors`` steps over ``FILTER_CHUNK`` rows at a time.
     """
 
@@ -450,9 +471,11 @@ class BlockKernel(DominanceKernel):
         self,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "sweep",
     ) -> np.ndarray:
+        _check_k(k)
         pts = validate_points(rows)
         n, d = pts.shape
         keep = np.zeros(n, dtype=bool)
@@ -468,6 +491,9 @@ class BlockKernel(DominanceKernel):
             survivors = np.arange(chunk.shape[0])
             surv = chunk
             surv_sums = sums[start:stop]
+            # k > 1: dominators found so far per survivor; a survivor dies
+            # at k.  k = 1 stays on the cheaper any-dominance test.
+            found = np.zeros(chunk.shape[0], dtype=np.int64)
             # Established skyline first: transitivity makes the intra-chunk
             # resolution below exact over survivors only (a chunk row
             # dominated by a dead chunk row is dominated by whatever killed
@@ -488,28 +514,35 @@ class BlockKernel(DominanceKernel):
                     break
                 width = _PRESCREEN if wstart == 0 else WINDOW_CHUNK
                 wstop = min(wstart + width, sky_len)
-                dead = _any_dominates_block(
-                    sky_buf[wstart:wstop],
-                    surv,
-                    sky_sums[wstart:wstop],
-                    surv_sums,
+                args = (
+                    sky_buf[wstart:wstop], surv, sky_sums[wstart:wstop], surv_sums
                 )
+                if k == 1:
+                    dead = _any_dominates_block(*args)
+                else:
+                    found += _count_dominators_block(*args)
+                    dead = found >= k
                 tests += (wstop - wstart) * surv.shape[0]
                 if dead.any():
                     alive_mask = ~dead
                     survivors = survivors[alive_mask]
                     surv = surv[alive_mask]
                     surv_sums = surv_sums[alive_mask]
+                    found = found[alive_mask]
                 wstart = wstop
             if survivors.size:
                 m = surv.shape[0]
                 if m > 1:
                     # Pairwise over survivors: the sort order already
                     # forbids j < i wins, but duplicates make the full
-                    # both-sides pass the safe shape.
-                    intra_alive = ~_any_dominates_block(
-                        surv, surv, surv_sums, surv_sums
-                    )
+                    # both-sides pass the safe shape.  Survivors that die
+                    # here still count: each is a real dominator, and the
+                    # band's own members below k never reach k.
+                    args = (surv, surv, surv_sums, surv_sums)
+                    if k == 1:
+                        intra_alive = ~_any_dominates_block(*args)
+                    else:
+                        intra_alive = found + _count_dominators_block(*args) < k
                     tests += m * m
                     survivors = survivors[intra_alive]
                     surv = surv[intra_alive]
@@ -562,6 +595,28 @@ def _sweep_chunks(n: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _le_block(window: np.ndarray, chunk: np.ndarray) -> np.ndarray | None:
+    """``(w, c)`` mask: ``window[i] ≤ chunk[j]`` on every dimension.
+
+    Accumulates dimension by dimension on 2-D ``(w, c)`` slices — same
+    elementwise work as the obvious ``(w, c, d)`` broadcast, but the
+    temporaries fit in cache instead of blowing it, which is most of the
+    wall-clock difference.  ``None`` when no pair survives the first
+    three dimensions (the common case against a strong window).
+    """
+    le = window[:, 0, None] <= chunk[None, :, 0]
+    for k in range(1, window.shape[1]):
+        le &= window[:, k, None] <= chunk[None, :, k]
+        if k == 2 and not le.any():
+            return None
+    return le
+
+
 def _any_dominates_block(
     window: np.ndarray,
     chunk: np.ndarray,
@@ -570,21 +625,17 @@ def _any_dominates_block(
 ) -> np.ndarray:
     """Mask over ``chunk`` rows dominated by at least one ``window`` row.
 
-    The ``≤ on every dimension`` part accumulates dimension by dimension
-    on 2-D ``(w, c)`` slices — same elementwise work as the obvious
-    ``(w, c, d)`` broadcast, but the temporaries fit in cache instead of
-    blowing it, which is most of the wall-clock difference.  Strictness
-    then rides on row sums: with ``w ≤ c`` elementwise, float summation
-    is monotone, so ``sum(w) < sum(c)`` proves a strict dimension and
-    ``sum(w) = sum(c)`` leaves only ties — pairs that dominate iff the
-    rows differ, resolved exactly on just those (rare) columns.  Callers
-    may pass precomputed row sums to amortise them across chunks.
+    The ``≤ on every dimension`` part comes from :func:`_le_block`.
+    Strictness then rides on row sums: with ``w ≤ c`` elementwise, float
+    summation is monotone, so ``sum(w) < sum(c)`` proves a strict
+    dimension and ``sum(w) = sum(c)`` leaves only ties — pairs that
+    dominate iff the rows differ, resolved exactly on just those (rare)
+    columns.  Callers may pass precomputed row sums to amortise them
+    across chunks.
     """
-    le = window[:, 0, None] <= chunk[None, :, 0]
-    for k in range(1, window.shape[1]):
-        le &= window[:, k, None] <= chunk[None, :, k]
-        if k == 2 and not le.any():
-            return np.zeros(chunk.shape[0], dtype=bool)
+    le = _le_block(window, chunk)
+    if le is None:
+        return np.zeros(chunk.shape[0], dtype=bool)
     if wsum is None:
         wsum = window.sum(axis=1)
     if csum is None:
@@ -598,6 +649,30 @@ def _any_dominates_block(
         differs = (window[:, None, :] != chunk[cols][None, :, :]).any(axis=2)
         dominated[cols] = (ties[:, cols] & differs).any(axis=0)
     return dominated
+
+
+def _count_dominators_block(
+    window: np.ndarray,
+    chunk: np.ndarray,
+    wsum: np.ndarray,
+    csum: np.ndarray,
+) -> np.ndarray:
+    """Per ``chunk`` row: how many ``window`` rows dominate it.
+
+    The counting twin of :func:`_any_dominates_block`, with the same
+    per-dimension ``≤`` accumulation and row-sum strictness; every tie
+    pair is resolved, since each one may add to a count.
+    """
+    le = _le_block(window, chunk)
+    if le is None:
+        return np.zeros(chunk.shape[0], dtype=np.int64)
+    dom = le & (wsum[:, None] < csum[None, :])
+    ties = le & ~dom
+    cols = np.flatnonzero(ties.any(axis=0))
+    if cols.size:
+        differs = (window[:, None, :] != chunk[cols][None, :, :]).any(axis=2)
+        dom[:, cols] |= ties[:, cols] & differs
+    return dom.sum(axis=0)
 
 
 _KERNELS: dict[str, DominanceKernel] = {

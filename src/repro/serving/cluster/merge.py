@@ -15,8 +15,10 @@ sets into the exact global answer:
   themselves locally in the k-skyband, so every global refutation survives
   into the union;
 * ``constrained`` / ``subspace`` — the same union-closure argument applied
-  inside the query box / projected subspace, evaluated by the reference
-  :func:`repro.serving.queries.evaluate`.
+  inside the query box / projected subspace.
+
+All but ``skyline`` are evaluated by :func:`repro.serving.queries.evaluate`
+on the coordinator's kernel.
 
 The merged rows come back alongside the ids because the coordinator feeds
 them straight to :func:`repro.core.filtering.compute_filter_points` — the
@@ -73,7 +75,7 @@ def merge_candidates(
         order = np.argsort(cat_ids[keep], kind="stable")
         keep = keep[order]
         return [int(i) for i in cat_ids[keep]], cat_rows[keep]
-    merged = evaluate(spec, cat_ids, cat_rows)
+    merged = evaluate(spec, cat_ids, cat_rows, kernel=kernel)
     position = {int(pid): i for i, pid in enumerate(cat_ids.tolist())}
     rows = (
         cat_rows[[position[pid] for pid in merged]]

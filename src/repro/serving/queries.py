@@ -120,13 +120,20 @@ class QuerySpec:
         return record
 
 
-def evaluate(spec: QuerySpec, ids: np.ndarray, rows: np.ndarray) -> List[int]:
+def evaluate(
+    spec: QuerySpec,
+    ids: np.ndarray,
+    rows: np.ndarray,
+    *,
+    kernel: str | DominanceKernel | None = None,
+) -> List[int]:
     """From-scratch answer to ``spec`` over one membership snapshot.
 
     ``ids[i]`` is the stable point id of ``rows[i]``; the result is the
     ascending list of point ids satisfying the query.  This is both the
-    serving compute path for the non-skyline kinds and the ground truth
-    the differential tests compare every served answer against.
+    serving compute path for the non-skyline kinds (run on the dataset's
+    ``kernel``) and the ground truth the differential tests compare every
+    served answer against (``kernel=None``: the process default).
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size == 0:
@@ -136,10 +143,10 @@ def evaluate(spec: QuerySpec, ids: np.ndarray, rows: np.ndarray) -> List[int]:
             f"snapshot mismatch: {ids.shape[0]} ids for {rows.shape[0]} rows"
         )
     if spec.kind == "skyline":
-        idx = skyline(rows)
+        idx = skyline(rows, kernel=kernel)
     elif spec.kind == "skyband":
         assert spec.k is not None
-        idx = k_skyband(rows, spec.k)
+        idx = k_skyband(rows, spec.k, kernel=kernel)
     elif spec.kind == "constrained":
         lower = np.asarray(spec.lower, dtype=np.float64)
         upper = np.asarray(spec.upper, dtype=np.float64)
@@ -152,14 +159,14 @@ def evaluate(spec: QuerySpec, ids: np.ndarray, rows: np.ndarray) -> List[int]:
         )
         if inside.size == 0:
             return []
-        idx = inside[skyline(rows[inside])]
+        idx = inside[skyline(rows[inside], kernel=kernel)]
     else:  # subspace
         assert spec.dims is not None
         if max(spec.dims) >= rows.shape[1]:
             raise ValueError(
                 f"dims {spec.dims} out of range for {rows.shape[1]} attributes"
             )
-        idx = skyline(rows[:, spec.dims])
+        idx = skyline(rows[:, spec.dims], kernel=kernel)
     return sorted(int(ids[i]) for i in idx)
 
 

@@ -97,6 +97,10 @@ def serve_stdio(
 class _SessionHandler(socketserver.StreamRequestHandler):
     """One TCP connection = one JSON-lines session."""
 
+    # TCP_NODELAY: a response goes out as soon as it is written, instead
+    # of waiting (Nagle) for the client to ACK the previous one.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: "ServingTCPServer" = self.server  # type: ignore[assignment]
         reader = (raw.decode("utf-8", "replace") for raw in self.rfile)

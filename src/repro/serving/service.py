@@ -99,9 +99,10 @@ class ServeConfig:
     #: Workers / executor for MR bulk loads of registered datasets.
     num_workers: int = 2
     executor: str | Executor | None = None
-    #: Dominance backend for every registered dataset (``"scalar"`` /
-    #: ``"block"``); ``None`` resolves the process default
-    #: (``--kernel`` / ``$REPRO_KERNEL``, else ``scalar``).
+    #: Dominance backend for every registered dataset and its queries
+    #: (``"scalar"`` / ``"block"``); ``None`` resolves the process default
+    #: (``$REPRO_KERNEL``, else ``scalar``).  ``repro serve`` always passes
+    #: a name: ``--kernel``, else ``$REPRO_KERNEL``, else ``block``.
     kernel: str | None = None
     #: Latency SLO: this fraction of answered requests …
     slo_latency_target: float = 0.95
@@ -592,7 +593,7 @@ class SkylineService:
             else:
                 snap = store.snapshot()
                 generation = snap.generation
-                ids = evaluate(req.spec, snap.ids, snap.rows)
+                ids = evaluate(req.spec, snap.ids, snap.rows, kernel=store.kernel)
             # The snapshot's generation may be newer than the one the cache
             # key was derived from (a mutation raced in); the result is
             # cached and labelled under the generation actually computed.
@@ -650,7 +651,7 @@ class SkylineService:
         if snap.generation == response.generation and not response.degraded:
             ids = [int(i) for i in response.ids]
         else:
-            ids = evaluate(spec, snap.ids, snap.rows)
+            ids = evaluate(spec, snap.ids, snap.rows, kernel=store.kernel)
         rows = snap.rows_of(ids)
         held = int(snap.ids.shape[0])
         candidates = len(ids)

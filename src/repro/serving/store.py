@@ -113,6 +113,11 @@ class SkylineStore:
             return self._generation
 
     @property
+    def kernel(self) -> DominanceKernel:
+        """The dominance backend this store runs on (queries use it too)."""
+        return self._kernel
+
+    @property
     def kernel_name(self) -> str:
         """Name of the dominance backend this store runs on."""
         return self._kernel.name

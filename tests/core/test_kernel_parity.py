@@ -141,6 +141,20 @@ class TestMapReduceParity:
         )
 
 
+def test_block_dominance_tests_on_the_qws_batch_job():
+    # The benchmark's batch job (MR-Angle, block kernel, QWS 100,000 x 8):
+    # its k = 1 sweeps count exactly this many dominance tests.
+    from repro.services.qws import extend_dataset, generate_qws
+
+    base = generate_qws(10_000, seed=2012)
+    pts = np.ascontiguousarray(
+        extend_dataset(base, 100_000, seed=2013).qos_matrix(8)
+    )
+    result = run_mr_skyline(pts, method="angle", kernel="block")
+    assert result.dominance_tests == 590_745
+    assert result.global_indices.size == 455
+
+
 # -- Hypothesis: adversarial search beyond the curated sets -------------------
 
 finite = st.floats(
