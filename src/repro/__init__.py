@@ -29,33 +29,46 @@ Quick start::
     print(result.summary())
 """
 
-from repro.core import (
-    AngularPartitioner,
-    DimensionalPartitioner,
-    GridPartitioner,
-    IncrementalSkyline,
-    MRSkylineResult,
-    RandomPartitioner,
-    bnl_skyline,
-    dnc_skyline,
-    dominates,
-    run_mr_skyline,
-    sfs_skyline,
-    skyline,
-    skyline_points,
-    to_hyperspherical,
-    update_mr_skyline,
-)
-from repro.services import (
-    QWS_SCHEMA,
-    ServiceDataset,
-    ServiceRegistry,
-    extend_dataset,
-    generate_qws,
-    select_services,
-)
+from typing import Any
+
+from repro._lazy import lazy_export
 
 __version__ = "1.0.0"
+
+# Public names by home module, imported on first use (PEP 562) so that
+# `import repro.<subpackage>` loads only what that subpackage needs.
+_EXPORTS = {
+    "repro.core": (
+        "AngularPartitioner",
+        "DimensionalPartitioner",
+        "GridPartitioner",
+        "IncrementalSkyline",
+        "MRSkylineResult",
+        "RandomPartitioner",
+        "bnl_skyline",
+        "dnc_skyline",
+        "dominates",
+        "run_mr_skyline",
+        "sfs_skyline",
+        "skyline",
+        "skyline_points",
+        "to_hyperspherical",
+        "update_mr_skyline",
+    ),
+    "repro.services": (
+        "QWS_SCHEMA",
+        "ServiceDataset",
+        "ServiceRegistry",
+        "extend_dataset",
+        "generate_qws",
+        "select_services",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "AngularPartitioner",

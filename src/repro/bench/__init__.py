@@ -5,27 +5,39 @@ pytest-benchmark suites under ``benchmarks/`` call the same drivers with
 scaled-down parameters.
 """
 
-from repro.bench.experiments import (
-    PAPER_DIMS,
-    PAPER_METHODS,
-    ablations,
-    figure5,
-    figure6,
-    figure7,
-    headline,
-    stragglers,
-    theory,
-)
-from repro.bench.harness import (
-    DEFAULT_CLUSTER,
-    DatasetCache,
-    PointRecord,
-    default_cache,
-    run_point,
-    sweep,
-)
-from repro.bench.reporting import Table
-from repro.bench.timing import Timer, best_of
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.bench.experiments": (
+        "PAPER_DIMS",
+        "PAPER_METHODS",
+        "ablations",
+        "figure5",
+        "figure6",
+        "figure7",
+        "headline",
+        "stragglers",
+        "theory",
+    ),
+    "repro.bench.harness": (
+        "DEFAULT_CLUSTER",
+        "DatasetCache",
+        "PointRecord",
+        "default_cache",
+        "run_point",
+        "sweep",
+    ),
+    "repro.bench.reporting": ("Table",),
+    "repro.bench.timing": ("Timer", "best_of"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "DEFAULT_CLUSTER",

@@ -48,18 +48,10 @@ import argparse
 import atexit
 import signal
 import sys
-from typing import Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
-from repro.bench import (
-    Table,
-    ablations,
-    figure5,
-    figure6,
-    figure7,
-    headline,
-    stragglers,
-    theory,
-)
+if TYPE_CHECKING:  # pragma: no cover - the experiments import repro.bench lazily
+    from repro.bench import Table
 
 __all__ = ["main", "build_parser"]
 
@@ -75,6 +67,16 @@ def _experiments(
     executor: str | None = None,
     pipelined: bool = False,
 ) -> Dict[str, Callable[[], Table]]:
+    from repro.bench import (
+        ablations,
+        figure5,
+        figure6,
+        figure7,
+        headline,
+        stragglers,
+        theory,
+    )
+
     small = _QUICK_SMALL_N if quick else _SMALL_N
     large = _QUICK_LARGE_N if quick else _LARGE_N
     dims = (2, 4, 6) if quick else (2, 4, 6, 8, 10)

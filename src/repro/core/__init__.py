@@ -20,80 +20,96 @@ Layout:
 * :mod:`repro.core.incremental` — dynamic service insertion/removal (§II)
 """
 
-from repro.core.bbs import BBSResult, bbs_skyline, bbs_skyline_progressive
-from repro.core.blocks import PointBlock, concat_blocks
-from repro.core.bnl import BNLResult, bnl_merge, bnl_skyline
-from repro.core.dnc import DNCResult, dnc_skyline
-from repro.core.dominance import (
-    DominanceCounter,
-    dominance_matrix,
-    dominated_mask,
-    dominates,
-    dominates_any,
-    incomparable,
-    validate_points,
-)
-from repro.core.dominance_ability import (
-    delta_dominance,
-    delta_lower_bound,
-    dominance_ability_angle,
-    dominance_ability_grid,
-    empirical_dominance_ability,
-)
-from repro.core.hyperspherical import (
-    MAX_ANGLE,
-    angular_coordinates,
-    from_hyperspherical,
-    to_hyperspherical,
-)
-from repro.core.filtering import (
-    DEFAULT_FILTER_K,
-    DEFAULT_FILTER_SAMPLE,
-    compute_filter_points,
-)
-from repro.core.incremental import IncrementalSkyline
-from repro.core.kernels import (
-    KERNEL_NAMES,
-    BlockKernel,
-    DominanceKernel,
-    ScalarKernel,
-    default_kernel_name,
-    get_kernel,
-    make_kernel,
-    set_default_kernel,
-    sort_first_order,
-)
-from repro.core.mr_skyline import (
-    MRSkylineResult,
-    default_partition_count,
-    run_mr_skyline,
-    update_mr_skyline,
-)
-from repro.core.optimality import (
-    OptimalityReport,
-    local_skyline_optimality,
-    optimality_of_result,
-    per_partition_optimality,
-)
-from repro.core.partitioning import (
-    AngularPartitioner,
-    DimensionalPartitioner,
-    GridPartitioner,
-    RandomPartitioner,
-    SpacePartitioner,
-    load_imbalance,
-    make_partitioner,
-    partition_sizes,
-)
-from repro.core.representative import (
-    RepresentativeResult,
-    distance_representatives,
-    max_dominance_representatives,
-)
-from repro.core.rtree import RTree
-from repro.core.sfs import SFSResult, monotone_score, sfs_skyline
-from repro.core.skyband import dominator_counts, k_skyband, top_k_dominating
-from repro.core.skyline import is_skyline, skyline, skyline_numpy, skyline_points
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Eager: the function shares its name with its own submodule, and a lazy
+# lookup would lose to the submodule attribute once anything imported it.
+from repro.core.skyline import skyline
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.core.bbs": ("BBSResult", "bbs_skyline", "bbs_skyline_progressive"),
+    "repro.core.blocks": ("PointBlock", "concat_blocks"),
+    "repro.core.bnl": ("BNLResult", "bnl_merge", "bnl_skyline"),
+    "repro.core.dnc": ("DNCResult", "dnc_skyline"),
+    "repro.core.dominance": (
+        "DominanceCounter",
+        "dominance_matrix",
+        "dominated_mask",
+        "dominates",
+        "dominates_any",
+        "incomparable",
+        "validate_points",
+    ),
+    "repro.core.dominance_ability": (
+        "delta_dominance",
+        "delta_lower_bound",
+        "dominance_ability_angle",
+        "dominance_ability_grid",
+        "empirical_dominance_ability",
+    ),
+    "repro.core.hyperspherical": (
+        "MAX_ANGLE",
+        "angular_coordinates",
+        "from_hyperspherical",
+        "to_hyperspherical",
+    ),
+    "repro.core.filtering": (
+        "DEFAULT_FILTER_K",
+        "DEFAULT_FILTER_SAMPLE",
+        "compute_filter_points",
+    ),
+    "repro.core.incremental": ("IncrementalSkyline",),
+    "repro.core.kernels": (
+        "KERNEL_NAMES",
+        "BlockKernel",
+        "DominanceKernel",
+        "ScalarKernel",
+        "default_kernel_name",
+        "get_kernel",
+        "make_kernel",
+        "set_default_kernel",
+        "sort_first_order",
+    ),
+    "repro.core.mr_skyline": (
+        "MRSkylineResult",
+        "default_partition_count",
+        "run_mr_skyline",
+        "update_mr_skyline",
+    ),
+    "repro.core.optimality": (
+        "OptimalityReport",
+        "local_skyline_optimality",
+        "optimality_of_result",
+        "per_partition_optimality",
+    ),
+    "repro.core.partitioning": (
+        "AngularPartitioner",
+        "DimensionalPartitioner",
+        "GridPartitioner",
+        "RandomPartitioner",
+        "SpacePartitioner",
+        "load_imbalance",
+        "make_partitioner",
+        "partition_sizes",
+    ),
+    "repro.core.representative": (
+        "RepresentativeResult",
+        "distance_representatives",
+        "max_dominance_representatives",
+    ),
+    "repro.core.rtree": ("RTree",),
+    "repro.core.sfs": ("SFSResult", "monotone_score", "sfs_skyline"),
+    "repro.core.skyband": ("dominator_counts", "k_skyband", "top_k_dominating"),
+    "repro.core.skyline": ("is_skyline", "skyline_numpy", "skyline_points"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "AngularPartitioner",

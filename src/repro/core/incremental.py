@@ -12,11 +12,19 @@ partition's local skyline (one window comparison); removing a service
 recomputes only the affected partition.  The global skyline is a lazy BNL
 merge of the local skylines, recomputed only after mutations — exactly the
 Reduce step of the MapReduce pipeline.
+
+Membership is columnar: one capacity-doubling ``(capacity, d)`` row
+matrix plus per-slot id, partition, alive and local-skyline arrays.
+Slots are appended in increasing id order, so an id's slot is a binary
+search and :meth:`IncrementalSkyline.members` is one masked gather.  A
+remove only clears the slot's alive flag; once dead slots outnumber live
+ones the arrays are compacted, so storage stays proportional to the live
+membership.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +34,9 @@ from repro.core.kernels import DominanceKernel, get_kernel
 from repro.core.partitioning.base import SpacePartitioner
 
 __all__ = ["IncrementalSkyline"]
+
+#: Smallest slot capacity a structure allocates (or compacts down to).
+_MIN_CAPACITY = 16
 
 
 class IncrementalSkyline:
@@ -39,7 +50,7 @@ class IncrementalSkyline:
         of-range points clamp into boundary partitions, as in the static
         pipeline).
     initial_points:
-        Optional ``(n, d)`` seed data.
+        Optional ``(n, d)`` seed data, loaded with :meth:`bulk_load`.
     kernel:
         Dominance backend used for every maintenance comparison (insert
         checks, partition recomputes, the lazy global merge); ``None``
@@ -61,21 +72,26 @@ class IncrementalSkyline:
             raise ValueError(f"next_id must be >= 0, got {next_id}")
         self._partitioner = partitioner
         self._kernel = get_kernel(kernel)
-        self._rows: Dict[int, np.ndarray] = {}
-        self._partition_of: Dict[int, int] = {}
-        self._members: Dict[int, List[int]] = {}
-        self._local_sky: Dict[int, List[int]] = {}
+        # Slots [0, _size) are in use, ids strictly ascending; slots past
+        # _size are zeroed.  A removed member keeps its slot (alive False)
+        # until the next compaction.  Invariant: _sky[s] implies _alive[s].
+        self._rows = np.empty((0, 0))
+        self._ids = np.empty(0, dtype=np.intp)
+        self._part = np.empty(0, dtype=np.intp)
+        self._alive = np.empty(0, dtype=bool)
+        self._sky = np.empty(0, dtype=bool)
+        self._size = 0
+        self._live = 0
         # Starts above 0 when a recovery restores the id-allocation
         # cursor of a structure whose membership had emptied out.
         self._next_id = next_id
         self._global_cache: np.ndarray | None = None
 
         if initial_points is not None:
-            pts = np.asarray(initial_points, dtype=np.float64)
+            pts = validate_points(initial_points)
             if not getattr(partitioner, "_fitted", False):
                 partitioner.fit(pts)
-            for row in pts:
-                self.insert(row)
+            self.bulk_load(pts)
         elif not getattr(partitioner, "_fitted", False):
             raise ValueError(
                 "partitioner must be fitted when no initial points are given"
@@ -101,36 +117,26 @@ class IncrementalSkyline:
         pipeline instead of ``n`` serial inserts.
         """
         pts = validate_points(points)
-        ids = np.asarray(partition_ids)
-        if ids.shape != (pts.shape[0],):
+        parts = np.asarray(partition_ids)
+        n = pts.shape[0]
+        if parts.shape != (n,):
             raise ValueError(
-                f"partition_ids has shape {ids.shape}, expected ({pts.shape[0]},)"
+                f"partition_ids has shape {parts.shape}, expected ({n},)"
             )
         if not getattr(partitioner, "_fitted", False):
             raise ValueError("partitioner must be fitted for from_batch")
-        self = cls.__new__(cls)
-        self._partitioner = partitioner
-        self._kernel = get_kernel(kernel)
-        self._rows = {i: pts[i] for i in range(pts.shape[0])}
-        self._partition_of = {i: int(p) for i, p in enumerate(ids)}
-        self._members = {}
-        for i, pid in self._partition_of.items():
-            self._members.setdefault(pid, []).append(i)
-        self._local_sky = {
-            int(pid): [int(i) for i in sky]
-            for pid, sky in local_skylines.items()
-            if len(sky)
-        }
-        for pid, sky in self._local_sky.items():
-            member_set = set(self._members.get(pid, []))
-            stray = [i for i in sky if i not in member_set]
-            if stray:
+        self = cls(partitioner, kernel=kernel)
+        self._append(pts, parts)
+        for pid, sky in local_skylines.items():
+            idx = np.asarray(sky, dtype=np.intp).reshape(-1)
+            member = (idx >= 0) & (idx < n)
+            member[member] = parts[idx[member]] == int(pid)
+            if not member.all():
                 raise ValueError(
                     f"local skyline of partition {pid} references non-member "
-                    f"ids {stray[:5]}"
+                    f"ids {idx[~member][:5].tolist()}"
                 )
-        self._next_id = pts.shape[0]
-        self._global_cache = None
+            self._sky[idx] = True
         return self
 
     @classmethod
@@ -158,16 +164,18 @@ class IncrementalSkyline:
         partition-independent.
         """
         pts = validate_points(rows)
-        id_list = [int(i) for i in ids]
-        if len(id_list) != pts.shape[0]:
+        id_arr = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if id_arr.shape[0] != pts.shape[0]:
             raise ValueError(
-                f"got {len(id_list)} ids for {pts.shape[0]} rows"
+                f"got {id_arr.shape[0]} ids for {pts.shape[0]} rows"
             )
-        if len(set(id_list)) != len(id_list):
+        order = np.argsort(id_arr, kind="stable")
+        id_arr, pts = id_arr[order], pts[order]
+        if np.any(id_arr[1:] == id_arr[:-1]):
             raise ValueError("member ids must be unique")
-        if id_list and next_id <= max(id_list):
+        if id_arr.size and next_id <= id_arr[-1]:
             raise ValueError(
-                f"next_id {next_id} would re-issue live id {max(id_list)}"
+                f"next_id {next_id} would re-issue live id {int(id_arr[-1])}"
             )
         if next_id < 0:
             raise ValueError(f"next_id must be >= 0, got {next_id}")
@@ -177,33 +185,20 @@ class IncrementalSkyline:
                     "partitioner must be fitted to restore an empty membership"
                 )
             partitioner.fit(pts)
-        self = cls.__new__(cls)
-        self._partitioner = partitioner
-        self._kernel = get_kernel(kernel)
-        self._rows = {pid: pts[i] for i, pid in enumerate(id_list)}
-        assigned = partitioner.assign(pts) if pts.shape[0] else np.empty(0, dtype=np.intp)
-        self._partition_of = {
-            pid: int(part) for pid, part in zip(id_list, assigned)
-        }
-        self._members = {}
-        for pid in id_list:
-            self._members.setdefault(self._partition_of[pid], []).append(pid)
-        self._local_sky = {}
-        for part, members in self._members.items():
-            member_rows = np.vstack([self._rows[i] for i in members])
-            result = bnl_skyline(member_rows, kernel=self._kernel)
-            self._local_sky[part] = [members[j] for j in result.indices]
+        self = cls(partitioner, kernel=kernel)
+        if pts.shape[0]:
+            self._append(pts, partitioner.assign(pts), ids=id_arr)
+            self._settle(np.arange(self._size))
         self._next_id = next_id
-        self._global_cache = None
         return self
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._live
 
     def __contains__(self, point_id: int) -> bool:
-        return point_id in self._rows
+        return self._slot(point_id) is not None
 
     @property
     def num_partitions(self) -> int:
@@ -221,11 +216,13 @@ class IncrementalSkyline:
         return self._next_id
 
     def point(self, point_id: int) -> np.ndarray:
-        return self._rows[point_id].copy()
+        return self._rows[self._slot_of(point_id)].copy()
 
     def local_skyline(self, partition_id: int) -> List[int]:
         """Current local skyline ids of one partition (sorted)."""
-        return sorted(self._local_sky.get(partition_id, []))
+        n = self._size
+        on = self._sky[:n] & (self._part[:n] == partition_id)
+        return self._ids[:n][on].tolist()
 
     def partition_sizes(self) -> List[int]:
         """Member count per partition id (0 … num_partitions-1).
@@ -235,71 +232,58 @@ class IncrementalSkyline:
         gauges after every mutation, which the skew-threshold watches
         (and eventually the re-balancer) consume.
         """
-        return [
-            len(self._members.get(pid, []))
-            for pid in range(self._partitioner.num_partitions)
-        ]
+        n = self._size
+        live_parts = self._part[:n][self._alive[:n]]
+        return np.bincount(
+            live_parts, minlength=self._partitioner.num_partitions
+        ).tolist()
 
     def global_skyline(self) -> List[int]:
         """Ids of the current global skyline (sorted ascending)."""
         if self._global_cache is None:
-            ids: List[int] = [
-                pid for sky in self._local_sky.values() for pid in sky
-            ]
-            if not ids:
+            candidates = np.flatnonzero(self._sky[: self._size])
+            if candidates.size == 0:
                 self._global_cache = np.empty(0, dtype=np.intp)
             else:
-                rows = np.vstack([self._rows[i] for i in ids])
-                result = bnl_skyline(rows, kernel=self._kernel)
-                self._global_cache = np.array(
-                    sorted(ids[j] for j in result.indices), dtype=np.intp
-                )
-        return [int(i) for i in self._global_cache]
+                result = bnl_skyline(self._rows[candidates], kernel=self._kernel)
+                # BNL returns ascending positions and slots ascend with id.
+                self._global_cache = self._ids[candidates[result.indices]]
+        return self._global_cache.tolist()
 
     def global_skyline_points(self) -> np.ndarray:
         ids = self.global_skyline()
         if not ids:
-            d = next(iter(self._rows.values())).shape[0] if self._rows else 0
-            return np.empty((0, d))
-        return np.vstack([self._rows[i] for i in ids])
+            return np.empty((0, self._rows.shape[1] if self._live else 0))
+        return self._rows[np.searchsorted(self._ids[: self._size], ids)]
 
     def members(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, rows)`` of every current member, ids ascending.
 
-        The row matrix is a copy: callers may compute over it outside any
+        Both arrays are copies: callers may compute over them outside any
         lock guarding this structure without seeing later mutations.
         """
-        if not self._rows:
+        if not self._live:
             return np.empty(0, dtype=np.intp), np.empty((0, 0))
-        ids = np.array(sorted(self._rows), dtype=np.intp)
-        rows = np.vstack([self._rows[int(i)] for i in ids])
-        return ids, rows
+        alive = self._alive[: self._size]
+        return self._ids[: self._size][alive], self._rows[: self._size][alive]
 
     # -- mutations ---------------------------------------------------------------
 
     def insert(self, point: np.ndarray) -> int:
         """Add a service; returns its id.  Only its partition is touched."""
-        row = np.asarray(point, dtype=np.float64).reshape(-1)
-        pid = int(self._partitioner.assign(row.reshape(1, -1))[0])
-        point_id = self._next_id
-        self._next_id += 1
-        self._rows[point_id] = row
-        self._partition_of[point_id] = pid
-        self._members.setdefault(pid, []).append(point_id)
-
-        sky = self._local_sky.setdefault(pid, [])
-        if sky:
-            sky_rows = np.vstack([self._rows[i] for i in sky])
-            if self._kernel.any_dominates(sky_rows, row):
-                return point_id  # dominated locally: member, not skyline
-            evict = self._kernel.dominated_in(sky_rows, row)
-            if evict.any():
-                self._local_sky[pid] = [
-                    i for i, dead in zip(sky, evict) if not dead
-                ]
-        self._local_sky[pid].append(point_id)
+        row = np.asarray(point, dtype=np.float64).reshape(1, -1)
+        pid = self._partitioner.assign(row)
+        slot = self._append(row, pid)[0]
+        n = self._size
+        sky = np.flatnonzero(self._sky[:n] & (self._part[:n] == pid[0]))
+        if sky.size:
+            sky_rows = self._rows[sky]
+            if self._kernel.any_dominates(sky_rows, row[0]):
+                return int(self._ids[slot])  # dominated locally: member, not skyline
+            self._sky[sky[self._kernel.dominated_in(sky_rows, row[0])]] = False
+        self._sky[slot] = True
         self._global_cache = None
-        return point_id
+        return int(self._ids[slot])
 
     def bulk_load(self, points: np.ndarray) -> List[int]:
         """Insert a batch of services at once; returns their ids.
@@ -312,44 +296,28 @@ class IncrementalSkyline:
         pts = validate_points(points)
         if pts.shape[0] == 0:
             return []
-        assigned = self._partitioner.assign(pts)
-        new_ids: List[int] = []
-        touched: Dict[int, List[int]] = {}
-        for row, pid in zip(pts, assigned):
-            point_id = self._next_id
-            self._next_id += 1
-            self._rows[point_id] = np.array(row, dtype=np.float64)
-            self._partition_of[point_id] = int(pid)
-            self._members.setdefault(int(pid), []).append(point_id)
-            touched.setdefault(int(pid), []).append(point_id)
-            new_ids.append(point_id)
-        for pid, arrivals in touched.items():
-            candidates = self._local_sky.get(pid, []) + arrivals
-            rows = np.vstack([self._rows[i] for i in candidates])
-            result = bnl_skyline(rows, kernel=self._kernel)
-            self._local_sky[pid] = [candidates[j] for j in result.indices]
+        slots = self._append(pts, self._partitioner.assign(pts))
+        n = self._size
+        touched = np.isin(self._part[:n], self._part[slots])
+        self._sky[slots] = True
+        self._settle(np.flatnonzero(self._sky[:n] & touched))
         self._global_cache = None
-        return new_ids
+        return self._ids[slots].tolist()
 
     def remove(self, point_id: int) -> None:
         """Drop a service; recomputes only its partition's local skyline
         (and only when the removed point was on it)."""
-        if point_id not in self._rows:
-            raise KeyError(f"unknown point id {point_id}")
-        pid = self._partition_of.pop(point_id)
-        self._members[pid].remove(point_id)
-        del self._rows[point_id]
-
-        sky = self._local_sky.get(pid, [])
-        if point_id in sky:
+        slot = self._slot_of(point_id)
+        self._alive[slot] = False
+        self._live -= 1
+        if self._sky[slot]:
             # Points the victim dominated may resurface: recompute from members.
-            members = self._members[pid]
-            if members:
-                rows = np.vstack([self._rows[i] for i in members])
-                result = bnl_skyline(rows, kernel=self._kernel)
-                self._local_sky[pid] = [members[j] for j in result.indices]
-            else:
-                self._local_sky[pid] = []
+            self._sky[slot] = False
+            n = self._size
+            pid = self._part[slot]
+            self._settle(np.flatnonzero(self._alive[:n] & (self._part[:n] == pid)))
+        if self._size - self._live > self._live:
+            self._compact()
         # Invalidate the lazy global cache unconditionally — also for
         # non-skyline members.  The set of global-skyline *ids* is provably
         # unchanged in that case (the victim is dominated by a local-skyline
@@ -359,3 +327,80 @@ class IncrementalSkyline:
         # keeping it alive across *any* remove ties correctness to a
         # subtle transitivity argument instead of an invariant.
         self._global_cache = None
+
+    # -- storage -----------------------------------------------------------------
+
+    def _slot(self, point_id: int) -> int | None:
+        """The live slot holding ``point_id``, or ``None``."""
+        n = self._size
+        slot = int(np.searchsorted(self._ids[:n], point_id))
+        if slot < n and self._ids[slot] == point_id and self._alive[slot]:
+            return slot
+        return None
+
+    def _slot_of(self, point_id: int) -> int:
+        slot = self._slot(point_id)
+        if slot is None:
+            raise KeyError(f"unknown point id {point_id}")
+        return slot
+
+    def _append(
+        self, rows: np.ndarray, parts: np.ndarray, *, ids: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Store ``rows`` in fresh slots (new ids unless ``ids`` is given,
+        which must ascend past every stored id); returns the slots."""
+        m, d = rows.shape
+        n = self._size
+        if n and d != self._rows.shape[1]:
+            raise ValueError(f"expected {self._rows.shape[1]} attributes, got {d}")
+        if n + m > self._rows.shape[0] or d != self._rows.shape[1]:
+            capacity = max(_MIN_CAPACITY, n + m, 2 * self._rows.shape[0])
+            self._reallocate(capacity, d, np.arange(n))
+        slots = np.arange(n, n + m)
+        if ids is None:
+            ids = np.arange(self._next_id, self._next_id + m)
+            self._next_id += m
+        self._rows[slots] = rows
+        self._ids[slots] = ids
+        self._part[slots] = parts
+        self._alive[slots] = True
+        self._size += m
+        self._live += m
+        return slots
+
+    def _settle(self, slots: np.ndarray) -> None:
+        """Recompute the local-skyline flags of ``slots`` partition by
+        partition: a slot is flagged iff no other slot of its partition in
+        ``slots`` dominates it."""
+        if slots.size == 0:
+            return
+        order = np.argsort(self._part[slots], kind="stable")
+        slots = slots[order]
+        bounds = np.flatnonzero(np.diff(self._part[slots])) + 1
+        self._sky[slots] = False
+        for group in np.split(slots, bounds):
+            keep = bnl_skyline(self._rows[group], kernel=self._kernel).indices
+            self._sky[group[keep]] = True
+
+    def _compact(self) -> None:
+        """Drop the dead slots and shrink the capacity to twice the live
+        count; ids keep their order."""
+        keep = np.flatnonzero(self._alive[: self._size])
+        self._reallocate(max(_MIN_CAPACITY, 2 * keep.size), self._rows.shape[1], keep)
+
+    def _reallocate(self, capacity: int, d: int, keep: np.ndarray) -> None:
+        """Move slots ``keep`` (ascending), in order, to the front of fresh
+        arrays of ``capacity`` slots."""
+        m = keep.size
+        rows = np.empty((capacity, d))
+        if m:
+            rows[:m] = self._rows[keep]
+        ids = np.zeros(capacity, dtype=np.intp)
+        part = np.zeros(capacity, dtype=np.intp)
+        alive = np.zeros(capacity, dtype=bool)
+        sky = np.zeros(capacity, dtype=bool)
+        ids[:m], part[:m] = self._ids[keep], self._part[keep]
+        alive[:m], sky[:m] = self._alive[keep], self._sky[keep]
+        self._rows, self._ids, self._part = rows, ids, part
+        self._alive, self._sky = alive, sky
+        self._size = m

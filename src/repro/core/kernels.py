@@ -254,14 +254,17 @@ class DominanceKernel:
         filters: np.ndarray,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "prune",
     ) -> np.ndarray:
-        """Mask over ``rows``: True where no ``filters`` row dominates it.
+        """Mask over ``rows``: True where fewer than ``k`` ``filters`` rows
+        dominate it (``k = 1``, the default: no filter row does).
 
         The broadcast-filter primitive of the Ciaccia–Martinenghi pruning
-        pipeline: ``filters`` is the small k-point filter set shipped to
-        every partition, ``rows`` an incoming block.
+        pipeline: ``filters`` is the small filter set shipped to every
+        partition, ``rows`` an incoming block.  ``k > 1`` is the k-skyband
+        rule: a row with ``k`` filter dominators is outside the band.
         """
         raise NotImplementedError
 
@@ -318,9 +321,11 @@ class ScalarKernel(DominanceKernel):
         filters: np.ndarray,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "prune",
     ) -> np.ndarray:
+        _check_k(k)
         flt = validate_points(filters, name="filters")
         pts = validate_points(rows)
         alive = np.ones(pts.shape[0], dtype=bool)
@@ -329,7 +334,11 @@ class ScalarKernel(DominanceKernel):
         for i in range(pts.shape[0]):
             # One candidate against the whole filter set per step — the
             # reference shape of the op.
-            alive[i] = not dominates_any(flt, pts[i])  # repro: allow[kernel-seam]
+            if k == 1:
+                alive[i] = not dominates_any(flt, pts[i])  # repro: allow[kernel-seam]
+            else:
+                le = (flt <= pts[i]).all(axis=1)
+                alive[i] = (le & (flt < pts[i]).any(axis=1)).sum() < k
         if counter is not None:
             counter.add(int(flt.shape[0]) * int(pts.shape[0]), stage)
         return alive
@@ -435,9 +444,11 @@ class BlockKernel(DominanceKernel):
         filters: np.ndarray,
         rows: np.ndarray,
         *,
+        k: int = 1,
         counter: DominanceCounter | None = None,
         stage: str = "prune",
     ) -> np.ndarray:
+        _check_k(k)
         flt = validate_points(filters, name="filters")
         pts = validate_points(rows)
         n = pts.shape[0]
@@ -454,6 +465,10 @@ class BlockKernel(DominanceKernel):
             stop = min(start + FILTER_CHUNK, n)
             chunk = pts[start:stop]
             csum = psum[start:stop]
+            if k > 1:
+                # A count needs every filter: no prescreen shortcut.
+                alive[start:stop] = _count_dominators_block(flt, chunk, fsum, csum) < k
+                continue
             live = ~_any_dominates_block(
                 flt[:head], chunk, fsum[:head], csum
             )

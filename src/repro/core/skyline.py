@@ -20,7 +20,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.bbs import bbs_skyline
 from repro.core.bnl import bnl_skyline
 from repro.core.dnc import dnc_skyline
 from repro.core.dominance import DominanceCounter, dominated_mask, validate_points
@@ -66,6 +65,8 @@ def skyline(
             raise TypeError(f"dnc takes no extra options, got {sorted(kwargs)}")
         return dnc_skyline(points, counter=counter).indices
     if algorithm == "bbs":
+        from repro.core.bbs import bbs_skyline
+
         return bbs_skyline(points, counter=counter, **kwargs).indices
     if algorithm == "numpy":
         if kwargs:

@@ -36,61 +36,79 @@ Quick example::
     dict(result.output_pairs())   # {'a': 2, 'b': 3, 'c': 1}
 """
 
-from repro.mapreduce.counters import Counters
-from repro.mapreduce.errors import (
-    EngineError,
-    JobConfigError,
-    JobFailedError,
-    PartitionLostError,
-    TaskError,
-    TaskTimeoutError,
-)
-from repro.mapreduce.executors import (
-    EXECUTOR_NAMES,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_executor_name,
-    make_executor,
-)
-from repro.mapreduce.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    get_default_fault_plan,
-    set_default_fault_plan,
-)
-from repro.mapreduce.inputs import (
-    InputFormat,
-    InputSplit,
-    SequenceInputFormat,
-    TextInputFormat,
-    make_splits,
-)
-from repro.mapreduce.job import Job, JobChain, JobConf, JobResult
-from repro.mapreduce.outputs import (
-    SequenceOutputFormat,
-    TextOutputFormat,
-    read_sequence_output,
-    read_text_output,
-)
-from repro.mapreduce.partitioner import (
-    HashPartitioner,
-    KeyFieldPartitioner,
-    Partitioner,
-    RangePartitioner,
-    SingleReducerPartitioner,
-)
-from repro.mapreduce.runner import (
-    MultiprocessRunner,
-    Runner,
-    SerialRunner,
-    run_job,
-)
-from repro.mapreduce.tasks import Combiner, MapContext, Mapper, ReduceContext, Reducer
-from repro.mapreduce.types import KeyValue, RetryPolicy, TaskKind, TaskStats
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.mapreduce.counters": ("Counters",),
+    "repro.mapreduce.errors": (
+        "EngineError",
+        "JobConfigError",
+        "JobFailedError",
+        "PartitionLostError",
+        "TaskError",
+        "TaskTimeoutError",
+    ),
+    "repro.mapreduce.executors": (
+        "EXECUTOR_NAMES",
+        "Executor",
+        "ProcessExecutor",
+        "SerialExecutor",
+        "ThreadExecutor",
+        "default_executor_name",
+        "make_executor",
+    ),
+    "repro.mapreduce.faults": (
+        "FaultInjector",
+        "FaultPlan",
+        "FaultRule",
+        "InjectedFault",
+        "get_default_fault_plan",
+        "set_default_fault_plan",
+    ),
+    "repro.mapreduce.inputs": (
+        "InputFormat",
+        "InputSplit",
+        "SequenceInputFormat",
+        "TextInputFormat",
+        "make_splits",
+    ),
+    "repro.mapreduce.job": ("Job", "JobChain", "JobConf", "JobResult"),
+    "repro.mapreduce.outputs": (
+        "SequenceOutputFormat",
+        "TextOutputFormat",
+        "read_sequence_output",
+        "read_text_output",
+    ),
+    "repro.mapreduce.partitioner": (
+        "HashPartitioner",
+        "KeyFieldPartitioner",
+        "Partitioner",
+        "RangePartitioner",
+        "SingleReducerPartitioner",
+    ),
+    "repro.mapreduce.runner": (
+        "MultiprocessRunner",
+        "Runner",
+        "SerialRunner",
+        "run_job",
+    ),
+    "repro.mapreduce.tasks": (
+        "Combiner",
+        "MapContext",
+        "Mapper",
+        "ReduceContext",
+        "Reducer",
+    ),
+    "repro.mapreduce.types": ("KeyValue", "RetryPolicy", "TaskKind", "TaskStats"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "Combiner",

@@ -10,25 +10,37 @@
   per-task skyline pruning
 """
 
-from repro.services.composition import (
-    CompositionResult,
-    CompositionTask,
-    aggregate_qos,
-    skyline_compositions,
-)
-from repro.services.qos import Polarity, QoSAttribute, QoSSchema
-from repro.services.qws import (
-    QWS_SCHEMA,
-    ServiceDataset,
-    extend_dataset,
-    generate_qws,
-)
-from repro.services.registry import Service, ServiceRegistry
-from repro.services.selection import (
-    SelectionResult,
-    rank_by_utility,
-    select_services,
-)
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.services.composition": (
+        "CompositionResult",
+        "CompositionTask",
+        "aggregate_qos",
+        "skyline_compositions",
+    ),
+    "repro.services.qos": ("Polarity", "QoSAttribute", "QoSSchema"),
+    "repro.services.qws": (
+        "QWS_SCHEMA",
+        "ServiceDataset",
+        "extend_dataset",
+        "generate_qws",
+    ),
+    "repro.services.registry": ("Service", "ServiceRegistry"),
+    "repro.services.selection": (
+        "SelectionResult",
+        "rank_by_utility",
+        "select_services",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "CompositionResult",

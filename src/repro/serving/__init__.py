@@ -34,27 +34,44 @@ concurrent queries against it:
 See ``docs/serving.md``, ``docs/cluster.md`` and ``docs/observability.md``.
 """
 
-from repro.serving.cache import ResultCache
-from repro.serving.client import ServingClient, ServingConnectionError
-from repro.serving.cluster import (
-    ClusterConfig,
-    ClusterCoordinator,
-    ClusterResponse,
-    ClusterUnavailableError,
-    LocalCluster,
-    ShardLostError,
-    ShardMap,
-)
-from repro.serving.queries import QUERY_KINDS, QuerySpec, candidate_prune_mask, evaluate
-from repro.serving.service import (
-    QueryResponse,
-    ServeConfig,
-    ServiceOverloadedError,
-    SkylineService,
-    UnknownDatasetError,
-)
-from repro.serving.store import SkylineStore, StoreSnapshot
-from repro.serving.top import render_frame, run_top
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.serving.cache": ("ResultCache",),
+    "repro.serving.client": ("ServingClient", "ServingConnectionError"),
+    "repro.serving.cluster": (
+        "ClusterConfig",
+        "ClusterCoordinator",
+        "ClusterResponse",
+        "ClusterUnavailableError",
+        "LocalCluster",
+        "ShardLostError",
+        "ShardMap",
+    ),
+    "repro.serving.queries": (
+        "QUERY_KINDS",
+        "QuerySpec",
+        "candidate_prune_mask",
+        "evaluate",
+    ),
+    "repro.serving.service": (
+        "QueryResponse",
+        "ServeConfig",
+        "ServiceOverloadedError",
+        "SkylineService",
+        "UnknownDatasetError",
+    ),
+    "repro.serving.store": ("SkylineStore", "StoreSnapshot"),
+    "repro.serving.top": ("render_frame", "run_top"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "QUERY_KINDS",

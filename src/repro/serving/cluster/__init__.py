@@ -11,18 +11,30 @@ topology in-process over real loopback sockets for tests and
 ``repro serve --cluster N``.
 """
 
-from repro.serving.cluster.coordinator import (
-    ClusterConfig,
-    ClusterCoordinator,
-    ClusterResponse,
-    ClusterUnavailableError,
-    ShardEndpoint,
-    ShardLostError,
-)
-from repro.serving.cluster.local import LocalCluster
-from repro.serving.cluster.merge import merge_candidates
-from repro.serving.cluster.protocol import handle_cluster_request
-from repro.serving.cluster.shards import SHARD_FUNCTIONS, DatasetPlacement, ShardMap
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.serving.cluster.coordinator": (
+        "ClusterConfig",
+        "ClusterCoordinator",
+        "ClusterResponse",
+        "ClusterUnavailableError",
+        "ShardEndpoint",
+        "ShardLostError",
+    ),
+    "repro.serving.cluster.local": ("LocalCluster",),
+    "repro.serving.cluster.merge": ("merge_candidates",),
+    "repro.serving.cluster.protocol": ("handle_cluster_request",),
+    "repro.serving.cluster.shards": ("SHARD_FUNCTIONS", "DatasetPlacement", "ShardMap"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "SHARD_FUNCTIONS",

@@ -26,29 +26,41 @@ communication-efficiency principle of *Computing Skylines on Distributed
 Data*: persist candidates and deltas, not whole partitions.
 """
 
-from repro.serving.durability.manager import (
-    DatasetLog,
-    DurabilityConfig,
-    DurabilityManager,
-)
-from repro.serving.durability.recovery import (
-    RecoveryReport,
-    recover_dataset,
-    recover_store,
-)
-from repro.serving.durability.snapshot import (
-    SNAPSHOT_FORMAT,
-    SnapshotError,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.serving.durability.wal import (
-    FSYNC_POLICIES,
-    WalRecord,
-    WalScan,
-    WriteAheadLog,
-    read_wal,
-)
+from typing import Any
+
+from repro._lazy import lazy_export
+
+# Public names by home module, imported on first use (PEP 562).
+_EXPORTS = {
+    "repro.serving.durability.manager": (
+        "DatasetLog",
+        "DurabilityConfig",
+        "DurabilityManager",
+    ),
+    "repro.serving.durability.recovery": (
+        "RecoveryReport",
+        "recover_dataset",
+        "recover_store",
+    ),
+    "repro.serving.durability.snapshot": (
+        "SNAPSHOT_FORMAT",
+        "SnapshotError",
+        "read_snapshot",
+        "write_snapshot",
+    ),
+    "repro.serving.durability.wal": (
+        "FSYNC_POLICIES",
+        "WalRecord",
+        "WalScan",
+        "WriteAheadLog",
+        "read_wal",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
 
 __all__ = [
     "DatasetLog",

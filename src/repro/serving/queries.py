@@ -212,13 +212,7 @@ def candidate_prune_mask(
         return knl.filter_survivors(flt, rows, stage="cluster-prune")
     if spec.kind == "skyband":
         assert spec.k is not None
-        if spec.k == 1:
-            return knl.filter_survivors(flt, rows, stage="cluster-prune")
-        # Count filter dominators per candidate: filters are tiny (k <= 32
-        # by default), so the dense broadcast is cheaper than a kernel call.
-        le = (flt[None, :, :] <= rows[:, None, :]).all(axis=2)
-        lt = (flt[None, :, :] < rows[:, None, :]).any(axis=2)
-        return (le & lt).sum(axis=1) < spec.k
+        return knl.filter_survivors(flt, rows, k=spec.k, stage="cluster-prune")
     if spec.kind == "constrained":
         lower = np.asarray(spec.lower, dtype=np.float64)
         upper = np.asarray(spec.upper, dtype=np.float64)

@@ -45,8 +45,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.kernels import KERNEL_NAMES, get_kernel
-from repro.mapreduce.executors import Executor
-from repro.mapreduce.faults import MonotonicClock
 from repro.observability.events import get_events
 from repro.observability.metrics import Histogram, get_metrics
 from repro.observability.slo import SLOTracker, default_objectives
@@ -55,7 +53,8 @@ from repro.serving.cache import ResultCache
 from repro.serving.queries import QuerySpec, candidate_prune_mask, evaluate
 from repro.serving.store import DEFAULT_MR_BULK_THRESHOLD, SkylineStore
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - typing only (and an import cycle guard)
+    from repro.mapreduce.executors import Executor
     from repro.serving.durability.manager import DurabilityManager
 
 __all__ = [
@@ -211,7 +210,11 @@ class SkylineService:
         self.config = config or ServeConfig()
         self.config.validate()
         self.durability = durability
-        self.clock = clock if clock is not None else MonotonicClock()
+        if clock is None:
+            from repro.mapreduce.faults import MonotonicClock
+
+            clock = MonotonicClock()
+        self.clock = clock
         self._lock = threading.RLock()
         self._stores: Dict[str, SkylineStore] = {}
         self._cache = ResultCache(self.config.cache_entries)

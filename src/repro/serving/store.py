@@ -26,13 +26,12 @@ import numpy as np
 from repro.core.dominance import validate_points
 from repro.core.incremental import IncrementalSkyline
 from repro.core.kernels import DominanceKernel, get_kernel
-from repro.core.mr_skyline import COUNTER_GROUP, PRUNE_GROUP, run_mr_skyline
 from repro.core.partitioning import make_partitioner
-from repro.mapreduce.executors import Executor
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics, observe_partition_skew
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (durability -> store)
+if TYPE_CHECKING:  # pragma: no cover - typing only (durability imports store)
+    from repro.mapreduce.executors import Executor
     from repro.serving.durability.manager import DatasetLog
 
 __all__ = ["SkylineStore", "StoreSnapshot"]
@@ -42,7 +41,10 @@ DEFAULT_MR_BULK_THRESHOLD = 50_000
 
 
 class StoreSnapshot(NamedTuple):
-    """A consistent membership view: compute over it outside the lock."""
+    """A consistent membership view: compute over it outside the lock.
+
+    ``ids`` ascend (the incremental structure's slot order).
+    """
 
     generation: int
     ids: np.ndarray
@@ -53,18 +55,20 @@ class StoreSnapshot(NamedTuple):
 
         The shard-side answer assembler: a query result is a list of ids,
         the wire format ships coordinates, and this is the join between
-        them over one consistent snapshot.
+        them over one consistent snapshot — a binary search, since the
+        snapshot's ids ascend.
         """
         if len(point_ids) == 0:
             return np.empty((0, self.rows.shape[1] if self.rows.ndim == 2 else 0))
-        position = {int(pid): i for i, pid in enumerate(self.ids.tolist())}
-        try:
-            take = [position[int(pid)] for pid in point_ids]
-        except KeyError as exc:
+        wanted = np.asarray(point_ids, dtype=np.intp)
+        take = np.searchsorted(self.ids, wanted)
+        found = take < self.ids.shape[0]
+        found[found] = self.ids[take[found]] == wanted[found]
+        if not found.all():
             raise KeyError(
-                f"point id {exc.args[0]} not in snapshot generation "
+                f"point id {int(wanted[~found][0])} not in snapshot generation "
                 f"{self.generation}"
-            ) from None
+            )
         return self.rows[take]
 
 
@@ -198,6 +202,10 @@ class SkylineStore:
         pts = validate_points(points)
         seed = None
         if self._use_mr_path(pts):
+            # Imported here: the engine loads only for a large cold load,
+            # not at server start-up.
+            from repro.core.mr_skyline import COUNTER_GROUP, PRUNE_GROUP, run_mr_skyline
+
             # The MR job runs outside the lock (it can be long); the seed is
             # only installed if the store is still empty when we take the
             # lock — a racing insert falls back to the in-core path.
@@ -341,8 +349,8 @@ class SkylineStore:
                 next_id = self._pending_next_id
             else:
                 member_ids, member_rows = self._sky.members()
-                ids = [int(i) for i in member_ids]
-                rows = [[float(v) for v in row] for row in member_rows]
+                ids = member_ids.tolist()
+                rows = member_rows.tolist()
                 skyline = self._sky.global_skyline()
                 next_id = self._sky.next_id
             return {

@@ -157,3 +157,101 @@ class TestPartitionLocality:
         grid = GridPartitioner(8).fit(pts)
         sky = IncrementalSkyline(grid, initial_points=pts)
         assert sky.global_skyline() == skyline_numpy(pts).tolist()
+
+
+def _capacity(sky):
+    return sky._rows.shape[0]
+
+
+class TestColumnarStorage:
+    def test_storage_stays_proportional_to_live_members_under_churn(self):
+        rng = np.random.default_rng(5)
+        sky = IncrementalSkyline(_fitted_partitioner(scale=1.2))
+        live = []
+        for _ in range(6):
+            live += [sky.insert(row) for row in rng.random((300, 2)) + 0.01]
+            for victim in live[:-20]:
+                sky.remove(victim)
+            live = live[-20:]
+            assert len(sky) == 20
+            # Compaction bounds the slots by the live count, not by the
+            # 1,800 ids ever issued.
+            assert _capacity(sky) <= 4 * len(sky)
+            assert sky._size <= 2 * len(sky)
+        ids, rows = sky.members()
+        assert ids.tolist() == sorted(live)
+        assert sky.next_id == 1800
+        assert sky.global_skyline() == sorted(
+            ids[j] for j in skyline_numpy(rows)
+        )
+
+    def test_removing_everything_shrinks_to_the_minimum(self):
+        sky = IncrementalSkyline(_fitted_partitioner())
+        ids = sky.bulk_load(np.random.default_rng(6).random((500, 2)) + 0.01)
+        for point_id in ids:
+            sky.remove(point_id)
+        assert len(sky) == 0
+        assert _capacity(sky) <= 16
+        assert sky.global_skyline() == []
+        assert sky.members()[1].shape == (0, 0)
+        assert sky.insert([1.0, 1.0]) == 500
+
+    def test_members_returns_copies(self):
+        pts = np.random.default_rng(7).random((40, 2)) + 0.01
+        sky = IncrementalSkyline(_fitted_partitioner(), initial_points=pts)
+        before = sky.global_skyline()
+        ids, rows = sky.members()
+        rows[:] = 100.0
+        ids[:] = -1
+        again_ids, again_rows = sky.members()
+        assert again_ids.tolist() == list(range(40))
+        assert np.array_equal(again_rows, pts)
+        assert sky.global_skyline() == before
+        assert np.array_equal(sky.point(3), pts[3])
+
+    def test_initial_points_match_repeated_inserts(self):
+        pts = np.random.default_rng(8).random((120, 3)) + 0.01
+        seeded = IncrementalSkyline(AngularPartitioner(4), initial_points=pts)
+        serial = IncrementalSkyline(AngularPartitioner(4).fit(pts))
+        ids = [serial.insert(row) for row in pts]
+        assert ids == list(range(120))
+        assert seeded.next_id == serial.next_id == 120
+        assert seeded.global_skyline() == serial.global_skyline()
+        assert seeded.partition_sizes() == serial.partition_sizes()
+        for pid in range(4):
+            assert seeded.local_skyline(pid) == serial.local_skyline(pid)
+
+
+class TestFromMembers:
+    def test_sparse_unsorted_ids_and_next_id_are_honoured(self):
+        rng = np.random.default_rng(9)
+        rows = rng.random((30, 3)) + 0.01
+        ids = rng.choice(1000, size=30, replace=False)
+        sky = IncrementalSkyline.from_members(
+            AngularPartitioner(4), ids.tolist(), rows, next_id=5000
+        )
+        order = np.argsort(ids)
+        got_ids, got_rows = sky.members()
+        assert got_ids.tolist() == sorted(ids.tolist())
+        assert np.array_equal(got_rows, rows[order])
+        assert sky.global_skyline() == sorted(
+            int(ids[j]) for j in skyline_numpy(rows)
+        )
+        assert int(ids[0]) in sky and 1001 not in sky
+        assert np.array_equal(sky.point(int(ids[0])), rows[0])
+        assert sky.insert([0.001, 0.001, 0.001]) == 5000
+        sky.remove(int(ids[0]))
+        assert int(ids[0]) not in sky
+        assert sky.global_skyline() == [5000]
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            IncrementalSkyline.from_members(
+                _fitted_partitioner(), [3, 3], np.ones((2, 2)), next_id=4
+            )
+
+    def test_next_id_must_pass_every_live_id(self):
+        with pytest.raises(ValueError, match="re-issue"):
+            IncrementalSkyline.from_members(
+                _fitted_partitioner(), [7, 2], np.ones((2, 2)), next_id=7
+            )

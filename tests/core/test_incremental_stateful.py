@@ -4,7 +4,8 @@ Hypothesis drives random insert/remove sequences; after every step the
 incremental structure's global skyline must equal a from-scratch skyline of
 the surviving points.  This is the strongest guard we have on the §II
 dynamic-maintenance logic (eviction lists, member bookkeeping, partition
-recomputation, cache invalidation).
+recomputation, cache invalidation), and on the columnar storage under it
+(dead-slot compaction keeps the slot count proportional to the live one).
 """
 
 import numpy as np
@@ -61,6 +62,18 @@ class IncrementalSkylineMachine(RuleBasedStateMachine):
         self.sky.remove(victim)
         del self.model[victim]
 
+    @precondition(lambda self: bool(self.model))
+    @rule(data=st.data())
+    def remove_many(self, data) -> None:
+        # Remove-heavy churn: drops up to every member at once, driving
+        # the dead-slot count past the live one (compaction).
+        victims = data.draw(
+            st.lists(st.sampled_from(sorted(self.model)), min_size=1, unique=True)
+        )
+        for victim in victims:
+            self.sky.remove(victim)
+            del self.model[victim]
+
     @rule()
     def remove_unknown_rejected(self) -> None:
         missing = (max(self.model) + 1000) if self.model else 999
@@ -83,6 +96,13 @@ class IncrementalSkylineMachine(RuleBasedStateMachine):
     @invariant()
     def size_consistent(self) -> None:
         assert len(self.sky) == len(self.model)
+
+    @invariant()
+    def storage_bounded_by_live_members(self) -> None:
+        live = len(self.model)
+        assert self.sky._size - live <= live  # dead slots never outnumber live
+        assert self.sky._rows.shape[0] <= max(16, 4 * live)
+        assert self.sky.members()[0].tolist() == sorted(self.model)
 
 
 IncrementalSkylineMachine.TestCase.settings = settings(

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.dominance import DominanceCounter
 from repro.core.filtering import compute_filter_points
@@ -201,6 +204,25 @@ class TestBackendParity:
             assert counter.tests > 0, name
 
 
+@st.composite
+def filter_inputs(draw):
+    """``(filters, rows, k)``: float or tie-heavy integer-grid rows, filters
+    drawn from the rows (as the cluster broadcast does) or free."""
+    n = draw(st.integers(0, 60))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(0, 20, allow_nan=False)
+    pts = draw(arrays(np.float64, (n, d), elements=elements))
+    if n and draw(st.booleans()):
+        take = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+        filters = pts[take]
+    else:
+        filters = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=elements))
+    return filters, pts, draw(st.sampled_from([1, 2, 3, 5]))
+
+
 class TestFilterSurvivors:
     @pytest.mark.parametrize("kernel", list(KERNEL_NAMES))
     def test_pruning_is_exact(self, kernel):
@@ -239,6 +261,45 @@ class TestFilterSurvivors:
         filters = compute_filter_points(pts, k=0)
         for name in KERNEL_NAMES:
             assert get_kernel(name).filter_survivors(filters, pts).all()
+
+    @given(filter_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_skyband_counts_match_dense_formula(self, case):
+        filters, pts, k = case
+        le = (filters[None, :, :] <= pts[:, None, :]).all(axis=2)
+        lt = (filters[None, :, :] < pts[:, None, :]).any(axis=2)
+        dense = (le & lt).sum(axis=1) < k
+        for name in KERNEL_NAMES:
+            counter = DominanceCounter()
+            alive = get_kernel(name).filter_survivors(
+                filters, pts, k=k, counter=counter
+            )
+            assert np.array_equal(alive, dense), (name, k)
+            assert counter.tests == filters.shape[0] * pts.shape[0]
+
+    def test_skyband_k_one_is_the_default_mask(self):
+        pts = _rng(10).random((300, 4))
+        filters = compute_filter_points(pts, k=8, sample=128)
+        for name in KERNEL_NAMES:
+            knl = get_kernel(name)
+            assert np.array_equal(
+                knl.filter_survivors(filters, pts, k=1),
+                knl.filter_survivors(filters, pts),
+            )
+
+    def test_skyband_rows_straddle_the_filter_chunk(self):
+        pts = _rng(11).integers(0, 4, size=(FILTER_CHUNK + 57, 3)).astype(float)
+        filters = pts[:20]
+        for k in (2, 3):
+            scalar = get_kernel("scalar").filter_survivors(filters, pts, k=k)
+            block = get_kernel("block").filter_survivors(filters, pts, k=k)
+            assert np.array_equal(scalar, block), k
+
+    @pytest.mark.parametrize("kernel", list(KERNEL_NAMES))
+    def test_k_zero_rejected(self, kernel):
+        pts = _rng(12).random((5, 2))
+        with pytest.raises(ValueError, match="k must be"):
+            get_kernel(kernel).filter_survivors(pts[:2], pts, k=0)
 
 
 class TestFilterSelection:

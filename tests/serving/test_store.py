@@ -68,6 +68,19 @@ class TestSnapshots:
         assert snap.ids.shape == (0,)
         assert snap.rows.shape[0] == 0
 
+    def test_rows_of_joins_ids_in_request_order(self):
+        pts = _points(50)
+        store = SkylineStore("qws", pts)
+        for victim in (3, 10, 11):
+            store.remove(victim)
+        snap = store.snapshot()
+        assert snap.ids.tolist() == sorted(snap.ids.tolist())
+        assert np.array_equal(snap.rows_of([49, 0, 12]), pts[[49, 0, 12]])
+        assert snap.rows_of([]).shape == (0, 3)
+        for missing in (10, 50, -1):
+            with pytest.raises(KeyError, match=f"point id {missing} not in"):
+                snap.rows_of([0, missing])
+
 
 class TestMrBulkPath:
     @pytest.mark.parametrize("executor", ["serial", "threads"])

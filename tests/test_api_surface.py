@@ -13,6 +13,9 @@ PACKAGES = [
     "repro.services",
     "repro.data",
     "repro.bench",
+    "repro.serving",
+    "repro.serving.cluster",
+    "repro.serving.durability",
 ]
 
 

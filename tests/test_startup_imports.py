@@ -1,0 +1,134 @@
+"""Start-up import graph: `repro serve` loads only what serving runs.
+
+The package ``__init__`` modules resolve their public names lazily
+(PEP 562), so importing the serve path must not drag in the bench
+drivers, the MapReduce engine or the services layer.  Each check runs in
+a fresh interpreter: the test process itself has imported everything.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+#: What `repro serve` (single node, --cluster and --data-dir) imports
+#: before printing its banner.
+SERVE_PATH = [
+    "repro.cli",
+    "repro.serving.server",
+    "repro.serving.service",
+    "repro.serving.cluster.local",
+    "repro.serving.durability",
+]
+
+#: Modules the serve path must not load.
+NOT_AT_STARTUP = [
+    "repro.bench",
+    "repro.analysis",
+    "repro.services",
+    "repro.core.mr_skyline",
+    "repro.mapreduce.runner",
+    "repro.core.bbs",
+    "scipy",
+]
+
+LAZY_PACKAGES = [
+    "repro",
+    "repro.core",
+    "repro.serving",
+    "repro.mapreduce",
+    "repro.services",
+    "repro.bench",
+    "repro.serving.cluster",
+    "repro.serving.durability",
+]
+
+
+def _run(code: str) -> list:
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_serve_path_skips_engine_bench_and_services():
+    loaded = _run(
+        "import importlib, json, sys\n"
+        f"for name in {SERVE_PATH!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    unexpected = [m for m in NOT_AT_STARTUP if m in loaded]
+    assert not unexpected, f"serve path imported {unexpected}"
+    # The measured serve path loads 37 repro modules; a regression that
+    # re-couples a package shows up here first.
+    assert len([m for m in loaded if m.startswith("repro")]) <= 40
+
+
+def test_star_import_and_quickstart_names():
+    names = _run(
+        "import json\n"
+        "from repro import *\n"
+        "from repro import run_mr_skyline\n"
+        "print(json.dumps(sorted(k for k in dir() if not k.startswith('_'))))\n"
+    )
+    import repro
+
+    assert set(repro.__all__) - {"__version__"} <= set(names)
+    assert "run_mr_skyline" in names
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_export_resolves_to_its_home_object(package):
+    mod = importlib.import_module(package)
+    table = {name: home for home, names in mod._EXPORTS.items() for name in names}
+    assert set(table) <= set(mod.__all__)
+    for name in mod.__all__:
+        value = getattr(mod, name)
+        if name in table:
+            assert value is getattr(importlib.import_module(table[name]), name)
+    with pytest.raises(AttributeError):
+        getattr(mod, "no_such_export")
+
+
+def test_skyline_name_stays_the_function():
+    # repro.core.skyline is both a submodule and a function; the package
+    # attribute must stay the function however the submodule was reached.
+    names = _run(
+        "import json\n"
+        "import repro.core.skyline\n"
+        "from repro.core import skyline\n"
+        "from repro import skyline as top\n"
+        "print(json.dumps([callable(skyline), type(skyline).__name__,"
+        " type(top).__name__]))\n"
+    )
+    assert names == [True, "function", "function"]
+
+
+def test_large_register_still_takes_the_mr_path(monkeypatch):
+    import repro.core.mr_skyline as mr_skyline
+    from repro.core.skyline import skyline_numpy
+    from repro.serving.service import ServeConfig, SkylineService
+
+    calls = []
+    real = mr_skyline.run_mr_skyline
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mr_skyline, "run_mr_skyline", spy)
+    pts = np.random.default_rng(3).random((300, 3)) + 0.01
+    service = SkylineService(ServeConfig(mr_bulk_threshold=200))
+    service.register("big", pts)
+    service.register("small", pts[:150])
+    assert calls == [(300, 3)]
+    _, ids = service.store("big").skyline_snapshot()
+    assert ids == skyline_numpy(pts).tolist()
