@@ -5,10 +5,8 @@ vs the brute-force reference) across the three canonical workloads, and are
 the numbers to watch when optimising the inner dominance kernels.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.bbs import bbs_skyline
 from repro.core.bnl import bnl_skyline
 from repro.core.dnc import dnc_skyline
 from repro.core.sfs import sfs_skyline
@@ -21,7 +19,6 @@ ALGORITHMS = {
     "bnl": lambda pts: bnl_skyline(pts).indices,
     "sfs": lambda pts: sfs_skyline(pts).indices,
     "dnc": lambda pts: dnc_skyline(pts).indices,
-    "bbs": lambda pts: bbs_skyline(pts).indices,
 }
 
 

@@ -1,22 +1,18 @@
 """Micro-benchmarks for the skyline-adjacent query operators.
 
 Covers the extension surface: k-skyband, top-k dominating, representative
-selection, progressive BBS first-k, and workflow composition — the
-operators a service-selection deployment calls per user query, so their
-latency matters more than the batch pipelines'.
+selection, and workflow composition — the operators a service-selection
+deployment calls per user query, so their latency matters more than the
+batch pipelines'.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 
-from repro.core.bbs import bbs_skyline_progressive
 from repro.core.representative import (
     distance_representatives,
     max_dominance_representatives,
 )
-from repro.core.rtree import RTree
 from repro.core.skyband import k_skyband, top_k_dominating
 from repro.services.composition import CompositionTask, skyline_compositions
 
@@ -46,16 +42,6 @@ def test_max_dominance_representatives(benchmark, cloud):
 def test_distance_representatives(benchmark, cloud):
     result = benchmark(distance_representatives, cloud, 5)
     assert len(result) == 5
-
-
-def test_progressive_first_10(benchmark, cloud):
-    tree = RTree(cloud)
-
-    def first_10():
-        return list(itertools.islice(bbs_skyline_progressive(cloud, tree=tree), 10))
-
-    result = benchmark(first_10)
-    assert len(result) == 10
 
 
 def test_workflow_composition(benchmark):

@@ -36,24 +36,12 @@ def main() -> None:
 
     # --- Method comparison at 4 servers (Figure-5b style) ----------------
     print("\nmethod     total_s   optimality   dominance_tests")
-    per_method = {}
     for method in ("dim", "grid", "angle"):
         res = run_mr_skyline(matrix, method=method, num_workers=4)
-        per_method[method] = res
         sim = res.simulate(base_cluster)
         opt = optimality_of_result(res).optimality
         print(f"{method:8s} {sim.total_s:9.1f}   {opt:10.3f}   "
               f"{res.dominance_tests:15,}")
-
-    # --- Why MR-Dim loses: the reduce-phase Gantt makes the skew visible --
-    from repro.mapreduce.history import render_gantt
-
-    print("\nlocal-skyline job schedule, MR-Dim vs MR-Angle "
-          "(m = map task, R = reduce task):\n")
-    for method in ("dim", "angle"):
-        print(render_gantt(
-            per_method[method].chain.results[0], base_cluster, width=60
-        ))
 
 if __name__ == "__main__":
     main()

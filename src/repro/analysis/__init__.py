@@ -1,7 +1,7 @@
 """Static contract checker for the MapReduce engine (``repro lint``).
 
 The engine's correctness rests on contracts no type checker sees: UDFs must
-be pure (executor and streaming/batch parity), everything crossing the
+be pure (executor and retry parity), everything crossing the
 process-pool boundary must pickle, lock-guarded state must stay guarded,
 and broad ``except`` must not swallow task failures.  This package checks
 them statically — an AST-walking rule framework (registry, per-rule

@@ -1,13 +1,14 @@
 """udf-purity: map/combine/reduce callables must be deterministic and
 side-effect-free.
 
-The executor refactor made three backends (serial / threads / processes) and
-two shuffle modes (streaming / batch) interchangeable **only if** user map,
-combine, and reduce code is a pure function of its inputs: a UDF that reads
-a clock, draws randomness, performs I/O, or mutates process-global state
-produces different results per backend (combiners may run a different
-number of times per spill schedule; process workers see *copies* of
-globals), silently breaking the differential parity the test suite asserts.
+The executor refactor made three backends (serial / threads / processes)
+interchangeable, and retried or speculative task attempts replaceable,
+**only if** user map, combine, and reduce code is a pure function of its
+inputs: a UDF that reads a clock, draws randomness, performs I/O, or
+mutates process-global state produces different results per backend or
+attempt (combiners may run a different number of times per spill
+schedule; process workers see *copies* of globals), silently breaking the
+differential parity the test suite asserts.
 
 Flagged inside UDF class bodies (see ``rules/_udf.py`` for how UDF classes
 are discovered):
@@ -143,7 +144,7 @@ class UdfPurityRule(Rule):
                 node,
                 f"UDF {where} declares `{kind} {names}`: map/combine/reduce "
                 "callables must not mutate enclosing state (breaks "
-                "executor and streaming/batch parity)",
+                "executor and retry parity)",
             )
             return
         if isinstance(node, ast.Call):

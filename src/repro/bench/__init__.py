@@ -31,7 +31,6 @@ _EXPORTS = {
         "sweep",
     ),
     "repro.bench.reporting": ("Table",),
-    "repro.bench.timing": ("Timer", "best_of"),
 }
 
 
@@ -46,9 +45,7 @@ __all__ = [
     "PAPER_METHODS",
     "PointRecord",
     "Table",
-    "Timer",
     "ablations",
-    "best_of",
     "default_cache",
     "figure5",
     "figure6",

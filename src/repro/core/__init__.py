@@ -30,7 +30,6 @@ from repro.core.skyline import skyline
 
 # Public names by home module, imported on first use (PEP 562).
 _EXPORTS = {
-    "repro.core.bbs": ("BBSResult", "bbs_skyline", "bbs_skyline_progressive"),
     "repro.core.blocks": ("PointBlock", "concat_blocks"),
     "repro.core.bnl": ("BNLResult", "bnl_merge", "bnl_skyline"),
     "repro.core.dnc": ("DNCResult", "dnc_skyline"),
@@ -100,7 +99,6 @@ _EXPORTS = {
         "distance_representatives",
         "max_dominance_representatives",
     ),
-    "repro.core.rtree": ("RTree",),
     "repro.core.sfs": ("SFSResult", "monotone_score", "sfs_skyline"),
     "repro.core.skyband": ("dominator_counts", "k_skyband", "top_k_dominating"),
     "repro.core.skyline": ("is_skyline", "skyline_numpy", "skyline_points"),
@@ -113,7 +111,6 @@ def __getattr__(name: str) -> Any:
 
 __all__ = [
     "AngularPartitioner",
-    "BBSResult",
     "BNLResult",
     "BlockKernel",
     "DEFAULT_FILTER_K",
@@ -134,10 +131,7 @@ __all__ = [
     "RepresentativeResult",
     "SFSResult",
     "SpacePartitioner",
-    "RTree",
     "angular_coordinates",
-    "bbs_skyline",
-    "bbs_skyline_progressive",
     "bnl_merge",
     "bnl_skyline",
     "compute_filter_points",

@@ -7,7 +7,6 @@ are interchangeable and cross-checkable:
 * ``"bnl"`` — block-nested-loops (the paper's choice), :mod:`repro.core.bnl`
 * ``"sfs"`` — sort-filter-skyline, :mod:`repro.core.sfs`
 * ``"dnc"`` — divide-and-conquer, :mod:`repro.core.dnc`
-* ``"bbs"`` — branch-and-bound over an R-tree, :mod:`repro.core.bbs`
 * ``"numpy"`` — brute-force vectorised reference (complement of
   :func:`repro.core.dominance.dominated_mask`)
 
@@ -27,9 +26,9 @@ from repro.core.sfs import sfs_skyline
 
 __all__ = ["Algorithm", "skyline", "skyline_points", "skyline_numpy", "is_skyline"]
 
-Algorithm = Literal["bnl", "sfs", "dnc", "bbs", "numpy"]
+Algorithm = Literal["bnl", "sfs", "dnc", "numpy"]
 
-_ALGORITHMS = ("bnl", "sfs", "dnc", "bbs", "numpy")
+_ALGORITHMS = ("bnl", "sfs", "dnc", "numpy")
 
 
 def skyline_numpy(
@@ -64,10 +63,6 @@ def skyline(
         if kwargs:
             raise TypeError(f"dnc takes no extra options, got {sorted(kwargs)}")
         return dnc_skyline(points, counter=counter).indices
-    if algorithm == "bbs":
-        from repro.core.bbs import bbs_skyline
-
-        return bbs_skyline(points, counter=counter, **kwargs).indices
     if algorithm == "numpy":
         if kwargs:
             raise TypeError(f"numpy takes no extra options, got {sorted(kwargs)}")

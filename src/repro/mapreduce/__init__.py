@@ -3,16 +3,14 @@
 The paper runs its three skyline algorithms on Hadoop 0.20.2.  This package
 is the substitute substrate: a small but complete MapReduce engine with
 
-* input formats and input splits (:mod:`repro.mapreduce.inputs`),
+* input splits over in-memory records (:mod:`repro.mapreduce.inputs`),
 * mapper / combiner / partitioner / reducer task pipeline
   (:mod:`repro.mapreduce.tasks`),
-* a sort-based shuffle, batch or streaming (:mod:`repro.mapreduce.shuffle`),
+* a streaming sort-based shuffle (:mod:`repro.mapreduce.shuffle`),
 * one runner over pluggable serial / thread-pool / process-pool executors
   (:mod:`repro.mapreduce.runner`, :mod:`repro.mapreduce.executors`),
 * per-task timing and counters (:mod:`repro.mapreduce.counters`,
-  :class:`repro.mapreduce.types.TaskStats`),
-* an in-memory block filesystem standing in for HDFS
-  (:mod:`repro.mapreduce.fs`), and
+  :class:`repro.mapreduce.types.TaskStats`), and
 * a deterministic cluster timing simulator used for the server-count
   sweeps of the paper's Figure 6 (:mod:`repro.mapreduce.cluster`,
   :mod:`repro.mapreduce.simulation`).
@@ -68,20 +66,8 @@ _EXPORTS = {
         "get_default_fault_plan",
         "set_default_fault_plan",
     ),
-    "repro.mapreduce.inputs": (
-        "InputFormat",
-        "InputSplit",
-        "SequenceInputFormat",
-        "TextInputFormat",
-        "make_splits",
-    ),
+    "repro.mapreduce.inputs": ("InputSplit", "make_splits"),
     "repro.mapreduce.job": ("Job", "JobChain", "JobConf", "JobResult"),
-    "repro.mapreduce.outputs": (
-        "SequenceOutputFormat",
-        "TextOutputFormat",
-        "read_sequence_output",
-        "read_text_output",
-    ),
     "repro.mapreduce.partitioner": (
         "HashPartitioner",
         "KeyFieldPartitioner",
@@ -89,12 +75,7 @@ _EXPORTS = {
         "RangePartitioner",
         "SingleReducerPartitioner",
     ),
-    "repro.mapreduce.runner": (
-        "MultiprocessRunner",
-        "Runner",
-        "SerialRunner",
-        "run_job",
-    ),
+    "repro.mapreduce.runner": ("Runner", "run_job"),
     "repro.mapreduce.tasks": (
         "Combiner",
         "MapContext",
@@ -121,7 +102,6 @@ __all__ = [
     "FaultRule",
     "HashPartitioner",
     "InjectedFault",
-    "InputFormat",
     "InputSplit",
     "Job",
     "JobChain",
@@ -133,7 +113,6 @@ __all__ = [
     "KeyValue",
     "MapContext",
     "Mapper",
-    "MultiprocessRunner",
     "Partitioner",
     "PartitionLostError",
     "ProcessExecutor",
@@ -142,24 +121,17 @@ __all__ = [
     "Reducer",
     "RetryPolicy",
     "Runner",
-    "SequenceInputFormat",
-    "SequenceOutputFormat",
     "SerialExecutor",
-    "SerialRunner",
     "SingleReducerPartitioner",
     "ThreadExecutor",
     "TaskError",
     "TaskKind",
     "TaskStats",
     "TaskTimeoutError",
-    "TextInputFormat",
-    "TextOutputFormat",
     "default_executor_name",
     "get_default_fault_plan",
     "make_executor",
     "make_splits",
-    "read_sequence_output",
-    "read_text_output",
     "run_job",
     "set_default_fault_plan",
 ]

@@ -120,10 +120,5 @@ class JobFailedError(EngineError):
         super().__init__(f"job {job_name!r} failed: {detail}{more}")
 
 
-class FileSystemError(EngineError):
-    """Raised by :mod:`repro.mapreduce.fs` for missing paths, overwrite
-    conflicts, and malformed block operations."""
-
-
 class SerializationError(EngineError):
     """A record could not be encoded to, or decoded from, bytes."""

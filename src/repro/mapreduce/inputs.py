@@ -1,16 +1,9 @@
-"""Input formats: turning datasets into input splits.
+"""Input splits: turning in-memory records into map-task inputs.
 
 An :class:`InputSplit` is the unit of map-task scheduling — one map task per
-split, as in Hadoop.  Two formats are provided:
-
-* :class:`SequenceInputFormat` — wraps an in-memory sequence of ``(key,
-  value)`` records and chunks it into a requested number of splits.  This is
-  the fast path used by the skyline jobs (points live in NumPy arrays).
-* :class:`TextInputFormat` — reads a file from the block filesystem and
-  produces one split per block, with Hadoop's line-spanning rule: a split
-  whose offset is non-zero skips the (partial) first line, and every split
-  reads past its end boundary to finish its last line.  Records are
-  ``(byte_offset, line)`` pairs.
+split, as in Hadoop.  :func:`make_splits` chunks an in-memory sequence of
+``(key, value)`` records into a requested number of contiguous splits; the
+skyline jobs feed it rows straight from NumPy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.mapreduce.errors import JobConfigError
-from repro.mapreduce.fs import BlockFileSystem
 
 
 @dataclass(slots=True)
@@ -36,102 +28,26 @@ class InputSplit:
         return iter(self.records)
 
 
-class InputFormat:
-    """Produces the splits a job will map over."""
-
-    def splits(self) -> List[InputSplit]:
-        raise NotImplementedError
-
-
-class SequenceInputFormat(InputFormat):
-    """Chunk an in-memory record sequence into ``num_splits`` splits.
-
-    Splits are contiguous slices with sizes differing by at most one record,
-    so the map phase is balanced when records are homogeneous.
-    """
-
-    def __init__(
-        self,
-        records: Sequence[Tuple[Hashable, Any]] | Iterable[Tuple[Hashable, Any]],
-        num_splits: int,
-    ):
-        self._records = list(records)
-        if num_splits <= 0:
-            raise JobConfigError(f"num_splits must be positive, got {num_splits}")
-        self._num_splits = num_splits
-
-    def splits(self) -> List[InputSplit]:
-        n = len(self._records)
-        k = min(self._num_splits, n) or 1
-        base, extra = divmod(n, k)
-        out: List[InputSplit] = []
-        start = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            out.append(InputSplit(index=i, records=self._records[start : start + size]))
-            start += size
-        return out
-
-
-class TextInputFormat(InputFormat):
-    """Block-aligned line-oriented splits over a file in the block filesystem."""
-
-    def __init__(self, fs: BlockFileSystem, path: str):
-        self._fs = fs
-        self._path = path
-
-    def splits(self) -> List[InputSplit]:
-        locations = self._fs.block_locations(self._path)
-        size = self._fs.status(self._path).size
-        out: List[InputSplit] = []
-        for loc in locations:
-            records = list(self._read_split(loc.offset, loc.length, size))
-            out.append(InputSplit(index=loc.index, records=records))
-        return out
-
-    def _read_split(
-        self, offset: int, length: int, file_size: int
-    ) -> Iterator[Tuple[int, str]]:
-        """Yield ``(byte_offset, line)`` records owned by this split.
-
-        Ownership rule (Hadoop's): a line belongs to the split in which it
-        *starts*, except that the very first line of the file belongs to the
-        first split.  We therefore skip a partial leading line when
-        ``offset > 0`` and read beyond ``offset + length`` to complete the
-        final line.
-        """
-        if length == 0:
-            return
-        start = offset
-        if offset > 0:
-            # Find where the current line ends; our first full line starts after.
-            probe = offset - 1
-            window = self._fs.read_range(self._path, probe, length + 1)
-            newline = window.find(b"\n")
-            if newline < 0:
-                return  # the line spans the whole split; a previous split owns it
-            start = probe + newline + 1
-        end = offset + length
-        if start >= end:
-            return
-        # Read our region plus a tail window to finish the last line.
-        tail = min(file_size - end, 1 << 16)
-        raw = self._fs.read_range(self._path, start, (end - start) + tail)
-        pos = 0
-        emitted_end = start
-        while emitted_end < end and pos < len(raw):
-            newline = raw.find(b"\n", pos)
-            if newline < 0:
-                line = raw[pos:]
-                yield start + pos, line.decode("utf-8")
-                return
-            yield start + pos, raw[pos:newline].decode("utf-8")
-            pos = newline + 1
-            emitted_end = start + pos
-
-
 def make_splits(
-    records: Sequence[Tuple[Hashable, Any]], num_splits: int
+    records: Sequence[Tuple[Hashable, Any]] | Iterable[Tuple[Hashable, Any]],
+    num_splits: int,
 ) -> List[InputSplit]:
-    """Convenience wrapper: chunk records into splits in one call."""
-    return SequenceInputFormat(records, num_splits).splits()
+    """Chunk ``records`` into at most ``num_splits`` contiguous splits.
+
+    Split sizes differ by at most one record, so the map phase is balanced
+    when records are homogeneous.  Never emits an empty split, except the
+    single split of an empty input.
+    """
+    if num_splits <= 0:
+        raise JobConfigError(f"num_splits must be positive, got {num_splits}")
+    records = list(records)
+    n = len(records)
+    k = min(num_splits, n) or 1
+    base, extra = divmod(n, k)
+    out: List[InputSplit] = []
+    start = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        out.append(InputSplit(index=i, records=records[start : start + size]))
+        start += size
+    return out

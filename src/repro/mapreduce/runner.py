@@ -3,17 +3,14 @@
 Orchestration lives in a single :class:`Runner`; *where* task bodies run is
 delegated to an :class:`~repro.mapreduce.executors.Executor` (serial inline,
 thread pool, or process pool — ``Runner("threads", num_workers=8)`` or the
-``REPRO_EXECUTOR`` environment variable select one).  The former split into
-a ``SerialRunner`` and a ``MultiprocessRunner`` with duplicated map/reduce
-loops is gone; both names survive as thin aliases that pin an executor.
+``REPRO_EXECUTOR`` environment variable select one).
 
 The shuffle is incremental: each map task's per-partition buffers are
 ingested into a :class:`~repro.mapreduce.shuffle.StreamingShuffle` as the
 task completes, so segment sorting overlaps still-running map tasks, and
 with a pool executor each reduce partition is submitted the moment it is
 merged — the next partition's merge overlaps the previous partition's
-reduce.  ``Runner(streaming=False)`` restores the old barrier shuffle
-(output is identical either way).
+reduce.
 
 :meth:`Runner.run_chain` additionally supports *pipelined* chains
 (``JobChain(..., pipelined=True)``): job *k+1*'s map task *i* consumes job
@@ -62,7 +59,7 @@ from repro.mapreduce.errors import (
     TaskError,
     TaskTimeoutError,
 )
-from repro.mapreduce.executors import Executor, SerialExecutor, make_executor
+from repro.mapreduce.executors import Executor, make_executor
 from repro.mapreduce.faults import (
     FaultDecision,
     FaultInjector,
@@ -71,9 +68,10 @@ from repro.mapreduce.faults import (
     apply_fault,
     get_default_fault_plan,
 )
-from repro.mapreduce.inputs import InputFormat, InputSplit, SequenceInputFormat
+from repro.mapreduce.inputs import InputSplit, make_splits
 from repro.mapreduce.job import ChainResult, Job, JobChain, JobResult
-from repro.mapreduce.shuffle import Grouped, StreamingShuffle, shuffle
+from repro.mapreduce.shuffle import Grouped, StreamingShuffle
+from repro.mapreduce.shuffle import shuffle  # noqa: F401  perfbench/tracing.py patches runner.shuffle
 from repro.mapreduce.tasks import JobSpec, execute_map_task, execute_reduce_task
 from repro.mapreduce.types import PhaseStats, RetryPolicy, TaskKind, TaskStats
 from repro.observability.events import get_events
@@ -112,7 +110,7 @@ class _StageState:
     job: Job
     spec: JobSpec
     num_maps: int
-    streaming: StreamingShuffle | None = None
+    streaming: StreamingShuffle
     job_span: Any = None
     reduce_span: Any = None
     reduce_pending: _Pending = field(default_factory=dict)
@@ -144,14 +142,11 @@ class Runner:
         and across every job of a chain — so worker spin-up is paid once.
     num_workers:
         Pool size for named pool executors (default: CPU count).
-    max_task_retries:
-        Shorthand alias for ``RetryPolicy(max_retries=...)`` — kept from
-        the pre-policy engine.  Ignored when ``retry_policy`` is given.
     retry_policy:
         Full fault-tolerance policy (:class:`RetryPolicy`): retry budget,
         backoff + jitter, per-attempt timeouts, speculation, and the
         ``on_lost`` contract.  Defaults to the fault plan's embedded
-        policy (if any), else ``RetryPolicy(max_retries=max_task_retries)``.
+        policy (if any), else ``RetryPolicy()`` (no retries).
     fault_plan:
         A :class:`~repro.mapreduce.faults.FaultPlan` (a fresh injector is
         built per run, so each run replays the same schedule) or a
@@ -165,9 +160,6 @@ class Runner:
         tests substitute a fake to assert retry spacing instantly.
     tracer:
         Explicit tracer; defaults to the process-wide tracer, late-bound.
-    streaming:
-        Use the incremental :class:`StreamingShuffle` (default).  ``False``
-        restores the barrier shuffle; outputs are identical either way.
     """
 
     def __init__(
@@ -175,17 +167,11 @@ class Runner:
         executor: Executor | str | None = None,
         *,
         num_workers: int | None = None,
-        max_task_retries: int = 0,
         retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | FaultInjector | None = None,
         clock: Any = None,
         tracer: Tracer | None = None,
-        streaming: bool = True,
     ):
-        if max_task_retries < 0:
-            raise JobConfigError(
-                f"max_task_retries must be >= 0, got {max_task_retries}"
-            )
         if num_workers is not None and num_workers <= 0:
             raise JobConfigError(f"num_workers must be >= 1, got {num_workers}")
         if retry_policy is not None:
@@ -193,19 +179,13 @@ class Runner:
                 retry_policy.validate()
             except ValueError as exc:
                 raise JobConfigError(str(exc)) from exc
-        self.max_task_retries = (
-            retry_policy.max_retries if retry_policy is not None else max_task_retries
-        )
         self.num_workers = num_workers
-        self.streaming = streaming
         self._tracer = tracer
         self._retry_policy = retry_policy
         self._fault_plan = fault_plan
         self._clock = clock if clock is not None else MonotonicClock()
         # Per-run context, refreshed by each public run()/run_chain() call.
-        self._active_policy: RetryPolicy = retry_policy or RetryPolicy(
-            max_retries=max_task_retries
-        )
+        self._active_policy: RetryPolicy = retry_policy or RetryPolicy()
         self._active_injector: FaultInjector | None = None
         if isinstance(executor, Executor):
             self._executor: Executor | None = executor
@@ -218,10 +198,10 @@ class Runner:
         """Resolve the retry policy and fault injector for one run.
 
         Precedence: explicit ``retry_policy`` > the fault plan's embedded
-        policy > ``RetryPolicy(max_retries=max_task_retries)``.  The plan
-        itself resolves explicit-plan > process-wide default.  A plan gets
-        a *fresh* injector per run (same schedule every run); an injector
-        instance is reused so its event log accumulates for inspection.
+        policy > ``RetryPolicy()``.  The plan itself resolves explicit-plan
+        > process-wide default.  A plan gets a *fresh* injector per run
+        (same schedule every run); an injector instance is reused so its
+        event log accumulates for inspection.
         """
         source = self._fault_plan
         if source is None:
@@ -237,7 +217,7 @@ class Runner:
         if policy is None and plan is not None and plan.policy is not None:
             policy = plan.policy
         if policy is None:
-            policy = RetryPolicy(max_retries=self.max_task_retries)
+            policy = RetryPolicy()
         self._active_policy = policy
         self._active_injector = injector
 
@@ -270,20 +250,12 @@ class Runner:
 
     # -- public API -------------------------------------------------------------
 
-    def run(
-        self,
-        job: Job,
-        *,
-        records: Sequence[Pair] | None = None,
-        input_format: InputFormat | None = None,
-    ) -> JobResult:
-        """Execute one job over in-memory records or an input format."""
+    def run(self, job: Job, *, records: Sequence[Pair] | None = None) -> JobResult:
+        """Execute one job over in-memory ``(key, value)`` records."""
         job.validate()
-        if (records is None) == (input_format is None):
-            raise JobConfigError("provide exactly one of records / input_format")
-        if input_format is None:
-            input_format = SequenceInputFormat(records, job.conf.num_map_tasks)
-        splits = input_format.splits()
+        if records is None:
+            raise JobConfigError("records is required")
+        splits = make_splits(records, job.conf.num_map_tasks)
         self._begin_run()
         with self._lease_executor() as ex:
             return self._run_job(ex, job, splits)
@@ -319,9 +291,7 @@ class Runner:
                 for builder in chain.stages:
                     job = builder(current)
                     job.validate()
-                    splits = SequenceInputFormat(
-                        current, job.conf.num_map_tasks
-                    ).splits()
+                    splits = make_splits(current, job.conf.num_map_tasks)
                     result = self._run_job(ex, job, splits)
                     results.append(result)
                     current = list(result.output_pairs())
@@ -333,16 +303,12 @@ class Runner:
         spec = JobSpec.of(job)
         counters = Counters()
         tracer = self.tracer
-        streaming = (
-            StreamingShuffle(
-                len(splits),
-                job.conf.num_reducers,
-                sort_keys=job.conf.sort_keys,
-                spill_dir=job.conf.spill_dir,
-                spill_threshold_records=job.conf.spill_threshold_records,
-            )
-            if self.streaming
-            else None
+        streaming = StreamingShuffle(
+            len(splits),
+            job.conf.num_reducers,
+            sort_keys=job.conf.sort_keys,
+            spill_dir=job.conf.spill_dir,
+            spill_threshold_records=job.conf.spill_threshold_records,
         )
 
         with tracer.span(
@@ -382,41 +348,25 @@ class Runner:
                 partition_records: List[int] = []
                 with tracer.span("shuffle", kind="phase", phase="shuffle") as sh_span:
                     t1 = time.perf_counter_ns()
-                    if streaming is not None:
-                        shuffle_stats = streaming.stats
-                        shuffle_stats.observe(get_metrics())
-                        # With a pool executor, launch each partition's
-                        # reduce as soon as it is merged; the next
-                        # partition's merge overlaps it.  Inline executors
-                        # gain nothing and would mis-parent task spans, so
-                        # they defer submission to the reduce phase.
-                        overlap = not ex.inline
-                        for part in range(num_reducers):
-                            grouped = streaming.finalize(part)
-                            partition_records.append(
-                                sum(len(vs) for _, vs in grouped)
+                    shuffle_stats = streaming.stats
+                    shuffle_stats.observe(get_metrics())
+                    # With a pool executor, launch each partition's reduce
+                    # as soon as it is merged; the next partition's merge
+                    # overlaps it.  Inline executors gain nothing and would
+                    # mis-parent task spans, so they defer submission to
+                    # the reduce phase.
+                    overlap = not ex.inline
+                    for part in range(num_reducers):
+                        grouped = streaming.finalize(part)
+                        partition_records.append(sum(len(vs) for _, vs in grouped))
+                        if overlap:
+                            future = self._submit_task(
+                                ex, execute_reduce_task, spec, "reduce",
+                                part, grouped, 1,
                             )
-                            if overlap:
-                                future = self._submit_task(
-                                    ex, execute_reduce_task, spec, "reduce",
-                                    part, grouped, 1,
-                                )
-                                reduce_pending[future] = (part, grouped, 1)
-                            else:
-                                partitions.append(grouped)
-                    else:
-                        map_outputs = [buffers for buffers, _, _ in map_results]
-                        partitions, shuffle_stats = shuffle(
-                            map_outputs,
-                            num_reducers,
-                            sort_keys=job.conf.sort_keys,
-                            spill_dir=job.conf.spill_dir,
-                            spill_threshold_records=job.conf.spill_threshold_records,
-                        )
-                        partition_records = [
-                            sum(len(vs) for _, vs in grouped)
-                            for grouped in partitions
-                        ]
+                            reduce_pending[future] = (part, grouped, 1)
+                        else:
+                            partitions.append(grouped)
                     shuffle_wall = (time.perf_counter_ns() - t1) / 1e9
                     sh_span.set_attrs(**shuffle_stats.as_dict())
 
@@ -460,8 +410,7 @@ class Runner:
                 if lost:
                     job_span.set_attrs(partial=True, lost_partitions=list(lost))
             finally:
-                if streaming is not None:
-                    streaming.close()
+                streaming.close()
 
         get_metrics().absorb_counters(counters)
         return JobResult(
@@ -511,20 +460,22 @@ class Runner:
                 job.validate()
                 spec = JobSpec.of(job)
                 if stage_index == 0:
-                    splits = SequenceInputFormat(
-                        list(records), job.conf.num_map_tasks
-                    ).splits()
+                    splits = make_splits(records, job.conf.num_map_tasks)
                     num_maps = len(splits)
                 else:
                     # One downstream map task per upstream reduce partition.
                     num_maps = len(prev.reduce_results)
-                state = _StageState(job=job, spec=spec, num_maps=num_maps)
-                state.streaming = StreamingShuffle(
-                    num_maps,
-                    job.conf.num_reducers,
-                    sort_keys=job.conf.sort_keys,
-                    spill_dir=job.conf.spill_dir,
-                    spill_threshold_records=job.conf.spill_threshold_records,
+                state = _StageState(
+                    job=job,
+                    spec=spec,
+                    num_maps=num_maps,
+                    streaming=StreamingShuffle(
+                        num_maps,
+                        job.conf.num_reducers,
+                        sort_keys=job.conf.sort_keys,
+                        spill_dir=job.conf.spill_dir,
+                        spill_threshold_records=job.conf.spill_threshold_records,
+                    ),
                 )
                 state.job_span = tracer.start_span(
                     job.name,
@@ -1148,9 +1099,9 @@ def _lost_placeholder(spec: JobSpec, kind: str, index: int, attempt: int) -> Any
 
 
 def _ingest_into(
-    streaming: StreamingShuffle | None,
+    streaming: StreamingShuffle,
     speculation: bool = False,
-) -> Callable[[int, Any], Any] | None:
+) -> Callable[[int, Any], Any]:
     """Drain callback feeding finished map tasks into a streaming shuffle.
 
     Ingested buffers are replaced by ``None`` in the stored result, so the
@@ -1160,8 +1111,6 @@ def _ingest_into(
     set already prevents this in practice — the shuffle-side discard is
     the commit-barrier backstop).
     """
-    if streaming is None:
-        return None
     on_duplicate = "discard" if speculation else "raise"
 
     def _ingest(index: int, result: Any) -> Any:
@@ -1172,51 +1121,10 @@ def _ingest_into(
     return _ingest
 
 
-class SerialRunner(Runner):
-    """Runs every task inline in the driver, one at a time.
-
-    Alias for ``Runner(SerialExecutor())`` — kept because serial execution
-    is the *measurement* configuration (clean per-task timings for the
-    cluster simulator) and must stay pinned even when ``REPRO_EXECUTOR``
-    redirects default runners elsewhere.
-    """
-
-    def __init__(self, max_task_retries: int = 0, tracer: Tracer | None = None):
-        super().__init__(
-            SerialExecutor(), max_task_retries=max_task_retries, tracer=tracer
-        )
-
-
-class MultiprocessRunner(Runner):
-    """Runs tasks in a process pool (back-compat alias).
-
-    Equivalent to ``Runner("processes", num_workers=...)``: one pool now
-    serves both phases of a job — and every job of a chain — instead of
-    the former pool-per-phase lifecycle.  Task payloads are pickled to
-    workers, so user mapper/reducer classes must be module-level.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        max_task_retries: int = 0,
-        tracer: Tracer | None = None,
-    ):
-        if num_workers is None or num_workers <= 0:
-            raise JobConfigError(f"num_workers must be >= 1, got {num_workers}")
-        super().__init__(
-            "processes",
-            num_workers=num_workers,
-            max_task_retries=max_task_retries,
-            tracer=tracer,
-        )
-
-
 def run_job(
     job: Job,
     *,
     records: Sequence[Pair] | None = None,
-    input_format: InputFormat | None = None,
     runner: Runner | None = None,
 ) -> JobResult:
     """One-call convenience: run ``job`` with the given or default runner.
@@ -1226,4 +1134,4 @@ def run_job(
     backend without per-test plumbing.
     """
     runner = runner or Runner()
-    return runner.run(job, records=records, input_format=input_format)
+    return runner.run(job, records=records)

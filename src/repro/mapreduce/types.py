@@ -86,9 +86,8 @@ class TaskStats:
 class RetryPolicy:
     """The runner's fault-tolerance contract for one job run.
 
-    Replaces the bare ``max_task_retries`` counter (kept as a constructor
-    alias on :class:`~repro.mapreduce.runner.Runner`) with the full policy:
-    how often to retry, how long to wait between attempts, when to abandon
+    The one way to configure fault tolerance on
+    :class:`~repro.mapreduce.runner.Runner`: how often to retry, how long to wait between attempts, when to abandon
     a hung task, when to launch a speculative backup, and what to do when a
     task is terminally lost.
 

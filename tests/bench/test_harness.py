@@ -1,10 +1,8 @@
 """Tests for the experiment harness (dataset cache, point runs, sweeps)."""
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import DatasetCache, PointRecord, run_point, sweep
-from repro.bench.timing import Timer, best_of, measurements_summary
 from repro.mapreduce.cluster import ClusterSpec
 
 QUICK = ClusterSpec(num_nodes=2, speed_factor=1.0)
@@ -80,40 +78,3 @@ class TestSweep:
             ("angle", 2),
             ("angle", 3),
         }
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t.measure("x"):
-            pass
-        with t.measure("x"):
-            pass
-        assert len(t.samples["x"]) == 2
-        assert t.total("x") >= 0
-        assert t.mean("x") >= 0
-
-    def test_timer_unknown_name(self):
-        assert Timer().total("nothing") == 0.0
-        assert Timer().mean("nothing") == 0.0
-
-    def test_best_of(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            return "result"
-
-        best, result = best_of(fn, repeats=3)
-        assert len(calls) == 3
-        assert result == "result"
-        assert best >= 0
-
-    def test_best_of_validates(self):
-        with pytest.raises(ValueError):
-            best_of(lambda: None, repeats=0)
-
-    def test_summary(self):
-        s = measurements_summary([1.0, 2.0, 3.0])
-        assert s == {"min": 1.0, "mean": 2.0, "max": 3.0, "n": 3}
-        assert measurements_summary([])["n"] == 0

@@ -13,7 +13,7 @@ from repro.core.mr_skyline import (
 )
 from repro.core.partitioning import AngularPartitioner
 from repro.core.skyline import skyline_numpy
-from repro.mapreduce.runner import MultiprocessRunner
+from repro.mapreduce.runner import Runner
 
 METHODS = ("dim", "grid", "angle", "random")
 
@@ -135,7 +135,7 @@ class TestCorrectness:
             cloud,
             method="angle",
             num_workers=2,
-            runner=MultiprocessRunner(num_workers=2),
+            runner=Runner("processes", num_workers=2),
         )
         assert np.array_equal(serial.global_indices, mp.global_indices)
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.skyline import is_skyline, skyline, skyline_numpy, skyline_points
 
-ALGOS = ("bnl", "sfs", "dnc", "bbs", "numpy")
+ALGOS = ("bnl", "sfs", "dnc", "numpy")
 
 clouds = arrays(
     np.float64,
@@ -28,18 +28,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown algorithm"):
             skyline(np.ones((2, 2)), algorithm="quantum")  # type: ignore[arg-type]
 
+    def test_bbs_is_not_an_algorithm(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            skyline(np.ones((2, 2)), algorithm="bbs")  # type: ignore[arg-type]
+
     def test_kwargs_forwarded_to_bnl(self):
         rng = np.random.default_rng(1)
         pts = rng.random((100, 2))
         assert np.array_equal(
             skyline(pts, algorithm="bnl", window_size=3), skyline_numpy(pts)
-        )
-
-    def test_bbs_kwargs_forwarded(self):
-        rng = np.random.default_rng(5)
-        pts = rng.random((200, 3))
-        assert np.array_equal(
-            skyline(pts, algorithm="bbs", leaf_capacity=4), skyline_numpy(pts)
         )
 
     def test_kwargs_rejected_where_unsupported(self):

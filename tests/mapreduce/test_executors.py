@@ -24,6 +24,7 @@ from repro.mapreduce import (
     Mapper,
     ProcessExecutor,
     Reducer,
+    RetryPolicy,
     Runner,
     SerialExecutor,
     ThreadExecutor,
@@ -106,12 +107,6 @@ class TestDifferentialWordcount:
         assert result.counters == serial_wordcount.counters
         assert result.executor == executor
 
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_streaming_off_identical(self, executor, serial_wordcount):
-        result = _run(executor, _wordcount_job(), WORDS, streaming=False)
-        assert result.outputs == serial_wordcount.outputs
-        assert result.counters == serial_wordcount.counters
-
 
 class TestDifferentialSkyline:
     """All three methods × all three executors: identical skylines."""
@@ -172,7 +167,7 @@ class TestDifferentialRetries:
                 params={"flag_dir": str(tmp_path)},
             ),
         )
-        result = _run(executor, job, WORDS, max_task_retries=2)
+        result = _run(executor, job, WORDS, retry_policy=RetryPolicy(max_retries=2))
         assert dict(result.output_pairs()) == EXPECTED
         assert result.executor == executor
 
@@ -185,7 +180,7 @@ class TestDifferentialRetries:
             conf=JobConf(num_reducers=1),
         )
         with pytest.raises(JobFailedError) as info:
-            _run(executor, job, [(None, "x")], max_task_retries=2)
+            _run(executor, job, [(None, "x")], retry_policy=RetryPolicy(max_retries=2))
         assert len(info.value.failures) == 3  # 1 try + 2 retries
         assert all(
             "poisoned record" in str(f.cause) for f in info.value.failures

@@ -1,44 +1,41 @@
-"""Tests for input formats and splits."""
+"""Tests for input splits."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.errors import JobConfigError
-from repro.mapreduce.fs import BlockFileSystem
-from repro.mapreduce.inputs import (
-    SequenceInputFormat,
-    TextInputFormat,
-    make_splits,
-)
+from repro.mapreduce.inputs import make_splits
 
 
 class TestSequenceInputFormat:
+    """``make_splits`` over an in-memory record sequence."""
+
     def test_even_split(self):
         records = [(i, i) for i in range(10)]
-        splits = SequenceInputFormat(records, 5).splits()
+        splits = make_splits(records, 5)
         assert [len(s) for s in splits] == [2, 2, 2, 2, 2]
 
     def test_uneven_split_sizes_differ_by_at_most_one(self):
         records = [(i, i) for i in range(11)]
-        splits = SequenceInputFormat(records, 4).splits()
+        splits = make_splits(records, 4)
         sizes = [len(s) for s in splits]
         assert sum(sizes) == 11
         assert max(sizes) - min(sizes) <= 1
 
     def test_more_splits_than_records(self):
         records = [(0, "a"), (1, "b")]
-        splits = SequenceInputFormat(records, 10).splits()
+        splits = make_splits(records, 10)
         assert len(splits) == 2  # never emits empty splits
 
     def test_empty_records_single_empty_split(self):
-        splits = SequenceInputFormat([], 4).splits()
+        splits = make_splits([], 4)
         assert len(splits) == 1
         assert len(splits[0]) == 0
 
     def test_order_preserved(self):
         records = [(i, str(i)) for i in range(7)]
-        splits = SequenceInputFormat(records, 3).splits()
+        splits = make_splits(records, 3)
         flattened = [r for s in splits for r in s]
         assert flattened == records
 
@@ -48,7 +45,7 @@ class TestSequenceInputFormat:
 
     def test_invalid_num_splits(self):
         with pytest.raises(JobConfigError):
-            SequenceInputFormat([], 0)
+            make_splits([], 0)
 
     @given(
         n=st.integers(0, 200),
@@ -57,85 +54,10 @@ class TestSequenceInputFormat:
     @settings(max_examples=50)
     def test_property_partition_of_records(self, n, k):
         records = [(i, i * 2) for i in range(n)]
-        splits = SequenceInputFormat(records, k).splits()
+        splits = make_splits(records, k)
         flattened = [r for s in splits for r in s]
         assert flattened == records
         sizes = [len(s) for s in splits]
         if n:
             assert max(sizes) - min(sizes) <= 1
             assert len(splits) == min(k, n)
-
-
-class TestTextInputFormat:
-    def _fs_with(self, text: str, block_size: int = 16) -> BlockFileSystem:
-        fs = BlockFileSystem(block_size=block_size)
-        fs.write_text("/data.txt", text)
-        return fs
-
-    def test_single_block(self):
-        fs = self._fs_with("a\nb\nc", block_size=1024)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        assert len(splits) == 1
-        assert [v for _, v in splits[0]] == ["a", "b", "c"]
-
-    def test_lines_crossing_blocks_assigned_once(self):
-        # With block_size=8 the second line straddles the block boundary.
-        text = "aaaa\nbbbbbbbb\ncc\ndddd"
-        fs = self._fs_with(text, block_size=8)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        lines = [v for s in splits for _, v in s]
-        assert lines == ["aaaa", "bbbbbbbb", "cc", "dddd"]
-
-    def test_offsets_are_byte_positions(self):
-        text = "ab\ncdef\ng"
-        fs = self._fs_with(text, block_size=1024)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        offsets = [k for s in splits for k, _ in s]
-        assert offsets == [0, 3, 8]
-
-    @pytest.mark.parametrize("block_size", [1, 2, 3, 5, 7, 16, 64])
-    def test_block_size_never_changes_content(self, block_size):
-        text = "\n".join(f"line-{i}" * (i % 3 + 1) for i in range(20))
-        fs = self._fs_with(text, block_size=block_size)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        lines = [v for s in splits for _, v in s]
-        assert lines == text.split("\n")
-
-    def test_trailing_newline(self):
-        fs = self._fs_with("a\nb\n", block_size=4)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        lines = [v for s in splits for _, v in s]
-        # Hadoop semantics: a trailing newline does not create an empty record.
-        assert lines == ["a", "b"]
-
-    def test_lone_newline_is_one_empty_record(self):
-        fs = self._fs_with("\n", block_size=4)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        assert [v for s in splits for _, v in s] == [""]
-
-    def test_empty_file(self):
-        fs = self._fs_with("", block_size=8)
-        splits = TextInputFormat(fs, "/data.txt").splits()
-        assert [len(s) for s in splits] == [0]
-
-    @given(
-        lines=st.lists(
-            st.text(
-                alphabet=st.characters(codec="ascii", exclude_characters="\n\r"),
-                max_size=12,
-            ),
-            max_size=15,
-        ),
-        block_size=st.integers(1, 32),
-    )
-    @settings(max_examples=60)
-    def test_property_all_lines_exactly_once(self, lines, block_size):
-        text = "\n".join(lines)
-        fs = BlockFileSystem(block_size=block_size)
-        fs.write_text("/f", text)
-        splits = TextInputFormat(fs, "/f").splits()
-        got = [v for s in splits for _, v in s]
-        expected = text.split("\n") if text else []
-        if expected and text.endswith("\n"):
-            expected = expected[:-1]  # Hadoop: no empty record after final \n
-        assert got == expected

@@ -10,14 +10,12 @@ from repro.mapreduce import (
     JobConfigError,
     JobFailedError,
     Mapper,
-    MultiprocessRunner,
     Reducer,
-    SerialRunner,
+    RetryPolicy,
+    Runner,
     SingleReducerPartitioner,
     run_job,
 )
-from repro.mapreduce.fs import BlockFileSystem
-from repro.mapreduce.inputs import TextInputFormat
 from repro.mapreduce.types import TaskKind
 
 
@@ -107,18 +105,10 @@ class TestSerialRunner:
     def test_requires_exactly_one_input(self):
         with pytest.raises(JobConfigError):
             run_job(_wordcount_job())
-        fs = BlockFileSystem()
-        fs.write_text("/in.txt", "a b")
-        fmt = TextInputFormat(fs, "/in.txt")
-        with pytest.raises(JobConfigError):
-            run_job(_wordcount_job(), records=WORDS, input_format=fmt)
 
     def test_file_input(self):
-        fs = BlockFileSystem(block_size=8)
-        fs.write_text("/in.txt", "a b a\nb b c\nc a d")
-        result = run_job(
-            _wordcount_job(), input_format=TextInputFormat(fs, "/in.txt")
-        )
+        result = run_job(_wordcount_job(maps=3), records=WORDS)
+        assert len(result.map_stats) > 1
         assert dict(result.output_pairs()) == EXPECTED
 
     def test_failing_task_raises_job_failed(self):
@@ -160,14 +150,14 @@ class TestRetries:
             reducer=SumReducer,
             conf=JobConf(num_reducers=1),
         )
-        runner = SerialRunner(max_task_retries=2)
+        runner = Runner("serial", retry_policy=RetryPolicy(max_retries=2))
         with pytest.raises(JobFailedError) as info:
             runner.run(job, records=[(None, "x")])
         assert len(info.value.failures) == 3  # 1 try + 2 retries
 
     def test_negative_retries_rejected(self):
         with pytest.raises(JobConfigError):
-            SerialRunner(max_task_retries=-1)
+            Runner(retry_policy=RetryPolicy(max_retries=-1))
 
 
 class TestJobChain:
@@ -189,7 +179,7 @@ class TestJobChain:
             )
 
         chain = JobChain("wc-parity", [stage1, stage2])
-        result = SerialRunner().run_chain(chain, WORDS)
+        result = Runner("serial").run_chain(chain, WORDS)
         assert len(result.results) == 2
         # counts are {3,3,2,1} -> parities {1:2 odd, 0:1}... 3,3 odd, 2 even, 1 odd
         assert dict(result.final.output_pairs()) == {0: 1, 1: 3}
@@ -207,7 +197,7 @@ class TestJobChain:
             conf=JobConf(num_reducers=1, num_map_tasks=1),
         )
         chain = JobChain("x", [lambda r: _wordcount_job(), lambda r: second])
-        result = SerialRunner().run_chain(chain, WORDS)
+        result = Runner("serial").run_chain(chain, WORDS)
         assert len(result.phase_stats(TaskKind.MAP)) == 3
 
     def test_empty_chain_rejected(self):
@@ -218,7 +208,7 @@ class TestJobChain:
 class TestMultiprocessRunner:
     def test_matches_serial(self):
         serial = run_job(_wordcount_job(maps=3), records=WORDS)
-        mp = MultiprocessRunner(num_workers=2).run(
+        mp = Runner("processes", num_workers=2).run(
             _wordcount_job(maps=3), records=WORDS
         )
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
@@ -232,7 +222,7 @@ class TestMultiprocessRunner:
             conf=JobConf(num_reducers=1),
         )
         with pytest.raises(JobFailedError):
-            MultiprocessRunner(num_workers=2).run(job, records=[(None, "x")])
+            Runner("processes", num_workers=2).run(job, records=[(None, "x")])
 
     def test_failure_preserves_real_cause(self):
         # TaskError must survive the pool's pickle round-trip; a broken
@@ -246,7 +236,7 @@ class TestMultiprocessRunner:
         )
         records = [(None, "a"), (None, "b"), (None, "x")]
         with pytest.raises(JobFailedError) as info:
-            MultiprocessRunner(num_workers=2).run(job, records=records)
+            Runner("processes", num_workers=2).run(job, records=records)
         assert len(info.value.failures) == 1
         assert "poisoned record" in str(info.value.failures[0].cause)
         # The two healthy tasks still completed and report their timings.
@@ -254,4 +244,4 @@ class TestMultiprocessRunner:
 
     def test_bad_worker_count(self):
         with pytest.raises(JobConfigError):
-            MultiprocessRunner(num_workers=0)
+            Runner("processes", num_workers=0)

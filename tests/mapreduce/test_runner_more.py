@@ -1,20 +1,16 @@
 """Additional runner coverage: multiprocessing edge cases and chains."""
 
 import numpy as np
-import pytest
 
 from repro.mapreduce import (
     Job,
     JobChain,
     JobConf,
     Mapper,
-    MultiprocessRunner,
     Reducer,
-    SerialRunner,
+    Runner,
     run_job,
 )
-from repro.mapreduce.fs import BlockFileSystem
-from repro.mapreduce.inputs import TextInputFormat
 
 
 class TokenMapper(Mapper):
@@ -55,8 +51,8 @@ class TestMultiprocessMore:
             combiner=SumReducer,
             conf=JobConf(num_reducers=3, num_map_tasks=4),
         )
-        serial = SerialRunner().run(job, records=WORDS)
-        mp = MultiprocessRunner(num_workers=3).run(job, records=WORDS)
+        serial = Runner("serial").run(job, records=WORDS)
+        mp = Runner("processes", num_workers=3).run(job, records=WORDS)
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
 
     def test_more_workers_than_tasks(self):
@@ -66,7 +62,7 @@ class TestMultiprocessMore:
             reducer=SumReducer,
             conf=JobConf(num_reducers=1, num_map_tasks=1),
         )
-        result = MultiprocessRunner(num_workers=8).run(job, records=WORDS)
+        result = Runner("processes", num_workers=8).run(job, records=WORDS)
         assert sum(result.output_values()) == 180
 
     def test_chain(self):
@@ -85,23 +81,20 @@ class TestMultiprocessMore:
                 conf=JobConf(num_reducers=1),
             ),
         ]
-        serial = SerialRunner().run_chain(JobChain("c", stages), WORDS)
-        mp = MultiprocessRunner(num_workers=2).run_chain(JobChain("c", stages), WORDS)
+        serial = Runner("serial").run_chain(JobChain("c", stages), WORDS)
+        mp = Runner("processes", num_workers=2).run_chain(JobChain("c", stages), WORDS)
         assert dict(mp.final.output_pairs()) == dict(serial.final.output_pairs())
 
     def test_file_input(self):
-        fs = BlockFileSystem(block_size=64)
-        fs.write_text("/in.txt", "\n".join(v for _, v in WORDS))
         job = Job(
             name="wc",
             mapper=TokenMapper,
             reducer=SumReducer,
-            conf=JobConf(num_reducers=2),
+            conf=JobConf(num_reducers=2, num_map_tasks=3),
         )
-        serial = run_job(job, input_format=TextInputFormat(fs, "/in.txt"))
-        mp = MultiprocessRunner(num_workers=2).run(
-            job, input_format=TextInputFormat(fs, "/in.txt")
-        )
+        serial = run_job(job, records=WORDS)
+        mp = Runner("processes", num_workers=2).run(job, records=WORDS)
+        assert len(mp.map_stats) > 1
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
 
     def test_numpy_blocks_cross_process(self):
@@ -115,7 +108,7 @@ class TestMultiprocessMore:
             conf=JobConf(num_reducers=2, num_map_tasks=3),
         )
         serial = run_job(job, records=records)
-        mp = MultiprocessRunner(num_workers=2).run(job, records=records)
+        mp = Runner("processes", num_workers=2).run(job, records=records)
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
 
 
@@ -127,7 +120,7 @@ class TestStatsUnderMultiprocessing:
             reducer=SumReducer,
             conf=JobConf(num_reducers=3, num_map_tasks=5),
         )
-        result = MultiprocessRunner(num_workers=2).run(job, records=WORDS)
+        result = Runner("processes", num_workers=2).run(job, records=WORDS)
         assert len(result.map_stats) == 5
         assert len(result.reduce_stats) == 3
         assert result.map_stats.records_in == len(WORDS)

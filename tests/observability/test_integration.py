@@ -9,9 +9,9 @@ from repro.mapreduce import (
     JobConf,
     JobFailedError,
     Mapper,
-    MultiprocessRunner,
     Reducer,
-    SerialRunner,
+    RetryPolicy,
+    Runner,
 )
 from repro.observability import enable_tracing
 from repro.observability.metrics import get_metrics
@@ -136,7 +136,7 @@ class TestFailedJobTraces:
     def test_serial_failure_leaves_partial_trace(self):
         tracer = set_tracer(Tracer(keep_spans=True))
         with pytest.raises(JobFailedError) as info:
-            SerialRunner().run(_crash_job(), records=RECORDS)
+            Runner("serial").run(_crash_job(), records=RECORDS)
         spans = tracer.finished
         # The healthy tasks finished with ok status before the poisoned one.
         ok_tasks = [s for s in spans if s.kind == "task" and s.status == "ok"]
@@ -153,7 +153,8 @@ class TestFailedJobTraces:
     def test_serial_retries_appear_as_attempt_spans(self):
         tracer = set_tracer(Tracer(keep_spans=True))
         with pytest.raises(JobFailedError):
-            SerialRunner(max_task_retries=2).run(_crash_job(), records=RECORDS)
+            runner = Runner("serial", retry_policy=RetryPolicy(max_retries=2))
+            runner.run(_crash_job(), records=RECORDS)
         attempts = [
             s.attrs["attempt"]
             for s in tracer.finished
@@ -165,7 +166,7 @@ class TestFailedJobTraces:
     def test_multiprocess_failure_keeps_completed_task_spans(self):
         tracer = set_tracer(Tracer(keep_spans=True))
         with pytest.raises(JobFailedError) as info:
-            MultiprocessRunner(num_workers=2).run(_crash_job(), records=RECORDS)
+            Runner("processes", num_workers=2).run(_crash_job(), records=RECORDS)
         spans = tracer.finished
         task_spans = [s for s in spans if s.kind == "task"]
         # Healthy map tasks reported back as synthetic spans; the failed
@@ -181,7 +182,7 @@ class TestFailedJobTraces:
     def test_multiprocess_success_task_spans_match_serial_counts(self):
         tracer = set_tracer(Tracer(keep_spans=True))
         records = [(None, "a"), (None, "b"), (None, "c")]
-        MultiprocessRunner(num_workers=2).run(_crash_job(), records=records)
+        Runner("processes", num_workers=2).run(_crash_job(), records=records)
         task_spans = [s for s in tracer.finished if s.kind == "task"]
         assert len(task_spans) == 4  # 3 map + 1 reduce
         assert all(s.attrs.get("synthetic") for s in task_spans)

@@ -60,7 +60,6 @@ def test_top_level_quickstart_names():
 def test_module_docstrings_present():
     for package in PACKAGES + [
         "repro.core.bnl",
-        "repro.core.bbs",
         "repro.core.mr_skyline",
         "repro.mapreduce.simulation",
         "repro.services.composition",

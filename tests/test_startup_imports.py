@@ -31,7 +31,6 @@ NOT_AT_STARTUP = [
     "repro.services",
     "repro.core.mr_skyline",
     "repro.mapreduce.runner",
-    "repro.core.bbs",
     "scipy",
 ]
 
