@@ -14,8 +14,10 @@ Design rules:
 
 * **ids travel with rows.**  Every masking/slicing operation applies to both
   columns at once; a block can never hold rows whose ids drifted.
-* **float64, 2-D, C-contiguous, NaN-free** — enforced at construction via
-  :func:`repro.core.dominance.validate_points`, so kernels never re-check.
+* **float64, 2-D, C-contiguous, NaN-free** — enforced by the public
+  constructors via :func:`repro.core.dominance.validate_points`.  Blocks
+  derived from validated blocks (``take``, ``slice``, ``chunks``,
+  :func:`concat_blocks`) inherit those properties and skip the re-scan.
 * **round-trips with the legacy API.**  :meth:`PointBlock.from_tuple` /
   :meth:`PointBlock.to_tuple` convert to the engine's ``(indices, rows)``
   record payloads, and :func:`concat_blocks` replaces the
@@ -82,6 +84,19 @@ class PointBlock:
         return cls(ids=np.asarray(indices, dtype=np.intp), rows=rows)
 
     @classmethod
+    def _derived(cls, ids: np.ndarray, rows: np.ndarray) -> "PointBlock":
+        """Wrap ids/rows cut from already-validated blocks, unchecked.
+
+        Indexing, slicing and stacking validated float64 matrices yields
+        C-contiguous float64 matrices without NaNs, so the NaN scan of
+        :meth:`__post_init__` would only repeat itself.
+        """
+        block = object.__new__(cls)
+        object.__setattr__(block, "ids", ids)
+        object.__setattr__(block, "rows", rows)
+        return block
+
+    @classmethod
     def empty(cls, d: int) -> "PointBlock":
         """A zero-point block of dimensionality ``d``."""
         if d < 1:
@@ -112,11 +127,14 @@ class PointBlock:
             raise ValueError(
                 f"mask has shape {sel.shape}, expected ({len(self)},)"
             )
-        return PointBlock(ids=self.ids[sel], rows=self.rows[sel])
+        if sel.ndim > 1:
+            raise ValueError(f"selector must be 1-D, got shape {sel.shape}")
+        sel = sel.reshape(-1)
+        return PointBlock._derived(self.ids[sel], self.rows[sel])
 
     def slice(self, start: int, stop: int) -> "PointBlock":
         """Contiguous row range ``[start, stop)`` — a view, no copy."""
-        return PointBlock(ids=self.ids[start:stop], rows=self.rows[start:stop])
+        return PointBlock._derived(self.ids[start:stop], self.rows[start:stop])
 
     def chunks(self, size: int) -> Iterable["PointBlock"]:
         """Stream the block as consecutive sub-blocks of ``size`` rows."""
@@ -147,7 +165,7 @@ def concat_blocks(blocks: Sequence[PointBlock]) -> PointBlock:
         raise ValueError(f"blocks disagree on dimensionality: {sorted(dims)}")
     if len(blocks) == 1:
         return blocks[0]
-    return PointBlock(
-        ids=np.concatenate([b.ids for b in blocks]),
-        rows=np.vstack([b.rows for b in blocks]),
+    return PointBlock._derived(
+        np.concatenate([b.ids for b in blocks]),
+        np.vstack([b.rows for b in blocks]),
     )

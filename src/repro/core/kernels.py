@@ -145,13 +145,35 @@ def sort_first_order(rows: np.ndarray) -> np.ndarray:
     ``b`` even when ``a`` dominates ``b``, and dominance implies
     lexicographic order, so ties resolved lexicographically preserve the
     SFS invariant that no later point dominates an earlier one.
+
+    The permutation is exactly ``np.lexsort`` over the score, then every
+    coordinate, then the row index, but only the runs of equal scores pay
+    for the coordinate keys: a stable argsort orders the scores, and one
+    stable lexsort keyed by (run, coordinates) reorders the tied positions
+    within their runs.
     """
     pts = validate_points(rows)
-    d = pts.shape[1]
     shifted = pts - pts.min(axis=0, keepdims=True)
     scores = np.log1p(shifted).sum(axis=1)
-    keys = tuple(pts[:, j] for j in range(d - 1, -1, -1)) + (scores,)
-    return np.lexsort(keys)
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    tied = ranked[1:] == ranked[:-1]
+    if ranked.size and np.isnan(ranked[-1]):
+        # NaN scores (inf - inf, from infinite coordinates) sort last and
+        # tie with each other, as they do under lexsort.
+        tied |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+    if not tied.any():
+        return order
+    # Positions inside a run of equal scores, and the run each belongs to.
+    in_run = np.zeros(ranked.size, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    pos = np.flatnonzero(in_run)
+    run = np.cumsum(~np.concatenate(([False], tied)))[pos]
+    tied_rows = pts[order[pos]]
+    keys = tuple(tied_rows[:, j] for j in range(pts.shape[1] - 1, -1, -1))
+    order[pos] = order[pos][np.lexsort(keys + (run,))]
+    return order
 
 
 class DominanceKernel:
@@ -434,6 +456,10 @@ class BlockKernel(DominanceKernel):
     ``k > 1`` sweep accumulates the k-skyband the same way, counting
     dominators per candidate instead of testing for any.
     ``filter_survivors`` steps over ``FILTER_CHUNK`` rows at a time.
+
+    Both ops transpose their input once and work column-major, the
+    accumulated skyline included, so every per-dimension comparison reads
+    contiguous memory (see :func:`_le_block`).
     """
 
     name = "block"
@@ -455,27 +481,27 @@ class BlockKernel(DominanceKernel):
         alive = np.ones(n, dtype=bool)
         if flt.shape[0] == 0 or n == 0:
             return alive
-        fsum = flt.sum(axis=1)
-        psum = pts.sum(axis=1)
+        fcols, pcols = _columns(flt), _columns(pts)
+        fsum, psum = _column_sums(fcols), _column_sums(pcols)
         # The filter set arrives ranked strongest-first (the pruning-score
         # order), so an 8-filter prescreen pass kills most rows before the
         # full-width filter broadcast sees the survivors.
         head = min(8, flt.shape[0])
         for start in range(0, n, FILTER_CHUNK):
             stop = min(start + FILTER_CHUNK, n)
-            chunk = pts[start:stop]
+            chunk = pcols[:, start:stop]
             csum = psum[start:stop]
             if k > 1:
                 # A count needs every filter: no prescreen shortcut.
-                alive[start:stop] = _count_dominators_block(flt, chunk, fsum, csum) < k
+                alive[start:stop] = _count_dominators_block(fcols, chunk, fsum, csum) < k
                 continue
             live = ~_any_dominates_block(
-                flt[:head], chunk, fsum[:head], csum
+                fcols[:, :head], chunk, fsum[:head], csum
             )
             if head < flt.shape[0] and live.any():
                 idx = np.flatnonzero(live)
                 live[idx] = ~_any_dominates_block(
-                    flt[head:], chunk[idx], fsum[head:], csum[idx]
+                    fcols[:, head:], chunk[:, idx], fsum[head:], csum[idx]
                 )
             alive[start:stop] = live
         if counter is not None:
@@ -496,19 +522,20 @@ class BlockKernel(DominanceKernel):
         keep = np.zeros(n, dtype=bool)
         if n == 0:
             return keep
-        sums = pts.sum(axis=1)
-        sky_buf = np.empty((min(n, 1024), d))
-        sky_sums = np.empty(sky_buf.shape[0])
+        cols = _columns(pts)
+        sums = _column_sums(cols)
+        # The accumulated skyline, column-major like the candidates.
+        sky = np.empty((d, min(n, 1024)))
+        sky_sums = np.empty(sky.shape[1])
         sky_len = 0
         tests = 0
         for start, stop in _sweep_chunks(n):
-            chunk = pts[start:stop]
-            survivors = np.arange(chunk.shape[0])
-            surv = chunk
+            survivors = np.arange(stop - start)
+            surv = cols[:, start:stop]
             surv_sums = sums[start:stop]
             # k > 1: dominators found so far per survivor; a survivor dies
             # at k.  k = 1 stays on the cheaper any-dominance test.
-            found = np.zeros(chunk.shape[0], dtype=np.int64)
+            found = np.zeros(stop - start, dtype=np.int64)
             # Established skyline first: transitivity makes the intra-chunk
             # resolution below exact over survivors only (a chunk row
             # dominated by a dead chunk row is dominated by whatever killed
@@ -530,23 +557,23 @@ class BlockKernel(DominanceKernel):
                 width = _PRESCREEN if wstart == 0 else WINDOW_CHUNK
                 wstop = min(wstart + width, sky_len)
                 args = (
-                    sky_buf[wstart:wstop], surv, sky_sums[wstart:wstop], surv_sums
+                    sky[:, wstart:wstop], surv, sky_sums[wstart:wstop], surv_sums
                 )
                 if k == 1:
                     dead = _any_dominates_block(*args)
                 else:
                     found += _count_dominators_block(*args)
                     dead = found >= k
-                tests += (wstop - wstart) * surv.shape[0]
+                tests += (wstop - wstart) * survivors.size
                 if dead.any():
                     alive_mask = ~dead
                     survivors = survivors[alive_mask]
-                    surv = surv[alive_mask]
+                    surv = surv[:, alive_mask]
                     surv_sums = surv_sums[alive_mask]
                     found = found[alive_mask]
                 wstart = wstop
             if survivors.size:
-                m = surv.shape[0]
+                m = survivors.size
                 if m > 1:
                     # Pairwise over survivors: the sort order already
                     # forbids j < i wins, but duplicates make the full
@@ -560,20 +587,18 @@ class BlockKernel(DominanceKernel):
                         intra_alive = found + _count_dominators_block(*args) < k
                     tests += m * m
                     survivors = survivors[intra_alive]
-                    surv = surv[intra_alive]
+                    surv = surv[:, intra_alive]
                     surv_sums = surv_sums[intra_alive]
-                    m = surv.shape[0]
+                    m = survivors.size
                 keep[start + survivors] = True
-                if sky_len + m > sky_buf.shape[0]:
-                    grown = np.empty(
-                        (max(sky_buf.shape[0] * 2, sky_len + m), d)
-                    )
-                    grown[:sky_len] = sky_buf[:sky_len]
-                    sky_buf = grown
-                    grown_sums = np.empty(sky_buf.shape[0])
+                if sky_len + m > sky.shape[1]:
+                    grown = np.empty((d, max(sky.shape[1] * 2, sky_len + m)))
+                    grown[:, :sky_len] = sky[:, :sky_len]
+                    sky = grown
+                    grown_sums = np.empty(sky.shape[1])
                     grown_sums[:sky_len] = sky_sums[:sky_len]
                     sky_sums = grown_sums
-                sky_buf[sky_len : sky_len + m] = surv
+                sky[:, sky_len : sky_len + m] = surv
                 sky_sums[sky_len : sky_len + m] = surv_sums
                 sky_len += m
         if counter is not None:
@@ -615,54 +640,89 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _le_block(window: np.ndarray, chunk: np.ndarray) -> np.ndarray | None:
-    """``(w, c)`` mask: ``window[i] ≤ chunk[j]`` on every dimension.
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """``(d, n)`` C-contiguous transpose of an ``(n, d)`` row matrix.
 
-    Accumulates dimension by dimension on 2-D ``(w, c)`` slices — same
-    elementwise work as the obvious ``(w, c, d)`` broadcast, but the
-    temporaries fit in cache instead of blowing it, which is most of the
-    wall-clock difference.  ``None`` when no pair survives the first
-    three dimensions (the common case against a strong window).
+    The block helpers below take their operands column-major, so every
+    per-dimension comparison reads one contiguous row; a Fortran-ordered
+    input is already laid out that way and costs no copy.
     """
-    le = window[:, 0, None] <= chunk[None, :, 0]
-    for k in range(1, window.shape[1]):
-        le &= window[:, k, None] <= chunk[None, :, k]
+    return np.ascontiguousarray(rows.T)
+
+
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """Per point, the sum of its coordinates, added dimension by dimension.
+
+    The strictness test of :func:`_any_dominates_block` only needs both
+    sides of every comparison summed in one fixed order (see there), and
+    sequential adds of contiguous rows beat a strided ``sum(axis=1)``.
+    """
+    sums = cols[0].copy()
+    for row in cols[1:]:
+        sums += row
+    return sums
+
+
+def _le_block(window: np.ndarray, chunk: np.ndarray) -> np.ndarray | None:
+    """``(w, c)`` mask: ``window[:, i] ≤ chunk[:, j]`` on every dimension.
+
+    Both operands are column-major, ``(d, w)`` and ``(d, c)``.  The mask
+    accumulates dimension by dimension on 2-D ``(w, c)`` slices of two
+    contiguous rows — the same elementwise work as the obvious
+    ``(w, c, d)`` broadcast, but the temporaries fit in cache instead of
+    blowing it.  ``None`` when no pair survives the first three
+    dimensions (the common case against a strong window).
+    """
+    le = window[0][:, None] <= chunk[0]
+    for k in range(1, window.shape[0]):
+        le &= window[k][:, None] <= chunk[k]
         if k == 2 and not le.any():
             return None
     return le
 
 
+def _differs(window: np.ndarray, chunk: np.ndarray, ties: np.ndarray):
+    """The ``ties`` pairs ``(i, j)`` whose points differ, as two index arrays.
+
+    ``ties`` is a ``(w, c)`` mask of pairs with ``window[:, i] ≤
+    chunk[:, j]`` everywhere and equal sums: such a pair dominates iff the
+    two points differ.  Only the tie pairs are compared, never the whole
+    ``(w, c)`` product.
+    """
+    wi, cj = np.nonzero(ties)
+    real = (window[:, wi] != chunk[:, cj]).any(axis=0)
+    return wi[real], cj[real]
+
+
 def _any_dominates_block(
     window: np.ndarray,
     chunk: np.ndarray,
-    wsum: np.ndarray | None = None,
-    csum: np.ndarray | None = None,
+    wsum: np.ndarray,
+    csum: np.ndarray,
 ) -> np.ndarray:
-    """Mask over ``chunk`` rows dominated by at least one ``window`` row.
+    """Mask over ``chunk`` points dominated by at least one ``window`` point.
 
-    The ``≤ on every dimension`` part comes from :func:`_le_block`.
-    Strictness then rides on row sums: with ``w ≤ c`` elementwise, float
-    summation is monotone, so ``sum(w) < sum(c)`` proves a strict
+    Operands are column-major, ``(d, w)`` and ``(d, c)``, with their
+    :func:`_column_sums`.  The ``≤ on every dimension`` part comes from
+    :func:`_le_block`.  Strictness then rides on the sums: with ``w ≤ c``
+    elementwise, rounding keeps every partial sum of ``w`` at or below the
+    same partial sum of ``c``, so ``sum(w) < sum(c)`` proves a strict
     dimension and ``sum(w) = sum(c)`` leaves only ties — pairs that
-    dominate iff the rows differ, resolved exactly on just those (rare)
-    columns.  Callers may pass precomputed row sums to amortise them
-    across chunks.
+    dominate iff the points differ, resolved exactly on just those (rare)
+    pairs.
     """
     le = _le_block(window, chunk)
     if le is None:
-        return np.zeros(chunk.shape[0], dtype=bool)
-    if wsum is None:
-        wsum = window.sum(axis=1)
-    if csum is None:
-        csum = chunk.sum(axis=1)
-    dom = le & (wsum[:, None] < csum[None, :])
-    dominated = dom.any(axis=0)
-    ties = le & ~dom
-    pending = ties.any(axis=0) & ~dominated
+        return np.zeros(chunk.shape[1], dtype=bool)
+    strict = wsum[:, None] < csum
+    strict &= le
+    dominated = strict.any(axis=0)
+    # A column with ``≤`` pairs but no strict one holds only sum ties.
+    pending = le.any(axis=0) & ~dominated
     if pending.any():
         cols = np.flatnonzero(pending)
-        differs = (window[:, None, :] != chunk[cols][None, :, :]).any(axis=2)
-        dominated[cols] = (ties[:, cols] & differs).any(axis=0)
+        _, cj = _differs(window, chunk[:, cols], le[:, cols])
+        dominated[cols[cj]] = True
     return dominated
 
 
@@ -672,21 +732,22 @@ def _count_dominators_block(
     wsum: np.ndarray,
     csum: np.ndarray,
 ) -> np.ndarray:
-    """Per ``chunk`` row: how many ``window`` rows dominate it.
+    """Per ``chunk`` point: how many ``window`` points dominate it.
 
-    The counting twin of :func:`_any_dominates_block`, with the same
-    per-dimension ``≤`` accumulation and row-sum strictness; every tie
-    pair is resolved, since each one may add to a count.
+    The counting twin of :func:`_any_dominates_block`, on the same
+    column-major operands with the same sum strictness; every tie pair is
+    resolved, since each one may add to a count.
     """
     le = _le_block(window, chunk)
     if le is None:
-        return np.zeros(chunk.shape[0], dtype=np.int64)
-    dom = le & (wsum[:, None] < csum[None, :])
-    ties = le & ~dom
+        return np.zeros(chunk.shape[1], dtype=np.int64)
+    strict = wsum[:, None] < csum
+    dom = le & strict
+    ties = le & ~strict
     cols = np.flatnonzero(ties.any(axis=0))
     if cols.size:
-        differs = (window[:, None, :] != chunk[cols][None, :, :]).any(axis=2)
-        dom[:, cols] |= ties[:, cols] & differs
+        wi, cj = _differs(window, chunk[:, cols], ties[:, cols])
+        dom[wi, cols[cj]] = True
     return dom.sum(axis=0)
 
 

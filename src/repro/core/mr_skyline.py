@@ -454,7 +454,10 @@ def run_mr_skyline(
             partitioner = make_partitioner(
                 method, num_partitions, **(partitioner_kwargs or {})
             )
-        partitioner.fit(pts)
+        # One pass over the input: where the fit already derived every
+        # point's partition (MR-Angle's quantile sectors) it hands the ids
+        # back; the partitioner itself ships to map tasks without them.
+        partition_ids = partitioner.fit_assign(pts)
         effective_partitions = partitioner.num_partitions
 
         pruned: frozenset = frozenset()
@@ -576,7 +579,6 @@ def run_mr_skyline(
         else:
             global_indices = np.empty(0, dtype=np.intp)
 
-        partition_ids = partitioner.assign(pts)
         # Data-space skew — the quantity the three partitioning schemes
         # compete on (records per partition, max/min ratio, imbalance).
         skew = observe_partition_skew(

@@ -28,7 +28,9 @@ measurement (see DESIGN.md §5):
 Only *split* axes (more than one sector) matter to a sector id, so
 ``fit`` and ``assign`` compute just those angle columns
 (:func:`~repro.core.hyperspherical.angle_columns`) — under the default
-``"first-axis"`` allocation that is ø₁ alone.
+``"first-axis"`` allocation that is ø₁ alone.  Quantile bins need those
+very columns to place their edges, so a quantile fit also yields the fit
+points' sector ids, which ``fit_assign`` returns without a second pass.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class AngularPartitioner(SpacePartitioner):
             return [self._requested] + [1] * (n_axes - 1)
         return balanced_axis_counts(self._requested, n_axes)
 
-    def _fit(self, points: np.ndarray) -> None:
+    def _fit(self, points: np.ndarray) -> np.ndarray | None:
         n_axes = points.shape[1] - 1
         explicit = self._explicit_boundaries
         if explicit is not None and len(explicit) != n_axes:
@@ -142,7 +144,7 @@ class AngularPartitioner(SpacePartitioner):
         self._radix = radix
         if explicit is not None:
             self._boundaries = list(explicit)
-            return
+            return None
 
         boundaries = [np.empty(0) for _ in counts]
         for col, axis in enumerate(split):
@@ -154,6 +156,9 @@ class AngularPartitioner(SpacePartitioner):
                 edges = np.linspace(0.0, MAX_ANGLE, k + 1)[1:-1]
             boundaries[axis] = np.asarray(edges, dtype=np.float64)
         self._boundaries = boundaries
+        # A quantile fit computed the split axes' angles of every fit point:
+        # exactly the columns _assign would recompute.
+        return self._sector_ids(angles, split) if quantile else None
 
     def _assign(self, points: np.ndarray) -> np.ndarray:
         if points.shape[1] - 1 != len(self._counts):
@@ -162,8 +167,11 @@ class AngularPartitioner(SpacePartitioner):
                 f"got {points.shape[1]}"
             )
         split = [axis for axis, edges in enumerate(self._boundaries) if edges.size]
-        angles = angle_columns(points, split)
-        ids = np.zeros(points.shape[0], dtype=np.int64)
+        return self._sector_ids(angle_columns(points, split), split)
+
+    def _sector_ids(self, angles: np.ndarray, split: list[int]) -> np.ndarray:
+        """Sector id per row of ``angles``, the columns of the ``split`` axes."""
+        ids = np.zeros(angles.shape[0], dtype=np.int64)
         for col, axis in enumerate(split):
             # searchsorted gives the bin index; boundary ownership goes to
             # the upper bin (right-open bins); clamping keeps π/2 in range.

@@ -8,7 +8,10 @@ shipped to map tasks through the job parameters — the analogue of putting
 partition metadata in Hadoop's distributed cache, so it must stay picklable.
 
 Subclasses implement :meth:`_fit` and :meth:`_assign`; the base class
-handles validation and the fitted-state protocol.
+handles validation and the fitted-state protocol.  A ``_fit`` that derives
+every fit point's partition on the way may return those ids, which
+:meth:`~SpacePartitioner.fit_assign` then hands out instead of assigning
+the same points a second time.
 """
 
 from __future__ import annotations
@@ -52,8 +55,16 @@ class SpacePartitioner:
 
     # -- public protocol ---------------------------------------------------------
 
-    def fit(self, points: np.ndarray) -> "SpacePartitioner":
-        """Learn data extents (or whatever the scheme needs) from ``points``."""
+    def fit(
+        self, points: np.ndarray, *, ids_out: list | None = None
+    ) -> "SpacePartitioner":
+        """Learn data extents (or whatever the scheme needs) from ``points``.
+
+        ``ids_out`` (used by :meth:`fit_assign`) receives the partition ids
+        of ``points`` when the scheme's fit derived them on the way; the
+        partitioner itself keeps no per-point state, since it ships to
+        every map task.
+        """
         pts = validate_points(points)
         with get_tracer().span(
             f"partition-fit:{self.scheme}",
@@ -62,9 +73,11 @@ class SpacePartitioner:
             points=int(pts.shape[0]),
             dims=int(pts.shape[1]),
         ) as span:
-            self._fit(pts)
+            ids = self._fit(pts)
             self._fitted = True
             span.set_attrs(partitions=self.num_partitions, **self._trace_attrs())
+        if ids is not None and ids_out is not None:
+            ids_out.append(self._checked(ids, pts.shape[0]))
         return self
 
     def assign(self, points: np.ndarray) -> np.ndarray:
@@ -74,17 +87,7 @@ class SpacePartitioner:
                 f"{type(self).__name__}.assign() called before fit()"
             )
         pts = validate_points(points)
-        ids = np.asarray(self._assign(pts))
-        if ids.shape != (pts.shape[0],):
-            raise AssertionError(
-                f"{type(self).__name__}._assign returned shape {ids.shape}"
-            )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_partitions):
-            raise AssertionError(
-                f"{type(self).__name__} produced ids outside "
-                f"[0, {self.num_partitions}): [{ids.min()}, {ids.max()}]"
-            )
-        return ids.astype(np.int64)
+        return self._checked(self._assign(pts), pts.shape[0])
 
     def assign_block(self, block: PointBlock) -> np.ndarray:
         """Partition id per :class:`~repro.core.blocks.PointBlock` row.
@@ -97,8 +100,23 @@ class SpacePartitioner:
             raise NotFittedError(
                 f"{type(self).__name__}.assign_block() called before fit()"
             )
-        ids = np.asarray(self._assign(block.rows))
-        if ids.shape != (len(block),):
+        return self._checked(self._assign(block.rows), len(block))
+
+    def fit_assign(self, points: np.ndarray) -> np.ndarray:
+        """Fit on ``points`` and return their partition ids.
+
+        Equal to ``fit(points).assign(points)`` bit for bit; a scheme whose
+        fit already derived the ids skips the second pass.
+        """
+        pts = validate_points(points)
+        fitted: list = []
+        self.fit(pts, ids_out=fitted)
+        return fitted[0] if fitted else self.assign(pts)
+
+    def _checked(self, ids: np.ndarray, n: int) -> np.ndarray:
+        """``ids`` as int64, after checking shape and range."""
+        ids = np.asarray(ids)
+        if ids.shape != (n,):
             raise AssertionError(
                 f"{type(self).__name__}._assign returned shape {ids.shape}"
             )
@@ -109,9 +127,6 @@ class SpacePartitioner:
             )
         return ids.astype(np.int64)
 
-    def fit_assign(self, points: np.ndarray) -> np.ndarray:
-        return self.fit(points).assign(points)
-
     def summary(self) -> PartitionSummary:
         return PartitionSummary(
             scheme=self.scheme,
@@ -121,7 +136,8 @@ class SpacePartitioner:
 
     # -- subclass hooks -----------------------------------------------------------
 
-    def _fit(self, points: np.ndarray) -> None:
+    def _fit(self, points: np.ndarray) -> np.ndarray | None:
+        """Fit on validated points; optionally return their partition ids."""
         raise NotImplementedError
 
     def _assign(self, points: np.ndarray) -> np.ndarray:

@@ -82,11 +82,24 @@ def _points_of(request: Dict[str, Any]) -> np.ndarray | None:
     if generate is not None:
         from repro.services.qws import generate_qws
 
-        n = int(generate.get("n", 1000))
-        d = int(generate.get("d", 4))
-        seed = int(generate.get("seed", 0))
+        if not isinstance(generate, dict):
+            raise ValueError("generate must be an object with n, d and seed")
+        n = _whole_number(generate, "n", 1000)
+        d = _whole_number(generate, "d", 4)
+        seed = _whole_number(generate, "seed", 0)
         return generate_qws(n, seed=seed).qos_matrix(d)
     return None
+
+
+def _whole_number(params: Dict[str, Any], name: str, default: int) -> int:
+    """``params[name]`` as an int; a non-numeric or fractional value is a
+    ``ValueError``, which the dispatcher turns into an error response."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"generate.{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"generate.{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -42,6 +42,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PointBlock.from_rows(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("build", [
+        lambda rows: PointBlock(ids=np.arange(len(rows)), rows=rows),
+        lambda rows: PointBlock.from_rows(rows),
+        lambda rows: PointBlock.from_tuple((np.arange(len(rows)), rows)),
+    ], ids=["constructor", "from_rows", "from_tuple"])
+    def test_every_public_constructor_rejects_nan(self, build):
+        rows = _rows(4)
+        rows[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            build(rows)
+
     def test_rows_coerced_contiguous_float64(self):
         rows = np.asfortranarray(_rows(5, 4).astype(np.float32))
         block = PointBlock.from_rows(rows)
@@ -110,6 +121,52 @@ class TestColumnarOps:
         canonical = block.with_ids_ascending()
         assert np.array_equal(canonical.ids, [0, 10, 20, 30])
         assert np.array_equal(canonical.rows, rows[[3, 1, 2, 0]])
+
+
+def _derived_blocks(block):
+    """Every way to derive a block from a validated one."""
+    n = len(block)
+    yield "take-mask", block.take(np.arange(n) % 3 != 1)
+    yield "take-index", block.take(np.array([n - 1, 0, 2, 2]))
+    yield "take-scalar", block.take(3)
+    yield "slice", block.slice(2, 7)
+    yield "chunk", list(block.chunks(4))[1]
+    yield "sort_by", block.sort_by(np.arange(n)[::-1])
+    yield "ids-ascending", block.with_ids_ascending()
+    yield "concat", concat_blocks([block.slice(0, 3), block.take(block.ids % 2 == 0)])
+
+
+class TestDerivedBlocks:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "float32"])
+    def test_stay_contiguous_float64_with_ids_aligned(self, layout):
+        rows = _rows(9, 4)
+        source = {
+            "C": rows,
+            "F": np.asfortranarray(rows),
+            "strided": np.repeat(rows, 2, axis=1)[:, ::2],
+            "float32": rows.astype(np.float32),
+        }[layout]
+        ids = np.arange(100, 109)
+        block = PointBlock(ids=ids, rows=source)
+        by_id = {int(i): block.rows[k] for k, i in enumerate(block.ids)}
+        for name, derived in _derived_blocks(block):
+            assert derived.rows.dtype == np.float64, name
+            assert derived.rows.ndim == 2 and derived.rows.shape[1] == 4, name
+            assert derived.rows.flags["C_CONTIGUOUS"], name
+            assert derived.ids.dtype == np.intp, name
+            assert derived.ids.shape == (len(derived),), name
+            for i, row in zip(derived.ids, derived.rows):
+                assert np.array_equal(row, by_id[int(i)]), name
+
+    def test_derived_blocks_are_still_immutable(self):
+        taken = PointBlock.from_rows(_rows()).take(np.array([0, 1]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            taken.rows = _rows(2)
+
+    def test_multi_dimensional_selector_rejected(self):
+        block = PointBlock.from_rows(_rows(4))
+        with pytest.raises(ValueError, match="1-D"):
+            block.take(np.array([[0, 1], [2, 3]]))
 
 
 class TestConcat:

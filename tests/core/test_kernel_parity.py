@@ -10,13 +10,16 @@ clouds, anti-correlated simplices, d ∈ {2, 4, 10} — and Hypothesis searches
 for counterexamples the curated sets miss.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bnl import bnl_skyline
 from repro.core.incremental import IncrementalSkyline
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.dominance import DominanceCounter
+from repro.core.kernels import KERNEL_NAMES, get_kernel, sort_first_order
 from repro.core.mr_skyline import run_mr_skyline
 from repro.core.partitioning import make_partitioner
 from repro.core.sfs import sfs_skyline
@@ -99,6 +102,64 @@ class TestSingleMachineParity:
         assert results["scalar"] == results["block"]
 
 
+def _layouts(rows):
+    """The same rows as a C-contiguous, a Fortran-ordered and a strided
+    (non-contiguous) matrix."""
+    wide = np.zeros((rows.shape[0] * 2, rows.shape[1] * 2))
+    wide[::2, 1::2] = rows
+    yield "C", np.ascontiguousarray(rows)
+    yield "F", np.asfortranarray(rows)
+    yield "strided", wide[::2, 1::2]
+
+
+def _band_inputs(d, seed):
+    rng = np.random.default_rng(seed)
+    yield "duplicate-heavy", rng.integers(0, 3, size=(700, d)).astype(float)
+    pts = rng.random((1500, d))
+    pts[300:600] = pts[:300]
+    yield "random+copies", pts
+    # A huge shared offset swallows small differences in the row sums, so
+    # dominating pairs tie on their sums and need the exact tie check.
+    pts = rng.integers(0, 3, size=(700, d)).astype(float)
+    pts[:, 0] += 2.0**53
+    yield "sum-collisions", pts
+
+
+class TestBlockLayoutParity:
+    """The column-major block kernel against the scalar reference, and
+    against itself on every memory layout of the same rows."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("d", (1, 3, 8))
+    def test_filter_survivors(self, k, d):
+        scalar, block = get_kernel("scalar"), get_kernel("block")
+        for name, pts in _band_inputs(d, seed=d + k):
+            filters = pts[:: max(1, pts.shape[0] // 24)][:24]
+            ref_counter = DominanceCounter()
+            want = scalar.filter_survivors(filters, pts, k=k, counter=ref_counter)
+            for layout, rows in _layouts(pts):
+                for flayout, flt in _layouts(filters):
+                    counter = DominanceCounter()
+                    got = block.filter_survivors(flt, rows, k=k, counter=counter)
+                    assert np.array_equal(got, want), (name, layout, flayout)
+                    assert counter.tests == ref_counter.tests
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("d", (1, 3, 8))
+    def test_sweep_sorted(self, k, d):
+        scalar, block = get_kernel("scalar"), get_kernel("block")
+        for name, pts in _band_inputs(d, seed=10 * d + k):
+            ordered = pts[sort_first_order(pts)]
+            want = scalar.sweep_sorted(ordered, k=k)
+            tests = set()
+            for layout, rows in _layouts(ordered):
+                counter = DominanceCounter()
+                got = block.sweep_sorted(rows, k=k, counter=counter)
+                assert np.array_equal(got, want), (name, layout)
+                tests.add(counter.tests)
+            assert len(tests) == 1, (name, tests)
+
+
 class TestMapReduceParity:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("d", DIMS)
@@ -141,9 +202,16 @@ class TestMapReduceParity:
         )
 
 
+def _sha256(ids):
+    return hashlib.sha256(np.asarray(ids, dtype=np.int64).tobytes()).hexdigest()
+
+
 def test_block_dominance_tests_on_the_qws_batch_job():
-    # The benchmark's batch job (MR-Angle, block kernel, QWS 100,000 x 8):
-    # its k = 1 sweeps count exactly this many dominance tests.
+    # The benchmark's batch job (MR-Angle, block kernel, QWS 100,000 x 8),
+    # pinned: its k = 1 sweeps count exactly this many dominance tests, and
+    # the skyline, the partition ids and the local skylines are these, id
+    # for id.  A change to the sort-first order, the sweep's chunking or
+    # the partitioning shows up here without running the benchmark.
     from repro.services.qws import extend_dataset, generate_qws
 
     base = generate_qws(10_000, seed=2012)
@@ -153,6 +221,17 @@ def test_block_dominance_tests_on_the_qws_batch_job():
     result = run_mr_skyline(pts, method="angle", kernel="block")
     assert result.dominance_tests == 590_745
     assert result.global_indices.size == 455
+    assert _sha256(result.global_indices) == (
+        "73948927898cd1e3f5212ecadf9f7ba62df2840c42629a817e81fc8914e748f3"
+    )
+    assert _sha256(result.partition_ids) == (
+        "9919b6172c43b499ff59d1ed6c59391a109b04abaf77130fc0d6a3d8b157ccff"
+    )
+    assert np.bincount(result.partition_ids).tolist() == [12_500] * 8
+    assert result.points_pruned == 93_006
+    assert {p: s.size for p, s in result.local_skylines.items()} == {
+        0: 184, 1: 221, 2: 172, 3: 135, 4: 221, 5: 223, 6: 228, 7: 196,
+    }
 
 
 # -- Hypothesis: adversarial search beyond the curated sets -------------------

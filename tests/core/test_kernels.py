@@ -93,6 +93,60 @@ class TestSortFirstOrder:
         assert np.array_equal(sort_first_order(pts), sort_first_order(pts))
 
 
+def _lexsort_reference(pts):
+    """The sort-first permutation as one full lexsort: score, then every
+    coordinate in order, then the row index (lexsort is stable)."""
+    scores = np.log1p(pts - pts.min(axis=0, keepdims=True)).sum(axis=1)
+    keys = tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
+    return np.lexsort(keys + (scores,))
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    """Small integer grids: many equal scores, from duplicate rows and from
+    distinct rows alike (coordinate permutations share a score)."""
+    n = draw(st.integers(1, 80))
+    d = draw(st.integers(1, 8))
+    top = draw(st.integers(0, 3))
+    pts = draw(arrays(np.float64, (n, d), elements=st.integers(0, top).map(float)))
+    if d > 1 and draw(st.booleans()):
+        # Rows that are coordinate permutations of an earlier row.
+        k = draw(st.integers(1, n))
+        pts[-k:] = pts[:k][:, ::-1]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        pts[-k:] = pts[:k]
+    return pts
+
+
+class TestSortFirstTiebreak:
+    @given(tie_heavy_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_lexsort(self, pts):
+        assert np.array_equal(sort_first_order(pts), _lexsort_reference(pts))
+
+    def test_equal_scores_from_distinct_rows(self):
+        pts = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0], [0.0, 2.0], [2.0, 0.0]])
+        scores = np.log1p(pts).sum(axis=1)
+        assert scores[0] == scores[1] and scores[1] != scores[2]
+        order = sort_first_order(pts)
+        assert order.tolist() == [1, 3, 0, 4, 2]
+        assert np.array_equal(order, _lexsort_reference(pts))
+
+    def test_no_ties_keeps_the_score_order(self):
+        pts = _rng(4).random((500, 6))
+        scores = np.log1p(pts - pts.min(axis=0)).sum(axis=1)
+        assert np.unique(scores).size == 500
+        assert np.array_equal(sort_first_order(pts), np.argsort(scores))
+
+    def test_infinite_columns_tie_like_the_lexsort(self):
+        # An all-infinite column makes every score NaN; lexsort ties NaNs.
+        pts = _rng(5).integers(0, 2, size=(40, 3)).astype(float)
+        pts[:, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(sort_first_order(pts), _lexsort_reference(pts))
+
+
 def _datasets(d, seed=0):
     rng = _rng(seed)
     yield "random", rng.random((300, d))

@@ -1,5 +1,7 @@
 """Integration tests: the MR-Dim / MR-Grid / MR-Angle pipelines end to end."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from repro.core.mr_skyline import (
     COUNTER_GROUP,
     default_partition_count,
     run_mr_skyline,
+    update_mr_skyline,
 )
-from repro.core.partitioning import AngularPartitioner
+from repro.core.partitioning import AngularPartitioner, make_partitioner
 from repro.core.skyline import skyline_numpy
 from repro.mapreduce.runner import Runner
+from repro.observability.metrics import MetricsRegistry, get_metrics, observe_partition_skew
 
 METHODS = ("dim", "grid", "angle", "random")
 
@@ -188,3 +192,75 @@ class TestResultMetadata:
         result = run_mr_skyline(cloud, method="angle")
         assert result.map_busy_s > 0
         assert result.reduce_busy_s > 0
+
+
+#: Every scheme and angular bin mode the driver can fit, as partitioners.
+SINGLE_PASS_SCHEMES = {
+    "dim": lambda: make_partitioner("dim", 8),
+    "grid": lambda: make_partitioner("grid", 8),
+    "random": lambda: make_partitioner("random", 8),
+    "angle-quantile": lambda: AngularPartitioner(8),
+    "angle-equal-width": lambda: AngularPartitioner(8, bins="equal-width"),
+    "angle-balanced": lambda: AngularPartitioner(8, allocation="balanced"),
+    "angle-explicit": lambda: AngularPartitioner(
+        4, boundaries=[np.array([0.6, 0.9]), np.array([]), np.array([0.8])]
+    ),
+}
+
+
+class TestSinglePassPartitionIds:
+    """The driver takes partition ids (and skew) from the fit where it can;
+    they must equal a separate ``assign`` pass bit for bit."""
+
+    @pytest.mark.parametrize("scheme", sorted(SINGLE_PASS_SCHEMES))
+    def test_partition_ids_equal_a_second_assign_pass(self, cloud, scheme):
+        result = run_mr_skyline(
+            cloud, partitioner=SINGLE_PASS_SCHEMES[scheme](), kernel="block"
+        )
+        again = result.partitioner.assign(cloud)
+        assert result.partition_ids.dtype == again.dtype == np.int64
+        assert np.array_equal(result.partition_ids, again)
+
+    def test_quantile_fit_hands_its_ids_back(self, cloud):
+        fitted = []
+        AngularPartitioner(8).fit(cloud, ids_out=fitted)
+        assert len(fitted) == 1 and fitted[0].shape == (cloud.shape[0],)
+        other = []
+        AngularPartitioner(8, bins="equal-width").fit(cloud, ids_out=other)
+        assert other == []
+
+    @pytest.mark.parametrize("scheme", ["angle-quantile", "grid"])
+    def test_skew_gauges_unchanged(self, cloud, scheme):
+        result = run_mr_skyline(
+            cloud, partitioner=SINGLE_PASS_SCHEMES[scheme](), kernel="block"
+        )
+        sizes = np.bincount(
+            result.partitioner.assign(cloud), minlength=result.num_partitions
+        )
+        expected = observe_partition_skew(MetricsRegistry(), sizes)
+        gauges = get_metrics().snapshot()["gauges"]
+        for name, value in expected.items():
+            assert gauges[f"partition.{name}"] == value, name
+
+    def test_pickled_partitioner_does_not_grow_with_n(self):
+        rng = np.random.default_rng(3)
+        sizes = []
+        for n in (500, 20_000):
+            result = run_mr_skyline(rng.random((n, 4)), method="angle", kernel="block")
+            sizes.append(len(pickle.dumps(result.partitioner)))
+        assert abs(sizes[1] - sizes[0]) < 64, sizes
+
+    def test_update_still_chains(self, cloud):
+        base, arrivals = cloud[:2000], cloud[2000:]
+        result = run_mr_skyline(base, method="angle", kernel="block")
+        for start in (0, 500):
+            batch = arrivals[start : start + 500]
+            points = cloud[: 2000 + start]
+            result = update_mr_skyline(result, points, batch)
+            seen = cloud[: 2000 + start + 500]
+            assert np.array_equal(
+                result.partition_ids, result.partitioner.assign(seen)
+            )
+            assert np.array_equal(
+                np.sort(result.global_indices), skyline_numpy(seen)
+            )

@@ -1,6 +1,7 @@
 """JSON-lines protocol: request parsing, dispatch, and error shapes."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ class TestDispatch:
         })
         assert response["ok"] is False and response["status"] == "error"
 
+    @pytest.mark.parametrize("generate", [
+        5, "qws", [40, 4], True,
+        {"n": "40"}, {"n": None}, {"n": 2.5}, {"n": float("inf")},
+        {"d": [4]}, {"seed": False}, {"seed": {"value": 1}},
+    ])
+    def test_malformed_generate_is_an_error_response(self, generate):
+        service = SkylineService()
+        response = handle_request(service, {
+            "op": "register", "dataset": "e", "generate": generate,
+        })
+        assert response["ok"] is False and response["status"] == "error"
+        assert "generate" in response["error"]
+        assert service.stats()["datasets"] == {}
+
+    def test_whole_float_generate_params_are_accepted(self):
+        response = handle_request(SkylineService(), {
+            "op": "register", "dataset": "g",
+            "generate": {"n": 40.0, "d": 4, "seed": 3},
+        })
+        assert response["ok"] and response["size"] == 40
+
     def test_overload_is_a_rejected_response(self):
         service = SkylineService(
             ServeConfig(max_inflight=1, max_queue=0, stale_on_overload=False)
@@ -135,6 +157,17 @@ class TestServeLines:
         assert len(responses) == 4  # ping, bad-json error, query, shutdown
         assert '"pong": true' in responses[0]
         assert "bad JSON" in responses[1]
+
+    def test_malformed_register_does_not_end_the_session(self):
+        out = io.StringIO()
+        lines = [
+            '{"op": "register", "dataset": "e", "generate": 5}',
+            '{"op": "ping"}',
+        ]
+        assert serve_lines(SkylineService(), lines, out) is False
+        bad, pong = (json.loads(r) for r in out.getvalue().splitlines())
+        assert bad["ok"] is False and bad["status"] == "error"
+        assert pong["pong"] is True
 
     def test_session_without_shutdown_returns_false(self):
         service = _service()

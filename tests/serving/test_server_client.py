@@ -6,6 +6,8 @@ re-query, and assert the generation bump and the cache miss -> hit
 transition, gating on a clean exit code.
 """
 
+import json
+import socket
 import sys
 import threading
 
@@ -75,6 +77,21 @@ class TestTcpSession:
                 assert first["ok"] and first["generation"] == 1
                 second = a.query("shared")
                 assert second["cache_hit"], "cache is shared across sessions"
+
+    def test_malformed_register_does_not_drop_pipelined_requests(self):
+        # Both lines go out in one write: the ping is already queued on the
+        # connection when the bad register is handled.
+        with tcp_server(SkylineService()) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b'{"op": "register", "dataset": "e", "generate": 5}\n'
+                    b'{"op": "ping"}\n'
+                )
+                with sock.makefile("rb") as replies:
+                    bad = json.loads(replies.readline())
+                    pong = json.loads(replies.readline())
+        assert bad["ok"] is False and bad["status"] == "error"
+        assert pong["ok"] is True and pong["pong"] is True
 
     def test_tcp_shutdown_op_stops_the_server(self):
         server = make_tcp_server(SkylineService())
