@@ -22,8 +22,6 @@ Usage::
                                          # (docs/cluster.md)
     python -m repro.cli top --tcp H:P    # live terminal dashboard polling a
                                          # running server (--once for one frame)
-    python -m repro.cli bench            # perf-trajectory suite; --json F
-                                         # writes the machine-readable record
 
     --quick     scale cardinalities down ~10x for a fast sanity pass
     --markdown  emit Markdown instead of ASCII (for EXPERIMENTS.md)
@@ -621,8 +619,8 @@ def _run_serve(argv: List[str]) -> int:
 
 def _serving_kernel(flag: str | None) -> str:
     """The servers' kernel: ``--kernel``, else ``$REPRO_KERNEL``, else
-    ``block`` — the experiments and ``repro bench`` keep ``scalar``, whose
-    dominance-test counts are their metric."""
+    ``block`` — the experiments keep ``scalar``, whose dominance-test
+    counts are their metric."""
     from repro.core.kernels import default_kernel_name
 
     return flag or default_kernel_name(fallback="block")
@@ -933,181 +931,6 @@ def _run_top(argv: List[str]) -> int:
     )
 
 
-def _run_bench(argv: List[str]) -> int:
-    """``repro bench`` — the perf-trajectory suite (engine + serving)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-skyline bench",
-        description=(
-            "Run the fixed perf-trajectory suite (MR skyline points per "
-            "partitioning scheme + serving-layer latencies) and optionally "
-            "write the machine-readable JSON record"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the perf-trajectory record to FILE (e.g. BENCH_5.json)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="scaled-down cardinalities for a fast pass (the CI setting)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        default=None,
-        help="engine backend for the pipeline runs (default: $REPRO_EXECUTOR)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["scalar", "block"],
-        default=None,
-        help="dominance backend for the engine/serving sections (default: "
-        "$REPRO_KERNEL or scalar); the kernels section always runs both",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.bench.perf import perf_trajectory, render_trajectory
-
-    record = perf_trajectory(
-        quick=args.quick, executor=args.executor, kernel=args.kernel
-    )
-    print(render_trajectory(record))
-    if args.json:
-        import json as _json
-
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(record, fh, indent=2, default=str)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"--json: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _run_loadtest(argv: List[str]) -> int:
-    """``repro loadtest`` — open-loop traffic + crash/recovery scenario."""
-    parser = argparse.ArgumentParser(
-        prog="repro-skyline loadtest",
-        description=(
-            "Open-loop load generator: replay a mix of the four query "
-            "kinds plus mutations at a target QPS against a live server "
-            "(--host/--port), or run the full durability scenario — "
-            "spawn, load, SIGKILL, recover — and report latency "
-            "percentiles, shed/degraded rates and recovery time"
-        ),
-    )
-    parser.add_argument("--host", default=None, help="drive a running server")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--dataset", default="loadtest", metavar="NAME")
-    parser.add_argument("--qps", type=float, default=200.0, metavar="N",
-                        help="target offered load (default 200)")
-    parser.add_argument("--duration", type=float, default=2.0, metavar="S",
-                        help="seconds of traffic (default 2.0)")
-    parser.add_argument("--workers", type=int, default=8, metavar="N",
-                        help="generator connections (default 8)")
-    parser.add_argument("--points", type=int, default=400, metavar="N",
-                        help="dataset cardinality (default 400)")
-    parser.add_argument("--dims", type=int, default=3, metavar="D",
-                        help="dataset dimensionality (default 3)")
-    parser.add_argument("--mutations", type=float, default=0.1, metavar="F",
-                        help="fraction of ops that mutate (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="request-stream seed (default 0)")
-    parser.add_argument(
-        "--data-dir", metavar="DIR", default=None,
-        help="scenario mode: durability directory (default: a temp dir)",
-    )
-    parser.add_argument("--fsync", choices=["always", "interval", "never"],
-                        default="always",
-                        help="scenario mode WAL fsync policy (default always)")
-    parser.add_argument("--snapshot-every", type=int, default=64, metavar="N",
-                        help="scenario mode checkpoint interval (default 64)")
-    parser.add_argument(
-        "--kernel", choices=["scalar", "block"], default=None,
-        help="dominance backend of the spawned server (scenario mode)",
-    )
-    parser.add_argument("--json", metavar="FILE",
-                        help="write the stats record to FILE")
-    args = parser.parse_args(argv)
-
-    from repro.bench.loadtest import (
-        LoadTestConfig,
-        dump_json,
-        render,
-        run_loadtest,
-        run_scenario,
-    )
-    from repro.serving.client import ServingClient
-
-    config = LoadTestConfig(
-        dataset=args.dataset,
-        qps=args.qps,
-        duration_s=args.duration,
-        workers=args.workers,
-        mutation_fraction=args.mutations,
-        n_points=args.points,
-        dims=args.dims,
-        seed=args.seed,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.host is not None or args.port is not None:
-            if args.host is None or args.port is None:
-                print("loadtest: --host and --port go together",
-                      file=sys.stderr)
-                return 2
-            with ServingClient.connect(args.host, args.port, timeout=10.0) as c:
-                response = c.register(args.dataset, config.points())
-                if not response.get("ok"):
-                    print(f"loadtest: register failed: {response}",
-                          file=sys.stderr)
-                    return 1
-            stats = run_loadtest(args.host, args.port, config)
-        else:
-            serve_args = []
-            if args.kernel:
-                serve_args += ["--kernel", args.kernel]
-            if args.data_dir:
-                stats = run_scenario(
-                    config,
-                    args.data_dir,
-                    serve_args=serve_args,
-                    fsync=args.fsync,
-                    snapshot_every=args.snapshot_every,
-                )
-            else:
-                import tempfile
-
-                with tempfile.TemporaryDirectory() as tmp:
-                    stats = run_scenario(
-                        config,
-                        tmp,
-                        serve_args=serve_args,
-                        fsync=args.fsync,
-                        snapshot_every=args.snapshot_every,
-                    )
-    except (OSError, RuntimeError) as exc:
-        print(f"loadtest: {exc}", file=sys.stderr)
-        return 1
-    print(render(stats))
-    if args.json:
-        try:
-            dump_json(stats, args.json)
-        except OSError as exc:
-            print(f"--json: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.json}")
-    return 0
-
-
 def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -1116,8 +939,9 @@ def main(argv: List[str] | None = None) -> int:
     from repro.observability.sanitizer import install_from_env
 
     install_from_env()
-    # 'trace', 'lint', 'serve' and 'bench' are not experiments, so they
-    # take their own options and dispatch before the experiment parser.
+    # 'trace', 'lint', 'serve', 'coordinator' and 'top' are not
+    # experiments, so they take their own options and dispatch before the
+    # experiment parser.
     if argv[:1] == ["trace"]:
         return _run_trace(argv[1:])
     if argv[:1] == ["lint"]:
@@ -1128,10 +952,6 @@ def main(argv: List[str] | None = None) -> int:
         return _run_coordinator(argv[1:])
     if argv[:1] == ["top"]:
         return _run_top(argv[1:])
-    if argv[:1] == ["bench"]:
-        return _run_bench(argv[1:])
-    if argv[:1] == ["loadtest"]:
-        return _run_loadtest(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "verify":
         return _run_verify(args)

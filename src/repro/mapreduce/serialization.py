@@ -1,12 +1,8 @@
-"""Record serialization for spills, the block filesystem, and size accounting.
+"""Record serialization for the shuffle's spills and size accounting.
 
-Two codecs cover the engine's needs:
-
-* :class:`PickleCodec` — the default; handles arbitrary Python objects
-  including NumPy arrays (protocol 5 keeps large arrays zero-copy-ish).
-* :class:`NumpyRowCodec` — a compact fixed-width float64 codec used by the
-  skyline jobs, where every value is one point (a 1-D float vector); avoids
-  pickle overhead on the hot path.
+:class:`PickleCodec` (pickle protocol 5) encodes one shuffled value —
+arbitrary Python objects, NumPy arrays and point blocks included — and
+wraps any pickling failure in :class:`SerializationError`.
 
 Framed streams (:func:`write_frames` / :func:`read_frames`) store a sequence
 of encoded records as ``<uint32 length><payload>`` so spill files can be
@@ -16,7 +12,6 @@ estimate that feeds :attr:`TaskStats.bytes_out` and the shuffle cost model.
 
 from __future__ import annotations
 
-import io
 import pickle
 import struct
 import sys
@@ -30,22 +25,8 @@ _LEN = struct.Struct("<I")
 _MAX_FRAME = 1 << 31
 
 
-class Codec:
-    """Encode/decode a single record value to/from bytes."""
-
-    name = "abstract"
-
-    def encode(self, obj: Any) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, payload: bytes) -> Any:
-        raise NotImplementedError
-
-
-class PickleCodec(Codec):
+class PickleCodec:
     """General-purpose codec backed by :mod:`pickle` protocol 5."""
-
-    name = "pickle"
 
     def encode(self, obj: Any) -> bytes:
         try:
@@ -58,38 +39,6 @@ class PickleCodec(Codec):
             return pickle.loads(payload)
         except Exception as exc:
             raise SerializationError(f"cannot unpickle frame: {exc}") from exc
-
-
-class NumpyRowCodec(Codec):
-    """Fixed-dimensionality float64 vector codec.
-
-    Encodes a 1-D float array of ``dim`` entries as raw little-endian bytes.
-    Decoding always returns a fresh contiguous ``float64`` array.
-    """
-
-    name = "numpy-row"
-
-    def __init__(self, dim: int):
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self.dim = dim
-        self._nbytes = 8 * dim
-
-    def encode(self, obj: Any) -> bytes:
-        arr = np.asarray(obj, dtype=np.float64)
-        if arr.shape != (self.dim,):
-            raise SerializationError(
-                f"NumpyRowCodec(dim={self.dim}) got array of shape {arr.shape}"
-            )
-        return arr.tobytes()
-
-    def decode(self, payload: bytes) -> np.ndarray:
-        if len(payload) != self._nbytes:
-            raise SerializationError(
-                f"expected {self._nbytes} bytes for dim={self.dim}, "
-                f"got {len(payload)}"
-            )
-        return np.frombuffer(payload, dtype=np.float64).copy()
 
 
 def write_frames(stream: BinaryIO, payloads: Iterable[bytes]) -> int:
@@ -122,20 +71,6 @@ def read_frames(stream: BinaryIO) -> Iterator[bytes]:
                 f"truncated frame payload: wanted {length}, got {len(payload)}"
             )
         yield payload
-
-
-def dump_records(records: Iterable[Any], codec: Codec | None = None) -> bytes:
-    """Serialize a record sequence into one framed byte string."""
-    codec = codec or PickleCodec()
-    buf = io.BytesIO()
-    write_frames(buf, (codec.encode(r) for r in records))
-    return buf.getvalue()
-
-
-def load_records(blob: bytes, codec: Codec | None = None) -> list[Any]:
-    """Inverse of :func:`dump_records`."""
-    codec = codec or PickleCodec()
-    return [codec.decode(p) for p in read_frames(io.BytesIO(blob))]
 
 
 def estimate_nbytes(obj: Any) -> int:

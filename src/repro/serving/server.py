@@ -23,6 +23,7 @@ import socketserver
 import sys
 import threading
 import time
+import traceback
 from typing import IO, Any, Callable, Dict, Iterable
 
 from repro.observability.events import get_events
@@ -67,7 +68,17 @@ def serve_lines(
                 {"ok": False, "status": "error", "error": f"bad JSON: {exc}"},
             )
             continue
-        response = handler(service, request)
+        try:
+            response = handler(service, request)
+        # The handlers map every expected failure to a response; anything
+        # else is a bug that must cost one answer, not the session.  The
+        # error is answered and its traceback logged as an event.
+        except Exception as exc:  # repro: allow[exception-hygiene]
+            error = f"{type(exc).__name__}: {exc}"
+            get_events().emit(
+                "server.internal", error=error, traceback=traceback.format_exc()
+            )
+            response = {"ok": False, "status": "internal", "error": error}
         _respond(out, response)
         if (
             isinstance(request, dict)

@@ -7,11 +7,8 @@ import pytest
 
 from repro.mapreduce.errors import SerializationError
 from repro.mapreduce.serialization import (
-    NumpyRowCodec,
     PickleCodec,
-    dump_records,
     estimate_nbytes,
-    load_records,
     read_frames,
     write_frames,
 )
@@ -37,34 +34,6 @@ class TestPickleCodec:
             PickleCodec().decode(b"\x00not-a-pickle")
 
 
-class TestNumpyRowCodec:
-    def test_round_trip(self):
-        codec = NumpyRowCodec(dim=5)
-        row = np.array([1.0, 2.5, -3.0, 0.0, 1e12])
-        out = codec.decode(codec.encode(row))
-        assert np.array_equal(out, row)
-        assert out.dtype == np.float64
-
-    def test_decoded_copy_is_writable(self):
-        codec = NumpyRowCodec(dim=2)
-        out = codec.decode(codec.encode(np.array([1.0, 2.0])))
-        out[0] = 99.0  # would raise if backed by a read-only buffer
-
-    def test_wrong_shape_rejected(self):
-        codec = NumpyRowCodec(dim=3)
-        with pytest.raises(SerializationError):
-            codec.encode(np.zeros(4))
-
-    def test_wrong_payload_size_rejected(self):
-        codec = NumpyRowCodec(dim=3)
-        with pytest.raises(SerializationError):
-            codec.decode(b"\x00" * 23)
-
-    def test_bad_dim_rejected(self):
-        with pytest.raises(ValueError):
-            NumpyRowCodec(dim=0)
-
-
 class TestFrames:
     def test_round_trip(self):
         buf = io.BytesIO()
@@ -86,10 +55,6 @@ class TestFrames:
         data = buf.getvalue()[:-2]
         with pytest.raises(SerializationError):
             list(read_frames(io.BytesIO(data)))
-
-    def test_dump_load_records(self):
-        records = [("k", 1), ("k2", [1, 2, 3]), (None, None)]
-        assert load_records(dump_records(records)) == records
 
 
 class TestEstimateNbytes:

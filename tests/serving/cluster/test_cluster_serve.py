@@ -10,6 +10,8 @@ End-to-end over real pipes/sockets:
   ``stats`` (shard table, wire-pruning line).
 """
 
+import json
+import socket
 import subprocess
 import sys
 
@@ -72,6 +74,25 @@ class TestServeCluster:
 
             assert client.shutdown()["bye"] is True
         assert client.returncode == 0
+
+    def test_handler_exception_does_not_drop_pipelined_requests(self):
+        with LocalCluster(2) as fleet:
+            with ClusterCoordinator(fleet.addresses()) as coordinator:
+                coordinator.register("qws", _points(), shard_fn="angle")
+                with tcp_server(
+                    coordinator, handler=handle_cluster_request
+                ) as (host, port):
+                    with socket.create_connection((host, port), 10) as sock:
+                        sock.sendall(
+                            b'{"op": "remove", "dataset": "qws",'
+                            b' "id": Infinity}\n{"op": "ping"}\n'
+                        )
+                        with sock.makefile("rb") as replies:
+                            failed = json.loads(replies.readline())
+                            pong = json.loads(replies.readline())
+        assert failed["ok"] is False and failed["status"] == "internal"
+        assert failed["error"].startswith("OverflowError: "), failed
+        assert pong["pong"] is True and pong["shards"] == 2, pong
 
     def test_cluster_size_validated(self):
         proc = subprocess.run(

@@ -12,6 +12,8 @@ kernels.
 import numpy as np
 import pytest
 
+from repro.data.generators import correlated
+from repro.observability.metrics import get_metrics
 from repro.serving.cluster import (
     SHARD_FUNCTIONS,
     ClusterConfig,
@@ -114,17 +116,46 @@ def test_cache_hits_at_stable_generation_vector(cluster):
         assert not invalidated.cache_hit, "a write must invalidate the key"
 
 
-def test_candidates_cross_the_wire_pruned(cluster):
-    """Communication efficiency: shards send fewer rows than they hold."""
-    from repro.observability.metrics import get_metrics
+def _wire_counters():
+    counters = get_metrics().snapshot()["counters"]
+    return {
+        name: counters.get(f"serve.cluster.{name}", 0)
+        for name in ("points_held", "candidates_received", "filter_pruned")
+    }
 
+
+def _assert_wire_pruned(cluster, dataset, points, specs):
+    """Communication efficiency: shards send fewer rows than they hold."""
     with ClusterCoordinator(cluster.addresses()) as coordinator:
-        coordinator.register("diff", _points(300, 3, seed=1), shard_fn="angle")
-        coordinator.query(QuerySpec(dataset="diff"))  # seeds the filters
-        coordinator.query(QuerySpec(dataset="diff", kind="skyband", k=2))
-        counters = get_metrics().snapshot()["counters"]
-        held = counters["serve.cluster.points_held"]
-        sent = counters["serve.cluster.candidates_received"]
-        assert held >= 600, counters  # both queries scanned every shard
-        assert sent < held, "filter broadcast must prune the wire"
-        assert counters["serve.cluster.filter_pruned"] > 0
+        coordinator.register(dataset, points, shard_fn="angle")
+        # The counters are process-global: count only these queries.
+        before = _wire_counters()
+        for spec in specs:
+            coordinator.query(spec)
+        after = _wire_counters()
+    delta = {name: after[name] - before[name] for name in after}
+    # Every query scanned every shard.
+    assert delta["points_held"] == len(specs) * len(points), delta
+    assert delta["candidates_received"] < delta["points_held"], (
+        "filter broadcast must prune the wire", delta,
+    )
+    assert delta["filter_pruned"] > 0, delta
+
+
+def test_candidates_cross_the_wire_pruned(cluster):
+    _assert_wire_pruned(cluster, "diff", _points(300, 3, seed=1), [
+        QuerySpec(dataset="diff"),  # seeds the filters
+        QuerySpec(dataset="diff", kind="skyband", k=2),
+    ])
+
+
+def test_candidates_cross_the_wire_pruned_correlated(cluster):
+    """The cluster-smoke CI gate's workload: correlated 8k x 4, where the
+    broadcast filters dominate nearly every row before it is sent."""
+    _assert_wire_pruned(cluster, "corr", correlated(8_000, 4, seed=7), [
+        QuerySpec(dataset="corr"),
+        QuerySpec(
+            dataset="corr", kind="constrained", lower=(0.0,) * 4,
+            upper=(0.6,) * 4,
+        ),
+    ])

@@ -16,7 +16,9 @@ this module is the one copy:
   insert / invalidated-re-query storyline;
 * :func:`run_ci_smoke` — the CI serving-smoke job body (telemetry-plane
   assertions + the event-log artifact), callable as
-  ``python -c "from tests.serving.harness import run_ci_smoke; run_ci_smoke()"``.
+  ``python -c "from tests.serving.harness import run_ci_smoke; run_ci_smoke()"``;
+* :func:`run_durability_smoke` — the CI durability-smoke job body (two
+  SIGKILL-and-recover legs over ``repro serve --data-dir``).
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import os
 import socket
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
+
+import numpy as np
 
 import repro
 from repro.serving.client import ServingClient
@@ -178,14 +182,29 @@ def run_ci_smoke(events_path: str = "serve-events.jsonl") -> None:
     print("serving smoke OK: telemetry plane + event artifact verified")
 
 
-def run_durability_smoke(
-    data_dir: str = "durability-data",
-    report_path: str = "durability-loadtest.json",
-) -> None:
-    """The CI durability-smoke job: SIGKILL mid-mutation + parity gate.
+def _four_kinds(dims: int) -> List[Dict[str, Any]]:
+    """One ``query`` parameter set per query kind over ``dims`` columns."""
+    return [
+        {"kind": "skyline"},
+        {"kind": "skyband", "k": 2},
+        {"kind": "constrained", "lower": [0.0] * dims, "upper": [0.8] * dims},
+        {"kind": "subspace", "dims": [0, 1]},
+    ]
 
-    Two legs, both persisting under ``data_dir`` so CI can upload the
-    WAL/snapshot files as artifacts:
+
+def _sigkill(client: ServingClient) -> None:
+    """SIGKILL the served process: no handshake, no flush beyond fsync."""
+    client._proc.kill()
+    client._proc.wait(timeout=30)
+    with suppress(OSError):  # a write the kill cut short may still be buffered
+        client.close()
+
+
+def run_durability_smoke(data_dir: str = "durability-data") -> None:
+    """The CI durability-smoke job: two SIGKILL legs, each gated on parity.
+
+    Both legs run ``repro serve`` over stdio and persist under
+    ``data_dir``, so CI can upload the WAL/snapshot files as artifacts:
 
     1. **mid-mutation kill** — a background thread streams acknowledged
        inserts (``--fsync always``) and the server is SIGKILLed while
@@ -193,50 +212,40 @@ def run_durability_smoke(
        acknowledged mutation: dataset size and generation must match
        the ack ledger exactly (± the single possibly-in-flight op), and
        all four query kinds must answer at the recovered generation.
-    2. **loadtest scenario** — :func:`repro.bench.loadtest.run_scenario`
-       (load → open-loop traffic → SIGKILL → recover) with its id-for-id
-       parity verdict gated, and the stats written to ``report_path``.
+    2. **kill past a checkpoint** — register, then 100 inserts and
+       removes under ``--snapshot-every 64``, so recovery reads a snapshot
+       plus a WAL tail.  Every query kind's answer is recorded before the
+       SIGKILL; after the restart each must match id for id and generation
+       for generation, and the restart must have replayed WAL records.
     """
-    from repro.bench.loadtest import (
-        LoadTestConfig,
-        _await_first_answer,
-        dump_json,
-        run_scenario,
-        spawn_tcp_server,
-    )
     from repro.serving.client import ServingConnectionError
 
     dataset, n_bulk, dims = "smoke", 200, 3
-    kill_dir = os.path.join(data_dir, "kill")
-    durability_args = ("--data-dir", kill_dir, "--fsync", "always")
 
     # Leg 1: SIGKILL while a mutation stream is mid-flight.
-    proc, host, port = spawn_tcp_server(*durability_args)
+    kill_args = ("--data-dir", os.path.join(data_dir, "kill"), "--fsync", "always")
+    client = spawn_server(*kill_args)
     acked: list = []
     stop = threading.Event()
 
     def mutate() -> None:
+        i = 0
         try:
-            with ServingClient.connect(host, port, timeout=10.0) as client:
-                i = 0
-                while not stop.is_set():
-                    response = client.insert(
-                        dataset, [0.001 + i * 1e-6] * dims
-                    )
-                    if not response.get("ok"):
-                        return
-                    acked.append((response["id"], response["generation"]))
-                    i += 1
-        except (OSError, ServingConnectionError):
-            return  # the kill severed the connection mid-op — expected
+            while not stop.is_set():
+                response = client.insert(dataset, [0.001 + i * 1e-6] * dims)
+                if not response.get("ok"):
+                    return
+                acked.append((response["id"], response["generation"]))
+                i += 1
+        except ServingConnectionError:
+            return  # the kill severed the pipe mid-op — expected
 
     thread = threading.Thread(target=mutate, daemon=True)
     try:
-        with ServingClient.connect(host, port, timeout=10.0) as client:
-            loaded = client.register(
-                dataset, generate={"n": n_bulk, "d": dims, "seed": 0}
-            )
-            assert loaded.get("ok"), loaded
+        loaded = client.register(
+            dataset, generate={"n": n_bulk, "d": dims, "seed": 0}
+        )
+        assert loaded.get("ok"), loaded
         thread.start()
         deadline = time.monotonic() + 10.0
         while len(acked) < 20 and time.monotonic() < deadline:
@@ -244,66 +253,70 @@ def run_durability_smoke(
         assert thread.is_alive(), "mutation stream died before the kill"
         assert len(acked) >= 20, f"only {len(acked)} acknowledged mutations"
     finally:
-        proc.kill()  # SIGKILL: no handshake, no flush beyond fsync=always
-        proc.wait(timeout=30)
+        _sigkill(client)
     stop.set()
     thread.join(timeout=10)
 
-    proc2, host2, port2 = spawn_tcp_server(*durability_args)
-    try:
-        recovery_time_s, _ = _await_first_answer(host2, port2, dataset)
-        with ServingClient.connect(host2, port2, timeout=10.0) as client:
-            info = client.stats()["datasets"][dataset]
-            # Every ack is durable; at most ONE op (sent, never acked)
-            # may additionally have reached the log before the kill.
-            assert info["size"] - n_bulk in (len(acked), len(acked) + 1), (
-                f"{len(acked)} acks but {info['size'] - n_bulk} survivors"
-            )
-            assert info["generation"] == 1 + (info["size"] - n_bulk), info
-            assert info["generation"] >= acked[-1][1], (info, acked[-1])
-            for spec in (
-                {"kind": "skyline"},
-                {"kind": "skyband", "k": 2},
-                {
-                    "kind": "constrained",
-                    "lower": [0.0] * dims,
-                    "upper": [0.8] * dims,
-                },
-                {"kind": "subspace", "dims": [0, 1]},
-            ):
-                answer = client.query(dataset, **spec)
-                assert answer.get("ok"), answer
-                assert answer["generation"] == info["generation"], answer
-            assert client.shutdown()["bye"] is True
-        assert proc2.wait(timeout=30) == 0
-    finally:
-        if proc2.poll() is None:  # pragma: no cover - cleanup
-            proc2.kill()
-            proc2.wait(timeout=30)
+    restarted = time.perf_counter()
+    with spawn_server(*kill_args) as client:
+        info = client.stats()["datasets"][dataset]
+        recovery_time_s = time.perf_counter() - restarted
+        # Every ack is durable; at most ONE op (sent, never acked)
+        # may additionally have reached the log before the kill.
+        assert info["size"] - n_bulk in (len(acked), len(acked) + 1), (
+            f"{len(acked)} acks but {info['size'] - n_bulk} survivors"
+        )
+        assert info["generation"] == 1 + (info["size"] - n_bulk), info
+        assert info["generation"] >= acked[-1][1], (info, acked[-1])
+        for spec in _four_kinds(dims):
+            answer = client.query(dataset, **spec)
+            assert answer.get("ok"), answer
+            assert answer["generation"] == info["generation"], answer
+        assert client.shutdown()["bye"] is True
+    assert client.returncode == 0, client.returncode
     print(
         f"mid-mutation kill OK: {len(acked)} acknowledged mutations "
         f"survived SIGKILL; first answer {recovery_time_s:.3f}s after restart"
     )
 
-    # Leg 2: the full loadtest scenario, parity verdict gated.
-    stats = run_scenario(
-        LoadTestConfig(
-            qps=150,
-            duration_s=1.0,
-            workers=4,
-            n_points=300,
-            mutation_fraction=0.15,
-            seed=0,
-        ),
-        os.path.join(data_dir, "scenario"),
-        fsync="always",
-        snapshot_every=64,
+    # Leg 2: SIGKILL after a checkpoint, so recovery = snapshot + WAL tail.
+    tail_args = (
+        "--data-dir", os.path.join(data_dir, "checkpoint"),
+        "--fsync", "always", "--snapshot-every", "64",
     )
-    dump_json(stats, report_path)
-    assert stats["recovery"]["parity"] is True, stats["recovery"]
-    assert stats["requests"]["errors"] == 0, stats["requests"]
-    assert stats["durability"]["records_replayed"] > 0, stats["durability"]
+    client = spawn_server(*tail_args)
+    try:
+        loaded = client.register(
+            dataset, generate={"n": n_bulk, "d": dims, "seed": 1}
+        )
+        assert loaded.get("ok"), loaded
+        rng = np.random.default_rng(2)
+        for i in range(100):
+            if i % 4 == 3:
+                # Remove a skyline member, so a replay that drops or
+                # misapplies a remove changes the answers compared below.
+                victim = client.query(dataset)["ids"][0]
+                response = client.remove(dataset, victim)
+            else:
+                response = client.insert(dataset, rng.random(dims) + 0.01)
+            assert response.get("ok"), response
+        before = [client.query(dataset, **s) for s in _four_kinds(dims)]
+        assert all(answer.get("ok") for answer in before), before
+    finally:
+        _sigkill(client)
+
+    with spawn_server(*tail_args) as client:
+        for spec, old in zip(_four_kinds(dims), before):
+            new = client.query(dataset, **spec)
+            assert new.get("ok"), new
+            assert new["ids"] == old["ids"], (spec["kind"], old, new)
+            assert new["generation"] == old["generation"], (spec["kind"], new)
+        counters = client.metrics()["metrics"]["counters"]
+        replayed = counters.get("wal.records_replayed", 0)
+        assert replayed > 0, "recovery must replay the WAL tail"
+        assert client.shutdown()["bye"] is True
+    assert client.returncode == 0, client.returncode
     print(
-        "durability smoke OK: id-for-id parity after SIGKILL "
-        f"(report at {report_path})"
+        "durability smoke OK: four-kind id/generation parity after SIGKILL "
+        f"past a checkpoint ({replayed} WAL records replayed)"
     )

@@ -15,6 +15,24 @@ from repro.serving.server import serve_lines
 from repro.serving.service import ServeConfig, SkylineService
 
 
+#: Requests that raise past ``handle_request``'s typed error mapping
+#: (JSON ``Infinity`` decodes to ``inf``; ``filters`` must be a matrix).
+INTERNAL_FAILURES = [
+    pytest.param(
+        '{"op": "remove", "dataset": "qws", "id": Infinity}',
+        id="remove-infinite-id",
+    ),
+    pytest.param(
+        '{"op": "query", "dataset": "qws", "kind": "skyband", "k": Infinity}',
+        id="skyband-infinite-k",
+    ),
+    pytest.param(
+        '{"op": "shard_query", "dataset": "qws", "filters": 5}',
+        id="shard-query-scalar-filters",
+    ),
+]
+
+
 def _service(n=50):
     service = SkylineService()
     service.register("qws", np.random.default_rng(0).random((n, 3)) + 0.01)
@@ -168,6 +186,26 @@ class TestServeLines:
         bad, pong = (json.loads(r) for r in out.getvalue().splitlines())
         assert bad["ok"] is False and bad["status"] == "error"
         assert pong["pong"] is True
+
+    @pytest.mark.parametrize("bad", INTERNAL_FAILURES)
+    def test_handler_exception_is_an_internal_response(self, bad):
+        from repro.observability.events import get_events
+
+        service = _service()
+        before = service.stats()["datasets"]["qws"]
+        out = io.StringIO()
+        assert serve_lines(service, [bad, '{"op": "ping"}'], out) is False
+        failed, pong = (json.loads(r) for r in out.getvalue().splitlines())
+        assert failed["ok"] is False and failed["status"] == "internal"
+        assert failed["error"].startswith(("OverflowError: ", "IndexError: "))
+        assert pong["pong"] is True
+        after = service.stats()["datasets"]["qws"]
+        assert (after["size"], after["generation"]) == (
+            before["size"], before["generation"],
+        )
+        internal = get_events().tail(kinds=["server.internal"])
+        assert [e.attrs["error"] for e in internal] == [failed["error"]]
+        assert failed["error"] in internal[0].attrs["traceback"]
 
     def test_session_without_shutdown_returns_false(self):
         service = _service()

@@ -24,6 +24,7 @@ from tests.serving.harness import (
     subprocess_env,
     tcp_server,
 )
+from tests.serving.test_protocol import INTERNAL_FAILURES
 
 
 class TestStdioSession:
@@ -91,6 +92,19 @@ class TestTcpSession:
                     bad = json.loads(replies.readline())
                     pong = json.loads(replies.readline())
         assert bad["ok"] is False and bad["status"] == "error"
+        assert pong["ok"] is True and pong["pong"] is True
+
+    @pytest.mark.parametrize("bad", INTERNAL_FAILURES)
+    def test_handler_exception_does_not_drop_pipelined_requests(self, bad):
+        service = SkylineService()
+        service.register("qws", np.random.default_rng(0).random((50, 3)) + 0.01)
+        with tcp_server(service) as (host, port):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(bad.encode() + b'\n{"op": "ping"}\n')
+                with sock.makefile("rb") as replies:
+                    failed = json.loads(replies.readline())
+                    pong = json.loads(replies.readline())
+        assert failed["ok"] is False and failed["status"] == "internal"
         assert pong["ok"] is True and pong["pong"] is True
 
     def test_tcp_shutdown_op_stops_the_server(self):

@@ -105,42 +105,3 @@ class TestServeCommand:
             main(["serve", "--help"])
         assert exc.value.code == 0
         assert "JSON-lines" in capsys.readouterr().out
-
-
-class TestBenchCommand:
-    def test_bench_writes_json_record(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.perf as perf
-
-        stub = {
-            "schema_version": perf.SCHEMA_VERSION,
-            "suite": "repro-bench",
-            "quick": True,
-            "executor": "serial",
-            "engine": [],
-            "serving": {"n": 1, "d": 1, "repeats": 1, "skyline_size": 1,
-                        "cold_skyline_s": 0.0, "warm_cache_hit_s": 0.0,
-                        "insert_requery_s": 0.0, "cold_skyband_s": 0.0,
-                        "cache": {}},
-            "suite_wall_s": 0.0,
-        }
-        monkeypatch.setattr(perf, "perf_trajectory", lambda **kw: stub)
-        monkeypatch.setattr(perf, "render_trajectory", lambda record: "rendered")
-        target = tmp_path / "BENCH_test.json"
-        assert main(["bench", "--quick", "--json", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "rendered" in out and str(target) in out
-        import json
-
-        assert json.loads(target.read_text())["suite"] == "repro-bench"
-
-    def test_unwritable_json_target_exits_1(self, tmp_path, monkeypatch, capsys):
-        import repro.bench.perf as perf
-
-        monkeypatch.setattr(
-            perf, "perf_trajectory",
-            lambda **kw: {"quick": True, "engine": [], "serving": {}},
-        )
-        monkeypatch.setattr(perf, "render_trajectory", lambda record: "")
-        target = tmp_path / "missing-dir" / "out.json"
-        assert main(["bench", "--json", str(target)]) == 1
-        assert "cannot write" in capsys.readouterr().err
