@@ -9,7 +9,9 @@ coordinate and ``n−1`` angular coordinates::
 i.e. ``ø_i = atan2(‖(v_{i+1}, …, v_n)‖, v_i)``.  For non-negative data
 (QoS attributes are non-negative after normalisation) every angle lies in
 ``[0, π/2]``: 0 when the suffix is all-zero, π/2 when ``v_i`` is 0 but the
-suffix is not.  The all-zero vector gets angles 0 by convention.
+suffix is not.  The all-zero vector gets angles 0 by convention, and a
+coordinate of ``-0.0`` counts as ``0`` (it would otherwise turn an angle
+of 0 into π).
 
 The inverse transform follows the standard hyperspherical recursion::
 
@@ -43,6 +45,10 @@ __all__ = [
 #: Upper bound of every angular coordinate for non-negative data.
 MAX_ANGLE = np.pi / 2
 
+#: Rows per block of :func:`_suffix_square_sums` (8 columns × 4096 rows of
+#: float64 is 256 KiB, an L2-sized working set).
+_SUM_BLOCK = 4096
+
 
 def _orthant_points(points: np.ndarray) -> np.ndarray:
     """Validated ``(n, d)`` points the transform accepts (d ≥ 2, no negatives)."""
@@ -54,6 +60,16 @@ def _orthant_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _unsigned_zeros(values: np.ndarray) -> np.ndarray:
+    """``values`` with ``-0.0`` turned into ``+0.0``, every other value as is.
+
+    ``arctan2(+0, -0)`` is π, not 0: a signed zero in the ``x`` argument
+    would put an all-zero suffix outside ``[0, π/2]``.  ``x + 0.0`` is
+    ``x`` bit for bit for every other float.
+    """
+    return values + 0.0
+
+
 def _suffix_square_sums(pts: np.ndarray, lowest: int) -> np.ndarray:
     """Row ``k - lowest`` holds ``v_k² + … + v_n²`` (0-indexed ``k``) per point.
 
@@ -61,15 +77,21 @@ def _suffix_square_sums(pts: np.ndarray, lowest: int) -> np.ndarray:
     row is one contiguous column of sums.  Squares are added column by
     column from the last dimension down — the exact order of a cumulative
     sum over the reversed columns — so every caller gets the same bits
-    whichever suffixes it asks for.
+    whichever suffixes it asks for.  The adds run over blocks of
+    ``_SUM_BLOCK`` rows, so each block's strided column reads stay in
+    cache instead of streaming the whole matrix once per dimension;
+    blocking changes no add, only the order the rows are visited in.
     """
     n, d = pts.shape
     sums = np.empty((d - lowest, n))
-    acc = np.square(pts[:, d - 1])
-    sums[d - 1 - lowest] = acc
-    for k in range(d - 2, lowest - 1, -1):
-        acc = acc + np.square(pts[:, k])
-        sums[k - lowest] = acc
+    square = np.empty(min(n, _SUM_BLOCK))
+    for start in range(0, n, _SUM_BLOCK):
+        stop = min(start + _SUM_BLOCK, n)
+        block = pts[start:stop]
+        np.square(block[:, d - 1], out=sums[d - 1 - lowest, start:stop])
+        for k in range(d - 2, lowest - 1, -1):
+            sq = np.square(block[:, k], out=square[: stop - start])
+            np.add(sums[k + 1 - lowest, start:stop], sq, out=sums[k - lowest, start:stop])
     return sums
 
 
@@ -96,7 +118,7 @@ def to_hyperspherical(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.sqrt(sums[0])
     # suffix[:, i] = sqrt(v_{i+1}² + ... + v_n²)  (0-indexed: dims i+1..d-1)
     suffix = np.sqrt(sums[1:].T)  # (n, d-1)
-    angles = np.arctan2(suffix, pts[:, : d - 1])
+    angles = np.arctan2(suffix, _unsigned_zeros(pts[:, : d - 1]))
     return r, angles
 
 
@@ -125,7 +147,9 @@ def angle_columns(points: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     lowest = min(axes)
     sums = _suffix_square_sums(pts, lowest + 1)
     for j, axis in enumerate(axes):
-        out[:, j] = np.arctan2(np.sqrt(sums[axis - lowest]), pts[:, axis])
+        out[:, j] = np.arctan2(
+            np.sqrt(sums[axis - lowest]), _unsigned_zeros(pts[:, axis])
+        )
     return out
 
 

@@ -710,10 +710,17 @@ def _any_dominates_block(
     dimension and ``sum(w) = sum(c)`` leaves only ties — pairs that
     dominate iff the points differ, resolved exactly on just those (rare)
     pairs.
+
+    When ``window is chunk`` (the sweep's intra-chunk pass) the diagonal
+    pairs each point with itself — ``≤`` everywhere, equal sums, never a
+    dominator — so it is cleared, which keeps every undominated column off
+    the tie path; duplicate rows still resolve there, pair by pair.
     """
     le = _le_block(window, chunk)
     if le is None:
         return np.zeros(chunk.shape[1], dtype=bool)
+    if window is chunk:
+        np.fill_diagonal(le, False)
     strict = wsum[:, None] < csum
     strict &= le
     dominated = strict.any(axis=0)
@@ -735,12 +742,15 @@ def _count_dominators_block(
     """Per ``chunk`` point: how many ``window`` points dominate it.
 
     The counting twin of :func:`_any_dominates_block`, on the same
-    column-major operands with the same sum strictness; every tie pair is
-    resolved, since each one may add to a count.
+    column-major operands with the same sum strictness and the same
+    cleared diagonal when ``window is chunk``; every tie pair is resolved,
+    since each one may add to a count.
     """
     le = _le_block(window, chunk)
     if le is None:
         return np.zeros(chunk.shape[1], dtype=np.int64)
+    if window is chunk:
+        np.fill_diagonal(le, False)
     strict = wsum[:, None] < csum
     dom = le & strict
     ties = le & ~strict

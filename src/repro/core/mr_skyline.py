@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.blocks import PointBlock, concat_blocks
+from repro.core.blocks import PointBlock
 from repro.core.bnl import bnl_skyline
 from repro.core.dominance import DominanceCounter, validate_points
 from repro.core.filtering import (
@@ -140,12 +140,31 @@ class PartitionAssignMapper(Mapper):
                 ctx.increment(PRUNE_GROUP, "points_pruned", dead)
                 block = block.take(alive)
         ids = partitioner.assign_block(block)
-        for pid in np.unique(ids):
-            mask = ids == pid
-            if int(pid) in pruned:
-                ctx.increment(COUNTER_GROUP, "points_pruned", int(mask.sum()))
+        # One stable gather groups the rows by partition, input order kept
+        # within each; every payload is then a contiguous slice of it.
+        routed = block.take(np.argsort(ids, kind="stable"))
+        sizes = np.bincount(ids, minlength=partitioner.num_partitions)
+        stop = 0
+        for pid, size in enumerate(sizes.tolist()):
+            start, stop = stop, stop + size
+            if not size:
                 continue
-            ctx.emit(int(pid), block.take(mask).to_tuple())
+            if pid in pruned:
+                ctx.increment(COUNTER_GROUP, "points_pruned", size)
+                continue
+            ctx.emit(pid, routed.slice(start, stop).to_tuple())
+
+
+def _concat_payloads(values: Sequence[Block]) -> Block:
+    """A reduce group's shuffled payloads as one ``(indices, rows)`` pair.
+
+    The payloads are adopted as they are: :func:`bnl_skyline` validates the
+    merged matrix, one NaN scan per group instead of one per payload.
+    """
+    return (
+        np.concatenate([indices for indices, _ in values]),
+        np.concatenate([rows for _, rows in values]),
+    )
 
 
 class LocalSkylineReducer(Reducer):
@@ -156,8 +175,7 @@ class LocalSkylineReducer(Reducer):
     """
 
     def reduce(self, key: Any, values: Sequence[Block], ctx: ReduceContext) -> None:
-        block = concat_blocks([PointBlock.from_tuple(b) for b in values])
-        indices, rows = block.ids, block.rows
+        indices, rows = _concat_payloads(values)
         result = bnl_skyline(
             rows,
             window_size=self.params.get("window_size"),
@@ -207,8 +225,7 @@ class GlobalMergeReducer(Reducer):
     """BNL merge of all local skylines (Algorithm 1, line 15)."""
 
     def reduce(self, key: Any, values: Sequence[Block], ctx: ReduceContext) -> None:
-        block = concat_blocks([PointBlock.from_tuple(b) for b in values])
-        indices, rows = block.ids, block.rows
+        indices, rows = _concat_payloads(values)
         result = bnl_skyline(
             rows,
             window_size=self.params.get("window_size"),

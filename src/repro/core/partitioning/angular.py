@@ -92,6 +92,10 @@ class AngularPartitioner(SpacePartitioner):
                     raise ValueError(
                         "each boundary array must be 1-D and sorted ascending"
                     )
+                # NaN slips through the sortedness test (every comparison
+                # is False) and would make the sector bins meaningless.
+                if np.isnan(b).any():
+                    raise ValueError("boundary arrays must not contain NaN")
         self._explicit_boundaries = boundaries
         if isinstance(allocation, str):
             if allocation not in ("first-axis", "balanced"):
@@ -151,7 +155,10 @@ class AngularPartitioner(SpacePartitioner):
             k = counts[axis]
             if quantile:
                 qs = np.linspace(0, 1, k + 1)[1:-1]
-                edges = np.quantile(angles[:, col], qs)
+                # The quantiles of the sorted column are the very same order
+                # statistics, bit for bit, and one sort beats the multi-kth
+                # partition np.quantile would run on the unsorted angles.
+                edges = np.quantile(np.sort(angles[:, col]), qs)
             else:
                 edges = np.linspace(0.0, MAX_ANGLE, k + 1)[1:-1]
             boundaries[axis] = np.asarray(edges, dtype=np.float64)
@@ -173,12 +180,16 @@ class AngularPartitioner(SpacePartitioner):
         """Sector id per row of ``angles``, the columns of the ``split`` axes."""
         ids = np.zeros(angles.shape[0], dtype=np.int64)
         for col, axis in enumerate(split):
-            # searchsorted gives the bin index; boundary ownership goes to
-            # the upper bin (right-open bins); clamping keeps π/2 in range.
-            bin_idx = np.searchsorted(
-                self._boundaries[axis], angles[:, col], side="right"
-            )
-            ids += np.clip(bin_idx, 0, self._counts[axis] - 1) * self._radix[axis]
+            edges = self._boundaries[axis]
+            # The bin is the number of edges at or below the angle, so a
+            # boundary angle belongs to the upper bin (right-open bins) and
+            # π/2 lands in the last one.  For sorted, NaN-free edges that
+            # is searchsorted(side="right"), but k−1 vectorised compares
+            # into a narrow counter beat a binary search per unsorted angle.
+            bins = np.zeros(angles.shape[0], dtype=np.min_scalar_type(edges.size))
+            for edge in edges:
+                bins += angles[:, col] >= edge
+            ids += bins * self._radix[axis]
         return ids
 
     def _detail(self) -> Mapping[str, object]:

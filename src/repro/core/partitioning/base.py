@@ -108,10 +108,9 @@ class SpacePartitioner:
         Equal to ``fit(points).assign(points)`` bit for bit; a scheme whose
         fit already derived the ids skips the second pass.
         """
-        pts = validate_points(points)
         fitted: list = []
-        self.fit(pts, ids_out=fitted)
-        return fitted[0] if fitted else self.assign(pts)
+        self.fit(points, ids_out=fitted)
+        return fitted[0] if fitted else self.assign(points)
 
     def _checked(self, ids: np.ndarray, n: int) -> np.ndarray:
         """``ids`` as int64, after checking shape and range."""

@@ -139,9 +139,13 @@ class GridPartitioner(SpacePartitioner):
                     for j in range(points.shape[1])
                 ]
             ).astype(np.int64)
-        else:
-            coords = np.floor(points / self._widths).astype(np.int64)
-        return np.clip(coords, 0, limits)
+            return np.clip(coords, 0, limits)
+        # Clip in floating point before the cast: a quotient beyond the
+        # int64 range has no defined conversion.  A column of infinite
+        # width is a single slab, 0, so it is not divided at all.
+        finite = np.isfinite(self._widths)
+        scaled = np.divide(points, self._widths, out=np.zeros_like(points), where=finite)
+        return np.clip(np.floor(scaled), 0, limits).astype(np.int64)
 
     def _assign(self, points: np.ndarray) -> np.ndarray:
         if points.shape[1] != len(self._counts):

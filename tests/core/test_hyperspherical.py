@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.hyperspherical import (
     MAX_ANGLE,
+    _suffix_square_sums,
     angle_columns,
     angular_coordinates,
     from_hyperspherical,
@@ -51,6 +52,17 @@ class TestForward:
         r, angles = to_hyperspherical(np.zeros((1, 4)))
         assert r[0] == 0.0
         assert np.allclose(angles, 0.0)
+
+    def test_signed_zeros_are_zero(self):
+        # arctan2(+0, -0) is π: a -0.0 coordinate must not leave [0, π/2].
+        for pts in ([[-0.0, 0.0, 0.0]], [[-0.0, -0.0, -0.0]], [[1.0, -0.0, 0.0]]):
+            r, angles = to_hyperspherical(np.array(pts))
+            assert r[0] == np.linalg.norm(pts)
+            assert np.array_equal(angles, np.zeros((1, 2)))
+            assert np.array_equal(angle_columns(np.array(pts), [0, 1]), angles)
+        # ø₂ of (-0.0, -0.0, 3): the suffix is non-zero, so π/2 as for +0.
+        _, angles = to_hyperspherical(np.array([[-0.0, -0.0, 3.0]]))
+        assert np.array_equal(angles, [[MAX_ANGLE, MAX_ANGLE]])
 
     def test_angle_count(self):
         _, angles = to_hyperspherical(np.ones((3, 6)))
@@ -173,6 +185,17 @@ class TestPartialAngles:
         for axes in ([0], [d - 2], list(range(d - 1)), sorted({0, (d - 1) // 2, d - 2})):
             assert np.array_equal(angle_columns(pts, axes), angles[:, axes]), axes
         assert angle_columns(pts, []).shape == (pts.shape[0], 0)
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 17])
+    @pytest.mark.parametrize("lowest", [0, 1, 5])
+    def test_blocked_suffix_sums_match_reversed_cumsum_bitwise(self, n, lowest):
+        # Row blocks change the order rows are visited in, never an add.
+        pts = np.random.default_rng(n).lognormal(size=(n, 6)) * 1e3
+        pts[::5, 3:] = 0.0
+        want = np.cumsum((pts**2)[:, ::-1], axis=1)[:, ::-1][:, lowest:].T
+        got = _suffix_square_sums(pts, lowest)
+        assert got.shape == (6 - lowest, n)
+        assert np.array_equal(got, want)
 
     def test_angle_columns_validate_like_the_transform(self):
         for axes in ([], [0], [1]):

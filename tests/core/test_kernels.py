@@ -21,6 +21,10 @@ from repro.core.kernels import (
     make_kernel,
     set_default_kernel,
     sort_first_order,
+    _any_dominates_block,
+    _column_sums,
+    _columns,
+    _count_dominators_block,
     _sweep_chunks,
 )
 from repro.core.sfs import sfs_skyline
@@ -145,6 +149,51 @@ class TestSortFirstTiebreak:
         pts[:, 1] = np.inf
         with np.errstate(invalid="ignore"):
             assert np.array_equal(sort_first_order(pts), _lexsort_reference(pts))
+
+
+def _self_pair_paths(pts):
+    """The intra-chunk pass on ``pts`` with the diagonal (a copy of the
+    chunk as window) and without it (the chunk itself as window)."""
+    cols = _columns(pts)
+    sums = _column_sums(cols)
+    plain = (cols.copy(), cols, sums, sums)
+    within = (cols, cols, sums, sums)
+    return (
+        (_any_dominates_block(*plain), _any_dominates_block(*within)),
+        (_count_dominators_block(*plain), _count_dominators_block(*within)),
+    )
+
+
+class TestSelfPairs:
+    """Dropping the diagonal of the intra-chunk pass changes no mask and no
+    count: a point paired with itself only ever fed the tie path."""
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.ones((7, 4)),
+            np.zeros((1, 3)),
+            np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [0.0, 3.0]]),
+            _rng(1).integers(0, 2, size=(300, 5)).astype(float),
+            np.repeat(_rng(2).random((20, 8)), 6, axis=0),
+        ],
+        ids=["all-equal", "one-row", "duplicates", "binary-grid", "repeated-rows"],
+    )
+    def test_equals_the_plain_path(self, pts):
+        (plain, within), (plain_count, within_count) = _self_pair_paths(pts)
+        assert np.array_equal(plain, within)
+        assert np.array_equal(plain_count, within_count)
+
+    def test_all_equal_chunk_has_no_dominator(self):
+        (_, within), (_, counts) = _self_pair_paths(np.full((50, 6), 3.0))
+        assert not within.any() and not counts.any()
+
+    @given(tie_heavy_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_the_plain_path(self, pts):
+        (plain, within), (plain_count, within_count) = _self_pair_paths(pts)
+        assert np.array_equal(plain, within)
+        assert np.array_equal(plain_count, within_count)
 
 
 def _datasets(d, seed=0):

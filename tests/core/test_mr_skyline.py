@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.blocks import PointBlock
+from repro.core.kernels import get_kernel
 from repro.core.mr_skyline import (
     COUNTER_GROUP,
+    PartitionAssignMapper,
     default_partition_count,
     run_mr_skyline,
     update_mr_skyline,
 )
-from repro.core.partitioning import AngularPartitioner, make_partitioner
+from repro.core.partitioning import AngularPartitioner, GridPartitioner, make_partitioner
 from repro.core.skyline import skyline_numpy
 from repro.mapreduce.runner import Runner
 from repro.observability.metrics import MetricsRegistry, get_metrics, observe_partition_skew
@@ -192,6 +195,91 @@ class TestResultMetadata:
         result = run_mr_skyline(cloud, method="angle")
         assert result.map_busy_s > 0
         assert result.reduce_busy_s > 0
+
+
+class _CaptureContext:
+    """Just the two calls a mapper makes: emitted pairs and counter totals."""
+
+    def __init__(self):
+        self.pairs = []
+        self.counts = {}
+
+    def emit(self, key, value):
+        self.pairs.append((key, value))
+
+    def increment(self, group, name, amount=1):
+        self.counts[group, name] = self.counts.get((group, name), 0) + amount
+
+
+def _masked_routing(block, params):
+    """The map routing as first written: filter, then np.unique of the
+    partition ids and one boolean mask (and gather) per partition."""
+    ctx = _CaptureContext()
+    ctx.increment(COUNTER_GROUP, "points_mapped", len(block))
+    filters = params.get("filters")
+    if filters is not None:
+        alive = get_kernel("block").filter_survivors(filters, block.rows)
+        if not alive.all():
+            ctx.increment(COUNTER_GROUP, "points_pruned", int((~alive).sum()))
+            block = block.take(alive)
+    ids = params["partitioner"].assign_block(block)
+    for pid in np.unique(ids):
+        mask = ids == pid
+        if int(pid) in params["pruned"]:
+            ctx.increment(COUNTER_GROUP, "points_pruned", int(mask.sum()))
+            continue
+        ctx.emit(int(pid), block.take(mask).to_tuple())
+    return ctx
+
+
+class TestMapRouting:
+    """One stable gather per record routes every row where the per-partition
+    masks did: same keys, ids and rows, in the same order."""
+
+    @pytest.mark.parametrize("scheme", ["angle", "grid", "random", "dim"])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_payloads_equal_the_masked_routing(self, scheme, filtered):
+        rng = np.random.default_rng(7)
+        pts = np.vstack([rng.random((3000, 4)), rng.integers(0, 3, (500, 4))])
+        if scheme == "grid":  # two slabs per axis: the top corner is pruned
+            partitioner = GridPartitioner(16, cells_per_dim=[2, 2, 2, 2]).fit(pts)
+        else:
+            partitioner = make_partitioner(scheme, 8).fit(pts)
+        pruned = frozenset()
+        if isinstance(partitioner, GridPartitioner):
+            pruned = frozenset(int(c) for c in partitioner.pruned_cells())
+            assert pruned
+        params = {
+            "partitioner": partitioner,
+            "pruned": pruned,
+            "kernel": "block",
+            "filters": pts[rng.choice(len(pts), 6, replace=False)] if filtered else None,
+        }
+        mapper = PartitionAssignMapper()
+        mapper.setup(params)
+        for start in range(0, len(pts), 1000):
+            block = PointBlock.from_rows(
+                pts[start : start + 1000], np.arange(start, min(start + 1000, len(pts)))
+            )
+            ctx = _CaptureContext()
+            mapper.map(start, block.to_tuple(), ctx)
+            want = _masked_routing(block, params)
+            assert [k for k, _ in ctx.pairs] == [k for k, _ in want.pairs]
+            for (_, (ids, rows)), (_, (want_ids, want_rows)) in zip(ctx.pairs, want.pairs):
+                assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+                assert rows.flags["C_CONTIGUOUS"] and np.array_equal(rows, want_rows)
+            for name in ("points_mapped", "points_pruned"):
+                assert ctx.counts.get((COUNTER_GROUP, name)) == want.counts.get(
+                    (COUNTER_GROUP, name)
+                ), name
+
+    def test_empty_record_emits_nothing(self):
+        partitioner = AngularPartitioner(4).fit(np.random.default_rng(0).random((50, 3)))
+        mapper = PartitionAssignMapper()
+        mapper.setup({"partitioner": partitioner})
+        ctx = _CaptureContext()
+        mapper.map(0, (np.empty(0, dtype=np.intp), np.empty((0, 3))), ctx)
+        assert ctx.pairs == []
 
 
 #: Every scheme and angular bin mode the driver can fit, as partitioners.

@@ -1,12 +1,14 @@
 """Tests for the data-space partitioners (dim / grid / angle / random)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.hyperspherical import MAX_ANGLE, to_hyperspherical
+from repro.core.hyperspherical import MAX_ANGLE, angle_columns, to_hyperspherical
 from repro.core.partitioning import (
     AngularPartitioner,
     DimensionalPartitioner,
@@ -222,13 +224,41 @@ class TestGrid:
         assert load_imbalance(q.assign(pts), 4) < load_imbalance(eq.assign(pts), 4)
 
     def test_subnormal_column_no_warning(self):
-        import warnings
-
         pts = np.array([[5e-324, 1.0], [0.0, 2.0]])
         p = GridPartitioner(4, cells_per_dim=[2, 2]).fit(pts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p.assign(pts)
+
+    def test_cast_overflow_found_by_hypothesis(self):
+        # -1 over a 1.3e-222 slab width is far outside int64: the quotient is
+        # clipped before the cast, so there is no undefined conversion.
+        pts = np.array([[0.0, 2.58e-222], [0.0, -1.0]])
+        p = GridPartitioner(4).fit(pts)
+        assert p.summary().detail["cells_per_dim"] == [2, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.assign(pts).tolist() == [1, 0]
+
+    def test_out_of_range_arrival_lands_in_the_last_slab(self):
+        p = GridPartitioner(4).fit(np.array([[0.0, 2.58e-222], [0.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Far above vmax on the tiny-width column: its last slab, not 0.
+            assert p.assign(np.array([[0.0, 1.0]])).tolist() == [1]
+            # The infinite-width column is one slab; +inf on a finite-width
+            # column is that column's last slab.
+            assert p.assign(np.array([[np.inf, np.inf]])).tolist() == [1]
+            assert p.assign(np.array([[7.0, -np.inf]])).tolist() == [0]
+
+    def test_infinite_vmax_column_is_one_slab(self):
+        pts = np.array([[np.inf, 1.0], [0.0, 2.0], [3.0, 0.5]])
+        p = GridPartitioner(4, cells_per_dim=[2, 2]).fit(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = p.assign(pts)
+        assert [p.cell_coordinates(c)[0] for c in ids] == [0, 0, 0]
+        assert [p.cell_coordinates(c)[1] for c in ids] == [1, 1, 0]
 
     def test_quantile_pruning_still_sound(self):
         from repro.core.skyline import skyline_numpy
@@ -290,6 +320,15 @@ class TestAngular:
         p = AngularPartitioner(4)
         with pytest.raises(ValueError):
             p.fit(np.array([[1.0, -1.0]]))
+
+    def test_nan_boundaries_rejected(self):
+        # NaN passes the sortedness test (np.diff gives NaN, NaN < 0 is
+        # False) and would bin 0.10, 0.79, 1.47 as [0, 2, 2].
+        for edges in ([np.nan, 0.5], [0.5, np.nan], [np.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                AngularPartitioner(3, boundaries=[np.array(edges)])
+        with pytest.raises(ValueError, match="NaN"):
+            AngularPartitioner(4, boundaries=[np.array([0.5]), np.array([np.nan])])
 
     def test_invalid_options(self):
         with pytest.raises(ValueError):
@@ -373,6 +412,98 @@ class TestAngularPartialAngles:
     def test_one_dimensional_data_rejected(self):
         with pytest.raises(ValueError, match="2 dimensions"):
             AngularPartitioner(4).fit(np.ones((5, 1)))
+
+
+def _searchsorted_bins(edges, angles):
+    """Sector bins as first written: binary search, then clamp."""
+    bins = np.searchsorted(edges, angles, side="right")
+    return np.clip(bins, 0, edges.size)
+
+
+#: Angles drawn from a handful of values, so quantiles land on long ties.
+tie_heavy_angles = arrays(
+    np.float64,
+    st.integers(1, 300),
+    elements=st.sampled_from(
+        [0.0, 1e-300, 0.25, np.pi / 4, np.pi / 4 + 1e-16, 1.0, MAX_ANGLE]
+    )
+    | st.floats(0, MAX_ANGLE),
+)
+
+
+class TestAngularFitCuts:
+    """The sort-based edges and comparison bins of the fit give the same
+    bits as ``np.quantile`` of the unsorted angles and ``searchsorted``."""
+
+    @given(tie_heavy_angles, st.integers(2, 17))
+    @settings(max_examples=120, deadline=None)
+    def test_sorted_quantiles_equal_np_quantile_bitwise(self, angles, k):
+        qs = np.linspace(0, 1, k + 1)[1:-1]
+        assert np.array_equal(
+            np.quantile(np.sort(angles), qs), np.quantile(angles, qs)
+        )
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 120), st.integers(2, 4)),
+            elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        ),
+        st.integers(2, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_fit_matches_reference(self, pts, k):
+        for allocation in ("first-axis", "balanced"):
+            p = AngularPartitioner(k, allocation=allocation).fit(pts)
+            counts = p.summary().detail["counts_per_angle_axis"]
+            boundaries, ids = _reference_sectors(pts, counts, "quantile")
+            for got, want in zip(p._boundaries, boundaries):
+                assert np.array_equal(got, want)
+            assert np.array_equal(p.fit_assign(pts), ids)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [0.3, 0.3, 0.9],
+            [0.5],
+            [0.0, MAX_ANGLE],
+            [np.pi / 4] * 3,
+            [0.0, 0.0, 1.0, MAX_ANGLE, MAX_ANGLE],
+        ],
+    )
+    def test_comparison_bins_equal_searchsorted(self, edges):
+        edges = np.array(edges)
+        angles = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [0.0, 1e-300, 0.7, MAX_ANGLE, np.pi],
+            ]
+        )
+        p = AngularPartitioner(edges.size + 1, boundaries=[edges])
+        p.fit(np.ones((1, 2)))
+        got = p._sector_ids(angles[:, None], [0])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _searchsorted_bins(edges, angles))
+
+    def test_comparison_bins_combine_axes_by_radix(self):
+        first, last = np.array([0.4, 0.4, 1.2]), np.array([0.8])
+        p = AngularPartitioner(8, boundaries=[first, np.array([]), last])
+        p.fit(np.ones((1, 4)))
+        rng = np.random.default_rng(0)
+        angles = rng.choice([0.0, 0.4, 0.8, 1.2, MAX_ANGLE, np.pi, 0.5], size=(200, 2))
+        want = _searchsorted_bins(first, angles[:, 0]) * 2 + _searchsorted_bins(
+            last, angles[:, 1]
+        )
+        assert np.array_equal(p._sector_ids(angles, [0, 2]), want)
+
+    def test_assign_through_angle_columns(self):
+        pts = np.random.default_rng(1).lognormal(size=(5000, 5))
+        p = AngularPartitioner(8).fit(pts)
+        edges = p._boundaries[0]
+        want = _searchsorted_bins(edges, angle_columns(pts, [0])[:, 0])
+        assert np.array_equal(p.assign(pts), want)
 
 
 class TestRandom:
