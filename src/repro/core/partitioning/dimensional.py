@@ -80,11 +80,17 @@ class DimensionalPartitioner(SpacePartitioner):
                 f"dim={self.dim} out of range for {points.shape[1]}-dimensional data"
             )
         column = points[:, self.dim]
+        last = self.num_partitions - 1
         if self._edges is not None:
-            ids = np.searchsorted(self._edges, column, side="right")
-        else:
-            ids = np.floor(column / self._width).astype(np.int64)
-        return np.clip(ids, 0, self.num_partitions - 1)
+            return np.clip(np.searchsorted(self._edges, column, side="right"), 0, last)
+        if np.isinf(self._width):
+            return np.zeros(column.shape[0], dtype=np.int64)
+        # Clip in floating point before the cast: a quotient beyond the
+        # int64 range has no defined conversion.  Over a subnormal width
+        # the quotient may overflow to ±inf, which the clip also handles.
+        with np.errstate(over="ignore"):
+            scaled = np.floor(column / self._width)
+        return np.clip(scaled, 0, last).astype(np.int64)
 
     def _detail(self) -> Mapping[str, object]:
         return {

@@ -142,9 +142,14 @@ class GridPartitioner(SpacePartitioner):
             return np.clip(coords, 0, limits)
         # Clip in floating point before the cast: a quotient beyond the
         # int64 range has no defined conversion.  A column of infinite
-        # width is a single slab, 0, so it is not divided at all.
+        # width is a single slab, 0, so it is not divided at all.  Over a
+        # subnormal width the quotient may overflow to ±inf, which the
+        # clip sends to the first or last slab like any other far value.
         finite = np.isfinite(self._widths)
-        scaled = np.divide(points, self._widths, out=np.zeros_like(points), where=finite)
+        with np.errstate(over="ignore"):
+            scaled = np.divide(
+                points, self._widths, out=np.zeros_like(points), where=finite
+            )
         return np.clip(np.floor(scaled), 0, limits).astype(np.int64)
 
     def _assign(self, points: np.ndarray) -> np.ndarray:

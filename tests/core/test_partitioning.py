@@ -127,6 +127,26 @@ class TestDimensional:
         ids = p.assign(pts)
         assert (ids == 0).all()
 
+    def test_cast_overflow_clips_before_the_cast(self):
+        # Found by Hypothesis: -1 over a 1.6e-200 slab width is far outside
+        # int64 and used to be an undefined cast; it is slab 0.
+        pts = np.array([[6.59539198e-200, 0.0], [-1.0, 0.0]])
+        p = DimensionalPartitioner(4).fit(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.assign(pts).tolist() == [3, 0]
+            assert p.assign(np.array([[1.0, 0.0], [np.inf, 0.0]])).tolist() == [3, 3]
+            # The quotient overflows the division itself over a subnormal width.
+            tiny = DimensionalPartitioner(4).fit(np.array([[2.2e-311, 0.0]]))
+            assert tiny.assign(np.array([[-1.0, 0.0], [1.0, 0.0]])).tolist() == [0, 3]
+
+    def test_infinite_vmax_column_is_one_slab(self):
+        pts = np.array([[np.inf, 0.0], [3.0, 0.0]])
+        p = DimensionalPartitioner(4).fit(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.assign(pts).tolist() == [0, 0]
+
 
 class TestBalancedAxisCounts:
     def test_exact_budget(self):
@@ -239,6 +259,16 @@ class TestGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert p.assign(pts).tolist() == [1, 0]
+
+    def test_quotient_overflow_over_a_subnormal_width(self):
+        # Found by Hypothesis: -1 over a 1.1e-311 slab width overflows the
+        # division itself to -inf, which is slab 0, without a warning.
+        pts = np.array([[0.0, 2.22507386e-311], [0.0, -1.0]])
+        p = GridPartitioner(4).fit(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.assign(pts).tolist() == [1, 0]
+            assert p.assign(np.array([[0.0, 1.0]])).tolist() == [1]
 
     def test_out_of_range_arrival_lands_in_the_last_slab(self):
         p = GridPartitioner(4).fit(np.array([[0.0, 2.58e-222], [0.0, -1.0]]))
