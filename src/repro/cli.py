@@ -46,7 +46,7 @@ import argparse
 import atexit
 import signal
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - the experiments import repro.bench lazily
     from repro.bench import Table
@@ -412,8 +412,9 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--cluster", type=int, default=None, metavar="N",
         help="sharded mode: boot N in-process shard servers on loopback "
-        "ports behind a coordinator and speak the cluster protocol "
-        "(docs/cluster.md)",
+        "ports behind a coordinator front end; the admission, cache, "
+        "deadline, stale and SLO flags configure the coordinator and every "
+        "shard (docs/cluster.md)",
     )
     parser.add_argument(
         "--shard-timeout-s", type=float, default=5.0, metavar="S",
@@ -443,8 +444,9 @@ def _run_serve(argv: List[str]) -> int:
     parser.add_argument(
         "--no-stale",
         action="store_true",
-        help="reject shed requests outright instead of serving a stale "
-        "cached answer flagged degraded=True",
+        help="reject shed requests (and, in --cluster mode, queries whose "
+        "every shard is lost) outright instead of serving a stale cached "
+        "answer flagged degraded=True",
     )
     parser.add_argument(
         "--mr-threshold", type=int, default=None, metavar="N",
@@ -517,8 +519,7 @@ def _run_serve(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     args.kernel = _serving_kernel(args.kernel)
 
-    from repro.serving.server import make_tcp_server, serve_stdio
-    from repro.serving.service import ServeConfig, SkylineService
+    from repro.serving.service import LocalBackend, ServeConfig, SkylineService
 
     config = ServeConfig(
         max_inflight=args.max_inflight,
@@ -537,6 +538,8 @@ def _run_serve(argv: List[str]) -> int:
         config.mr_bulk_threshold = args.mr_threshold
     try:
         config.validate()
+        if args.cluster is not None and args.cluster < 1:
+            raise ValueError(f"--cluster must be >= 1, got {args.cluster}")
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
@@ -549,8 +552,33 @@ def _run_serve(argv: List[str]) -> int:
             print(f"--trace: cannot write {args.trace}: {exc}", file=sys.stderr)
             return 1
 
+    if args.cluster is not None:
+        from repro.serving.cluster import LocalCluster, ShardedBackend
+
+        fleet = LocalCluster(
+            args.cluster,
+            config=config,
+            data_dir=args.data_dir,
+            fsync=args.fsync,
+            snapshot_every=args.snapshot_every,
+        )
+        try:
+            sharded = ShardedBackend(
+                fleet.addresses(),
+                filter_k=_filter_k(args),
+                shard_timeout_s=args.shard_timeout_s,
+            )
+        except ValueError as exc:
+            fleet.close()
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
+        service = SkylineService(config, backend=sharded)
+        return _serve_until_stopped(
+            service, args, f"serving {args.cluster}-shard cluster", "serve",
+            closers=(service.close, fleet.close),
+        )
     durability = None
-    if args.data_dir and args.cluster is None:
+    if args.data_dir:
         from repro.serving.durability import DurabilityConfig, DurabilityManager
 
         try:
@@ -564,57 +592,27 @@ def _run_serve(argv: List[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"--data-dir: {exc}", file=sys.stderr)
             return 2
+    backend = LocalBackend(durability=durability)
+    service = SkylineService(config, backend=backend)
+    for report in backend.recover_datasets():
+        print(
+            f"recovered dataset {report.dataset!r}: "
+            f"{report.members} member(s) at generation "
+            f"{report.generation} "
+            f"({report.records_replayed} WAL record(s) replayed"
+            f"{', torn tail dropped' if report.torn_tail else ''})",
+            file=sys.stderr,
+        )
+    return _serve_until_stopped(
+        service, args, "serving", "serve", durability=durability
+    )
 
-    # Signal-driven exits (SIGINT/SIGTERM) must run the same teardown a
-    # clean shutdown op does — dump --events, flush WALs, stop the server
-    # — so the handlers convert the signal into a SystemExit that unwinds
-    # through the ``finally`` below; ``atexit`` is the belt-and-braces
-    # fallback for exits that bypass it.
-    _install_exit_signal_handlers()
-    cleanup = _ServeCleanup(args, durability)
-    atexit.register(cleanup.run)
-    try:
-        if args.cluster is not None:
-            code = _serve_cluster(args, config)
-            if code:
-                return code
-        else:
-            service = SkylineService(config, durability=durability)
-            if durability is not None:
-                for report in service.recover_datasets():
-                    print(
-                        f"recovered dataset {report.dataset!r}: "
-                        f"{report.members} member(s) at generation "
-                        f"{report.generation} "
-                        f"({report.records_replayed} WAL record(s) replayed"
-                        f"{', torn tail dropped' if report.torn_tail else ''})",
-                        file=sys.stderr,
-                    )
-            if args.tcp:
-                host, _, port = args.tcp.rpartition(":")
-                try:
-                    server = make_tcp_server(
-                        service, host or "127.0.0.1", int(port)
-                    )
-                except (OSError, ValueError) as exc:
-                    print(f"serve: cannot bind {args.tcp}: {exc}",
-                          file=sys.stderr)
-                    return 2
-                bound = server.server_address
-                print(f"serving on {bound[0]}:{bound[1]}", file=sys.stderr)
-                cleanup.server = server
-                with server:
-                    server.serve_forever()
-            else:
-                serve_stdio(service)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        code = cleanup.run()
-        atexit.unregister(cleanup.run)
-        if code:
-            return code
-    return 0
+
+def _filter_k(args: argparse.Namespace) -> int:
+    """``--filter-k``, else the library's filter-set size."""
+    from repro.core.filtering import DEFAULT_FILTER_K
+
+    return DEFAULT_FILTER_K if args.filter_k is None else args.filter_k
 
 
 def _serving_kernel(flag: str | None) -> str:
@@ -644,19 +642,74 @@ def _install_exit_signal_handlers() -> None:
             pass
 
 
+def _serve_until_stopped(
+    service: Any,
+    args: argparse.Namespace,
+    banner: str,
+    prog: str,
+    *,
+    durability: Any = None,
+    closers: Sequence[Callable[[], None]] = (),
+) -> int:
+    """The one serve body of ``serve``, ``serve --cluster`` and
+    ``coordinator``: a TCP server announced as ``<banner> on HOST:PORT``
+    (``--tcp``) or one stdio session, then the same teardown on every exit.
+
+    Signal-driven exits (SIGINT/SIGTERM) must run the same teardown a
+    clean shutdown op does — dump --events, flush WALs, stop the server —
+    so the handlers convert the signal into a SystemExit that unwinds
+    through the ``finally`` below; ``atexit`` is the belt-and-braces
+    fallback for exits that bypass it.
+    """
+    from repro.serving.server import make_tcp_server, serve_stdio
+
+    _install_exit_signal_handlers()
+    cleanup = _ServeCleanup(args, durability, closers)
+    atexit.register(cleanup.run)
+    try:
+        if args.tcp:
+            host, _, port = args.tcp.rpartition(":")
+            try:
+                server = make_tcp_server(service, host or "127.0.0.1", int(port))
+            except (OSError, ValueError) as exc:
+                print(f"{prog}: cannot bind {args.tcp}: {exc}", file=sys.stderr)
+                return 2
+            bound = server.server_address
+            print(f"{banner} on {bound[0]}:{bound[1]}", file=sys.stderr)
+            cleanup.server = server
+            with server:
+                server.serve_forever()
+        else:
+            serve_stdio(service)
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        pass
+    finally:
+        teardown = cleanup.run()
+        atexit.unregister(cleanup.run)
+    return teardown
+
+
 class _ServeCleanup:
-    """Idempotent ``repro serve`` teardown: runs from the ``finally``
-    path on every exit (clean shutdown op, signal-driven SystemExit,
-    KeyboardInterrupt) and is registered with ``atexit`` as a fallback.
+    """Idempotent serve teardown: runs from the ``finally`` path on every
+    exit (clean shutdown op, signal-driven SystemExit, KeyboardInterrupt)
+    and is registered with ``atexit`` as a fallback.
 
     Order matters: stop the server first (bounded join of live sessions,
-    so no WAL append is cut mid-frame), then flush + close the WALs,
-    then write the observability artifacts.
+    so no WAL append is cut mid-frame), then release the backend (shard
+    connections, an in-process fleet), then flush + close the WALs, then
+    write the observability artifacts.
     """
 
-    def __init__(self, args: argparse.Namespace, durability: Any) -> None:
-        self.args = args
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        durability: Any,
+        closers: Sequence[Callable[[], None]],
+    ) -> None:
+        self.trace = getattr(args, "trace", None)
+        self.events = getattr(args, "events", None)
         self.durability = durability
+        self.closers = closers
         self.server: Any = None
         self._done = False
 
@@ -672,6 +725,8 @@ class _ServeCleanup:
             # fails; the error is reported, not swallowed.
             except Exception as exc:  # repro: allow[exception-hygiene]
                 print(f"serve: stop failed: {exc}", file=sys.stderr)
+        for close in self.closers:
+            close()
         if self.durability is not None:
             try:
                 self.durability.sync()
@@ -679,93 +734,24 @@ class _ServeCleanup:
             except OSError as exc:
                 print(f"--data-dir: WAL flush failed: {exc}", file=sys.stderr)
                 code = 1
-        if self.args.trace:
+        if self.trace:
             from repro.observability import disable_tracing
 
             disable_tracing(write_metrics=True)
-        if self.args.events:
+        if self.events:
             from repro.observability import get_events
 
             try:
-                count = get_events().dump(self.args.events)
+                count = get_events().dump(self.events)
                 print(
-                    f"wrote {count} event(s) to {self.args.events}",
+                    f"wrote {count} event(s) to {self.events}",
                     file=sys.stderr,
                 )
             except OSError as exc:
-                print(f"--events: cannot write {self.args.events}: {exc}",
+                print(f"--events: cannot write {self.events}: {exc}",
                       file=sys.stderr)
                 code = 1
         return code
-
-
-def _serve_cluster(args: argparse.Namespace, shard_config) -> int:
-    """The ``repro serve --cluster N`` body: LocalCluster + coordinator."""
-    from repro.serving.cluster import (
-        ClusterConfig,
-        ClusterCoordinator,
-        LocalCluster,
-        handle_cluster_request,
-    )
-    from repro.serving.server import make_tcp_server, serve_stdio
-
-    if args.cluster < 1:
-        print(f"serve: --cluster must be >= 1, got {args.cluster}",
-              file=sys.stderr)
-        return 2
-    cluster_config = ClusterConfig(
-        kernel=args.kernel,
-        shard_timeout_s=args.shard_timeout_s,
-        cache_entries=args.cache_size,
-        default_deadline_s=args.deadline_s,
-        slo_latency_threshold_s=args.slo_latency_s,
-        slo_latency_target=args.slo_latency_target,
-        slo_availability_target=args.slo_availability_target,
-    )
-    if args.filter_k is not None:
-        cluster_config.filter_k = args.filter_k
-    try:
-        cluster_config.validate()
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    cluster = LocalCluster(
-        args.cluster,
-        config=shard_config,
-        data_dir=args.data_dir,
-        fsync=args.fsync,
-        snapshot_every=args.snapshot_every,
-    )
-    coordinator = ClusterCoordinator(
-        cluster.addresses(), config=cluster_config
-    )
-    try:
-        if args.tcp:
-            host, _, port = args.tcp.rpartition(":")
-            try:
-                server = make_tcp_server(
-                    coordinator,
-                    host or "127.0.0.1",
-                    int(port),
-                    handler=handle_cluster_request,
-                )
-            except (OSError, ValueError) as exc:
-                print(f"serve: cannot bind {args.tcp}: {exc}", file=sys.stderr)
-                return 2
-            bound = server.server_address
-            print(
-                f"serving {args.cluster}-shard cluster on "
-                f"{bound[0]}:{bound[1]}",
-                file=sys.stderr,
-            )
-            with server:
-                server.serve_forever()
-        else:
-            serve_stdio(coordinator, handler=handle_cluster_request)
-    finally:
-        coordinator.close()
-        cluster.close()
-    return 0
 
 
 def _run_coordinator(argv: List[str]) -> int:
@@ -774,8 +760,9 @@ def _run_coordinator(argv: List[str]) -> int:
         prog="repro-skyline coordinator",
         description=(
             "Cluster coordinator over already-running `repro serve --tcp` "
-            "shard servers: JSON-lines cluster protocol on stdio (default) "
-            "or a TCP socket (docs/cluster.md)"
+            "shard servers: the serving front end over a sharded backend, "
+            "JSON-lines protocol on stdio (default) or a TCP socket "
+            "(docs/cluster.md)"
         ),
     )
     parser.add_argument(
@@ -820,59 +807,31 @@ def _run_coordinator(argv: List[str]) -> int:
         help="default per-query deadline in seconds (default: none)",
     )
     args = parser.parse_args(argv)
-    args.kernel = _serving_kernel(args.kernel)
 
-    from repro.serving.cluster import (
-        ClusterConfig,
-        ClusterCoordinator,
-        handle_cluster_request,
-    )
-    from repro.serving.server import make_tcp_server, serve_stdio
+    from repro.serving.cluster import ShardedBackend
+    from repro.serving.service import ServeConfig, SkylineService
 
-    config = ClusterConfig(
-        kernel=args.kernel,
-        shard_timeout_s=args.shard_timeout_s,
-        connect_timeout_s=args.connect_timeout_s,
-        cache_entries=args.cache_size,
-        default_deadline_s=args.deadline_s,
-    )
-    if args.filter_k is not None:
-        config.filter_k = args.filter_k
     try:
+        config = ServeConfig(
+            kernel=_serving_kernel(args.kernel),
+            cache_entries=args.cache_size,
+            default_deadline_s=args.deadline_s,
+        )
         config.validate()
+        backend = ShardedBackend(
+            args.shards,
+            filter_k=_filter_k(args),
+            shard_timeout_s=args.shard_timeout_s,
+            connect_timeout_s=args.connect_timeout_s,
+        )
     except ValueError as exc:
         print(f"coordinator: {exc}", file=sys.stderr)
         return 2
-    coordinator = ClusterCoordinator(args.shards, config=config)
-    try:
-        if args.tcp:
-            host, _, port = args.tcp.rpartition(":")
-            try:
-                server = make_tcp_server(
-                    coordinator,
-                    host or "127.0.0.1",
-                    int(port),
-                    handler=handle_cluster_request,
-                )
-            except (OSError, ValueError) as exc:
-                print(f"coordinator: cannot bind {args.tcp}: {exc}",
-                      file=sys.stderr)
-                return 2
-            bound = server.server_address
-            print(
-                f"coordinating {len(args.shards)} shard(s) on "
-                f"{bound[0]}:{bound[1]}",
-                file=sys.stderr,
-            )
-            with server:
-                server.serve_forever()
-        else:
-            serve_stdio(coordinator, handler=handle_cluster_request)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        coordinator.close()
-    return 0
+    service = SkylineService(config, backend=backend)
+    return _serve_until_stopped(
+        service, args, f"coordinating {len(args.shards)} shard(s)",
+        "coordinator", closers=(service.close,),
+    )
 
 
 def _run_top(argv: List[str]) -> int:

@@ -14,11 +14,13 @@ concurrent queries against it:
 * :class:`~repro.serving.cache.ResultCache` — versioned result cache
   keyed ``(dataset, kind, params, generation)``; mutation invalidates by
   construction, and stale generations back the degraded answer path.
-* :class:`~repro.serving.service.SkylineService` — the request plane:
-  admission control with bounded queueing and load shedding, request
-  coalescing (identical in-flight queries share one computation),
-  per-query deadlines, four query kinds (skyline, k-skyband, constrained,
-  subspace), full serve-path observability.
+* :class:`~repro.serving.service.SkylineService` — the one request plane
+  of both serving modes: admission control with bounded queueing and load
+  shedding, request coalescing (identical in-flight queries share one
+  computation), per-query deadlines, four query kinds (skyline,
+  k-skyband, constrained, subspace), full serve-path observability — over
+  a :class:`~repro.serving.service.LocalBackend` (stores in this process)
+  or a sharded backend.
 * :mod:`~repro.serving.protocol` / :mod:`~repro.serving.server` /
   :mod:`~repro.serving.client` — the ``repro serve`` JSON-lines front end
   (stdio or TCP) and the client helper used by tests and CI; the
@@ -27,9 +29,10 @@ concurrent queries against it:
 * :mod:`~repro.serving.top` — the ``repro top`` terminal dashboard that
   polls those verbs against a running server.
 * :mod:`~repro.serving.cluster` — sharded multi-node serving: a
-  coordinator fans queries out to shard servers with broadcast filter
-  points, merges candidate sets exactly, and degrades (never fails) on
-  shard loss.  ``repro serve --cluster N`` / ``repro coordinator``.
+  :class:`~repro.serving.cluster.coordinator.ShardedBackend` fans queries
+  out to shard servers with broadcast filter points, merges candidate sets
+  exactly, and degrades (never fails) on shard loss.
+  ``repro serve --cluster N`` / ``repro coordinator``.
 
 See ``docs/serving.md``, ``docs/cluster.md`` and ``docs/observability.md``.
 """
@@ -43,13 +46,11 @@ _EXPORTS = {
     "repro.serving.cache": ("ResultCache",),
     "repro.serving.client": ("ServingClient", "ServingConnectionError"),
     "repro.serving.cluster": (
-        "ClusterConfig",
-        "ClusterCoordinator",
-        "ClusterResponse",
         "ClusterUnavailableError",
         "LocalCluster",
         "ShardLostError",
         "ShardMap",
+        "ShardedBackend",
     ),
     "repro.serving.queries": (
         "QUERY_KINDS",
@@ -58,9 +59,11 @@ _EXPORTS = {
         "evaluate",
     ),
     "repro.serving.service": (
+        "LocalBackend",
         "QueryResponse",
         "ServeConfig",
         "ServiceOverloadedError",
+        "ServiceUnavailableError",
         "SkylineService",
         "UnknownDatasetError",
     ),
@@ -75,20 +78,20 @@ def __getattr__(name: str) -> Any:
 
 __all__ = [
     "QUERY_KINDS",
-    "ClusterConfig",
-    "ClusterCoordinator",
-    "ClusterResponse",
     "ClusterUnavailableError",
+    "LocalBackend",
     "LocalCluster",
     "QueryResponse",
     "QuerySpec",
     "ResultCache",
     "ServeConfig",
     "ServiceOverloadedError",
+    "ServiceUnavailableError",
     "ServingClient",
     "ServingConnectionError",
     "ShardLostError",
     "ShardMap",
+    "ShardedBackend",
     "SkylineService",
     "SkylineStore",
     "StoreSnapshot",

@@ -1,12 +1,14 @@
-"""The cluster coordinator: fan-out, candidate merge, degraded answers.
+"""The sharded backend: placement, fan-out, candidate merge, shard loss.
 
-One :class:`ClusterCoordinator` fronts N shard servers (each an ordinary
-``repro serve`` speaking the JSON-lines protocol) and serves the same
-query/mutation surface as a single-node
-:class:`~repro.serving.service.SkylineService`:
+A :class:`ShardedBackend` puts N shard servers (each an ordinary
+``repro serve`` speaking the JSON-lines protocol) behind the one serving
+front end, :class:`~repro.serving.service.SkylineService`, which owns
+admission, coalescing, the generation-vector-keyed cache, deadlines, the
+stale fallback and the telemetry verbs.  What is left here is what only a
+cluster does:
 
 * **Reads** fan out as ``shard_query`` legs — one thread per owning shard
-  — carrying the coordinator's current **filter points** (live rows of the
+  — carrying the backend's current **filter points** (live rows of the
   dataset, recomputed from every full skyline merge) so shards prune
   dominated candidates before they cross the wire (Ciaccia–Martinenghi).
   The candidate union is merged exactly
@@ -15,16 +17,19 @@ query/mutation surface as a single-node
 * **Writes** route to the owning shard
   (:class:`~repro.serving.cluster.shards.ShardMap`) and bump that shard's
   component of the dataset's **generation vector** — the versioned leg of
-  the cluster result-cache key, so mutation invalidates cached answers
-  exactly like the single-node generation counter does.
+  the result-cache key, so mutation invalidates cached answers exactly
+  like the single-node generation counter does.  A shard's rejection of a
+  write is the writer's ``error``; a lost transport is ``unavailable``.
 * **Shard loss degrades, it does not fail**: a refused connection, EOF,
   per-leg timeout, or an injected fault (the PR-4
   :class:`~repro.mapreduce.faults.FaultInjector` plugs in via
-  ``ClusterConfig.fault_plan``) marks the leg lost, and the surviving
-  legs merge into a partial answer flagged ``degraded`` with the missing
-  shards listed — never cached, so a recovered shard immediately restores
-  full answers.  ``serve.shard.lost`` counts and events make every loss
-  observable; generation vectors fold in with ``max`` and never regress.
+  ``fault_plan``) marks the leg lost, and the surviving legs merge into a
+  partial answer listing the missing shards — never cached, so a
+  recovered shard immediately restores full answers.
+  ``serve.shard.lost`` counts and events make every loss observable;
+  generation vectors fold in with ``max`` and never regress.  With every
+  owning shard lost, :meth:`ShardedBackend.compute` raises and the front
+  end serves its newest stale answer, if any.
 
 Thread-safety: routing/identity state mutates only under ``self._lock``;
 no RPC, join, or wait ever runs while it is held.  Each
@@ -35,121 +40,46 @@ pool free-list is locked, the socket I/O is not.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import time
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.filtering import DEFAULT_FILTER_K, compute_filter_points
-from repro.core.kernels import get_kernel
 from repro.mapreduce.errors import TaskError
-from repro.mapreduce.faults import FaultInjector, FaultPlan, MonotonicClock, apply_fault
+from repro.mapreduce.faults import FaultInjector, FaultPlan, apply_fault
 from repro.observability.events import get_events
-from repro.observability.metrics import Histogram, get_metrics
-from repro.observability.slo import SLOTracker, default_objectives
+from repro.observability.metrics import get_metrics
 from repro.observability.tracing import get_tracer
-from repro.serving.cache import ResultCache
 from repro.serving.client import ServingClient, ServingConnectionError
 from repro.serving.cluster.merge import merge_candidates
 from repro.serving.cluster.shards import DatasetPlacement, ShardMap
 from repro.serving.queries import QuerySpec
-from repro.serving.service import UnknownDatasetError
+from repro.serving.service import (
+    Answer,
+    ServeConfig,
+    ServiceUnavailableError,
+    UnknownDatasetError,
+)
 
 __all__ = [
-    "ClusterConfig",
-    "ClusterCoordinator",
-    "ClusterResponse",
     "ClusterUnavailableError",
     "ShardEndpoint",
     "ShardLostError",
+    "ShardedBackend",
 ]
 
 
-class ShardLostError(RuntimeError):
+class ShardLostError(ServiceUnavailableError):
     """One shard could not answer (refused, EOF, timeout, injected fault)."""
 
     def __init__(self, shard: int, reason: str):
-        super().__init__(f"shard {shard} lost ({reason})")
-        self.shard = shard
+        super().__init__(f"shard {shard} lost ({reason})", shard=shard)
         self.reason = reason
 
 
-class ClusterUnavailableError(RuntimeError):
-    """Every owning shard was lost and no stale answer is cached."""
-
-
-@dataclass(slots=True)
-class ClusterConfig:
-    """Coordinator knobs (the cluster analogue of ``ServeConfig``)."""
-
-    #: Dominance backend for merges and filter selection.
-    kernel: str | None = None
-    #: Broadcast filter-set size (0 disables wire pruning).
-    filter_k: int = DEFAULT_FILTER_K
-    #: Per-leg socket budget for queries and small writes.
-    shard_timeout_s: float = 5.0
-    #: TCP connect budget per shard.
-    connect_timeout_s: float = 5.0
-    #: Cluster result-cache capacity (keyed by generation vector).
-    cache_entries: int = 256
-    #: Deadline applied when a query names none (``None`` = unbounded).
-    default_deadline_s: float | None = None
-    #: Inject shard faults (chaos tests): consulted once per fan-out leg
-    #: with ``job_name="cluster.<dataset>"``, ``kind="map"``,
-    #: ``index=<shard id>``.
-    fault_plan: FaultPlan | None = None
-    #: SLO objectives (same shape as the single-node service).
-    slo_latency_target: float = 0.95
-    slo_latency_threshold_s: float = 0.5
-    slo_availability_target: float = 0.999
-
-    def validate(self) -> None:
-        if self.filter_k < 0:
-            raise ValueError(f"filter_k must be >= 0, got {self.filter_k}")
-        if self.shard_timeout_s <= 0:
-            raise ValueError(
-                f"shard_timeout_s must be > 0, got {self.shard_timeout_s}"
-            )
-        if self.connect_timeout_s <= 0:
-            raise ValueError(
-                f"connect_timeout_s must be > 0, got {self.connect_timeout_s}"
-            )
-        if self.cache_entries < 0:
-            raise ValueError(
-                f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError(
-                f"default_deadline_s must be > 0, got {self.default_deadline_s}"
-            )
-
-
-@dataclass(slots=True)
-class ClusterResponse:
-    """One coordinator answer, labelled with its generation vector."""
-
-    dataset: str
-    kind: str
-    ids: List[int]
-    generations: Tuple[int, ...]
-    cache_hit: bool = False
-    degraded: bool = False
-    missing_shards: List[int] = field(default_factory=list)
-    status: str = "ok"
-    latency_s: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "kind": self.kind,
-            "ids": list(self.ids),
-            "generations": list(self.generations),
-            "cache_hit": self.cache_hit,
-            "degraded": self.degraded,
-            "missing_shards": list(self.missing_shards),
-            "status": self.status,
-            "latency_s": round(self.latency_s, 9),
-        }
+class ClusterUnavailableError(ServiceUnavailableError):
+    """Every owning shard of a query was lost."""
 
 
 class ShardEndpoint:
@@ -234,49 +164,60 @@ def _parse_endpoint(spec: "str | Tuple[str, int]") -> Tuple[str, int]:
     return host, int(port)
 
 
-class ClusterCoordinator:
-    """Sharded serving front end over N ``repro serve`` shard servers."""
+class ShardedBackend:
+    """Datasets placed across N ``repro serve`` shard servers.
+
+    ``filter_k`` is the broadcast filter-set size (0 disables wire
+    pruning), ``shard_timeout_s`` the per-leg budget of queries and writes
+    (register is unbounded), ``connect_timeout_s`` the TCP connect budget
+    per shard, and ``fault_plan`` injects shard faults (chaos tests): it is
+    consulted once per fan-out leg with ``job_name="cluster.<dataset>"``,
+    ``kind="map"``, ``index=<shard id>``.  The merge and filter kernel is
+    the front end's ``ServeConfig.kernel``.
+    """
+
+    plane = "serve.cluster"
+    event_prefix = "cluster"
+    sharded = True
 
     def __init__(
         self,
         endpoints: Sequence["str | Tuple[str, int]"],
         *,
-        config: ClusterConfig | None = None,
-        clock: Any = None,
+        filter_k: int = DEFAULT_FILTER_K,
+        shard_timeout_s: float = 5.0,
+        connect_timeout_s: float = 5.0,
+        fault_plan: FaultPlan | None = None,
     ):
         if not endpoints:
             raise ValueError("a cluster needs at least one shard endpoint")
-        self.config = config or ClusterConfig()
-        self.config.validate()
-        self.clock = clock if clock is not None else MonotonicClock()
+        if filter_k < 0:
+            raise ValueError(f"filter_k must be >= 0, got {filter_k}")
+        for name, value in (("shard_timeout_s", shard_timeout_s),
+                            ("connect_timeout_s", connect_timeout_s)):
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        self.filter_k = filter_k
+        self.shard_timeout_s = shard_timeout_s
+        self.kernel: str | None = None
         self._endpoints = [
             ShardEndpoint(
-                i, *_parse_endpoint(spec),
-                connect_timeout_s=self.config.connect_timeout_s,
+                i, *_parse_endpoint(spec), connect_timeout_s=connect_timeout_s
             )
             for i, spec in enumerate(endpoints)
         ]
         self._lock = threading.RLock()
         self._map = ShardMap(len(self._endpoints))
-        self._cache = ResultCache(self.config.cache_entries)
         #: dataset -> (generation vector the filters are valid at, rows)
         self._filters: Dict[str, Tuple[Tuple[int, ...], np.ndarray]] = {}
         self._lost_counts: Dict[int, int] = {}
         self._attempts: Dict[Tuple[str, int], int] = {}
         self._injector = (
-            FaultInjector(self.config.fault_plan)
-            if self.config.fault_plan is not None
-            else None
+            FaultInjector(fault_plan) if fault_plan is not None else None
         )
-        self._started_at = self.clock.monotonic()
-        self.slo = SLOTracker(
-            default_objectives(
-                availability_target=self.config.slo_availability_target,
-                latency_threshold_s=self.config.slo_latency_threshold_s,
-                latency_target=self.config.slo_latency_target,
-            ),
-            clock=self.clock,
-        )
+
+    def bind(self, config: ServeConfig) -> None:
+        self.kernel = config.kernel
 
     @property
     def num_shards(self) -> int:
@@ -286,12 +227,6 @@ class ClusterCoordinator:
         for endpoint in self._endpoints:
             endpoint.close()
 
-    def __enter__(self) -> "ClusterCoordinator":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     # -- dataset management -----------------------------------------------------
 
     def register(
@@ -299,9 +234,9 @@ class ClusterCoordinator:
         name: str,
         points: np.ndarray | Sequence[Sequence[float]] | None = None,
         *,
-        shard_fn: str | None = None,
         scheme: str = "angle",
         num_partitions: int = 8,
+        shard_fn: str | None = None,
     ) -> Tuple[int, ...]:
         """Place a dataset and register each shard's slice; returns the
         generation vector.
@@ -316,38 +251,31 @@ class ClusterCoordinator:
             np.asarray(points, dtype=np.float64) if points is not None else None
         )
         with self._lock:
-            replaced = name in self._map
             placement, slices = self._map.place(name, rows, shard_fn=shard_fn)
             self._filters.pop(name, None)
-        if replaced:
-            # The replacement placement restarts its generation vector; the
-            # previous incarnation's cached answers must not be addressable
-            # at the recycled (dataset, ..., gvec) keys.
-            self._cache.invalidate(name)
-        for shard in placement.shard_ids:
-            part = slices[shard]
-            request: Dict[str, Any] = {
-                "op": "register",
-                "dataset": name,
-                "scheme": scheme,
-                "partitions": num_partitions,
-            }
-            if part is not None and part.shape[0]:
-                request["points"] = [[float(v) for v in row] for row in part]
-            response = self._call_shard(name, shard, None, request)
-            if not response.get("ok"):
-                raise RuntimeError(
-                    f"shard {shard} rejected register of {name!r}: "
-                    f"{response.get('error', response)}"
-                )
+        try:
+            for shard in placement.shard_ids:
+                part = slices[shard]
+                request: Dict[str, Any] = {
+                    "op": "register",
+                    "dataset": name,
+                    "scheme": scheme,
+                    "partitions": num_partitions,
+                }
+                if part is not None and part.shape[0]:
+                    request["points"] = [[float(v) for v in row] for row in part]
+                response = self._write(name, shard, None, request)
+                with self._lock:
+                    placement.observe_generation(shard, response["generation"])
+        except BaseException:
+            # As on a single node, a failed register leaves no dataset.
             with self._lock:
-                placement.observe_generation(shard, response["generation"])
+                self._map.discard(placement)
+            raise
         with self._lock:
             gvec = placement.generation_vector()
-        if self.config.filter_k and rows is not None and rows.shape[0]:
-            flt = compute_filter_points(
-                rows, k=self.config.filter_k, kernel=self.config.kernel
-            )
+        if self.filter_k and rows is not None and rows.shape[0]:
+            flt = compute_filter_points(rows, k=self.filter_k, kernel=self.kernel)
             with self._lock:
                 self._filters[name] = (gvec, flt)
         get_metrics().gauge("serve.cluster.datasets").set(
@@ -384,23 +312,16 @@ class ClusterCoordinator:
             placement = self._placement(dataset)
             shard = placement.owner_of(row)
             self._filters.pop(dataset, None)
-        response = self._call_shard(
+        response = self._write(
             dataset,
             shard,
-            self.config.shard_timeout_s,
+            self.shard_timeout_s,
             {"op": "insert", "dataset": dataset, "point": [float(v) for v in row]},
         )
-        if not response.get("ok"):
-            raise RuntimeError(
-                f"shard {shard} rejected insert into {dataset!r}: "
-                f"{response.get('error', response)}"
-            )
         with self._lock:
             placement.observe_generation(shard, response["generation"])
             global_id = placement.bind(shard, int(response["id"]))
-            gvec = placement.generation_vector()
-        get_metrics().counter("serve.cluster.mutations").inc()
-        return global_id, gvec
+            return global_id, placement.generation_vector()
 
     def remove(self, dataset: str, point_id: int) -> Tuple[int, ...]:
         """Remove one row by global id; returns the generation vector."""
@@ -413,100 +334,75 @@ class ClusterCoordinator:
                     f"unknown point id {point_id} in dataset {dataset!r}"
                 ) from None
             self._filters.pop(dataset, None)
-        response = self._call_shard(
+        response = self._write(
             dataset,
             shard,
-            self.config.shard_timeout_s,
+            self.shard_timeout_s,
             {"op": "remove", "dataset": dataset, "id": local_id},
         )
-        if not response.get("ok"):
-            raise KeyError(
-                f"shard {shard} rejected remove of {point_id} from "
-                f"{dataset!r}: {response.get('error', response)}"
-            )
         with self._lock:
             placement.observe_generation(shard, response["generation"])
             placement.release(int(point_id))
-            gvec = placement.generation_vector()
-        get_metrics().counter("serve.cluster.mutations").inc()
-        return gvec
+            return placement.generation_vector()
 
-    # -- the serve path ---------------------------------------------------------
+    def _write(
+        self,
+        dataset: str,
+        shard: int,
+        timeout_s: float | None,
+        request: Dict[str, Any],
+    ) -> Dict[str, Any]:
+        """One write RPC; the shard's own rejection is the writer's
+        ``ValueError`` (its message is the single-node error text)."""
+        response = self._call_shard(dataset, shard, timeout_s, request)
+        if not response.get("ok"):
+            raise ValueError(str(response.get("error", response)))
+        return response
 
-    def query(
-        self, spec: QuerySpec, *, deadline_s: float | None = None
-    ) -> ClusterResponse:
-        """Serve one query across the cluster.
+    # -- answers ----------------------------------------------------------------
 
-        Raises :class:`UnknownDatasetError` for a bad name and
-        :class:`ClusterUnavailableError` only when *every* owning shard is
-        lost and nothing stale is cached; any partial loss degrades.
+    def generations(self, dataset: str) -> Tuple[int, ...]:
+        with self._lock:
+            return self._placement(dataset).generation_vector()
+
+    def compute(
+        self, spec: QuerySpec, deadline_s: float | None = None, span: Any = None
+    ) -> Answer:
+        """Fan ``spec`` out to the owning shards and merge their candidates.
+
+        Raises :class:`ClusterUnavailableError` when every owning shard is
+        lost; any partial loss is an answer listing the missing shards.
         """
         metrics = get_metrics()
-        tracer = get_tracer()
-        metrics.counter("serve.cluster.requests").inc()
-        start = self.clock.monotonic()
-        deadline = (
-            deadline_s if deadline_s is not None
-            else self.config.default_deadline_s
-        )
-        span = tracer.start_span(
-            "serve.cluster.request", kind="serve",
-            dataset=spec.dataset, query=spec.kind,
-        )
-        status = "error"
-        try:
-            response = self._serve(spec, start, deadline, span)
-            status = response.status
-            response.latency_s = self.clock.monotonic() - start
-            return response
-        finally:
-            latency_s = self.clock.monotonic() - start
-            metrics.histogram("serve.cluster.latency_s").observe(latency_s)
-            self.slo.record(latency_s, ok=status in ("ok", "degraded"))
-            span.set_attrs(status=status)
-            tracer.end_span(
-                span, status="ok" if status in ("ok", "degraded") else "error"
-            )
-
-    def _serve(
-        self,
-        spec: QuerySpec,
-        start: float,
-        deadline: float | None,
-        span: Any,
-    ) -> ClusterResponse:
-        metrics = get_metrics()
+        start = time.monotonic()
         with self._lock:
             placement = self._placement(spec.dataset)
             gvec = placement.generation_vector()
             entry = self._filters.get(spec.dataset)
             filters = entry[1] if entry is not None and entry[0] == gvec else None
-        key = (spec.dataset, spec.kind, spec.params_key(), gvec)
-        cached = self._cache.get(key)
-        if cached is not None:
-            metrics.counter("serve.cluster.cache.hits").inc()
-            span.set_attrs(cache="hit")
-            return ClusterResponse(
-                dataset=spec.dataset,
-                kind=spec.kind,
-                ids=cached,
-                generations=gvec,
-                cache_hit=True,
-            )
-        metrics.counter("serve.cluster.cache.misses").inc()
-        span.set_attrs(cache="miss", filters=0 if filters is None else len(filters))
-        answers, lost = self._fan_out(placement, spec, filters, start, deadline, span)
+        if span is not None:
+            span.set_attrs(filters=0 if filters is None else len(filters))
+        answers, lost = self._fan_out(
+            placement, spec, filters, start, deadline_s, span
+        )
         gen_of = dict(zip(placement.shard_ids, gvec))
-        if filters is not None and any(
+        with self._lock:
+            unbound = any(
+                (shard, int(i)) not in placement.global_of
+                for shard, ans in answers.items()
+                for i in ans["ids"]
+            )
+        if unbound or filters is not None and any(
             ans["generation"] != gen_of[shard] for shard, ans in answers.items()
         ):
-            # A mutation raced past the filter tag: one of the filter rows
+            # A mutation raced the fan-out: either one of the filter rows
             # may no longer be live at the generation a shard answered at,
-            # so its pruning cannot be trusted.  Re-fan-out unfiltered.
+            # so its pruning cannot be trusted, or a shard answered with a
+            # row whose insert is still in flight, so it has no global id
+            # yet.  Re-fan-out once, unfiltered.
             metrics.counter("serve.cluster.unfiltered_retries").inc()
             answers, lost = self._fan_out(
-                placement, spec, None, start, deadline, span
+                placement, spec, None, start, deadline_s, span
             )
         # A shard answering *below* the generation the coordinator has
         # already observed for it has restarted without (full) recovery:
@@ -540,8 +436,12 @@ class ClusterCoordinator:
             ]
         self._note_lost(spec.dataset, lost)
         if not answers:
-            return self._all_lost(spec, lost, span)
-        ids, rows = merge_candidates(spec, mapped, kernel=self.config.kernel)
+            raise ClusterUnavailableError(
+                f"query {spec.describe()}: all {len(lost)} owning shards "
+                f"lost ({', '.join(f'{s}:{r}' for s, r in sorted(lost.items()))})",
+                missing=sorted(lost),
+            )
+        ids, rows = merge_candidates(spec, mapped, kernel=self.kernel)
         metrics.counter("serve.cluster.points_held").inc(
             sum(ans["held"] for ans in answers.values())
         )
@@ -551,43 +451,18 @@ class ClusterCoordinator:
         metrics.counter("serve.cluster.filter_pruned").inc(
             sum(ans["candidates"] - ans["sent"] for ans in answers.values())
         )
-        gen_of_new = dict(zip(placement.shard_ids, new_gvec))
-        consistent = not lost and all(
-            ans["generation"] == gen_of_new[shard]
-            for shard, ans in answers.items()
+        # Each leg is exact at the generation its shard answered at; a
+        # mutation acknowledged during the fan-out makes the answer racy.
+        answered = tuple(
+            answers[shard]["generation"] if shard in answers else current
+            for shard, current in zip(placement.shard_ids, new_gvec)
         )
-        if lost:
-            metrics.counter("serve.cluster.degraded").inc()
-            get_events().emit(
-                "cluster.degraded",
-                dataset=spec.dataset,
-                query=spec.kind,
-                missing=sorted(lost),
-            )
-            span.set_attrs(degraded=True, missing=sorted(lost))
-        elif consistent:
-            # Degraded or racy answers are never cached: the cache must
-            # only ever serve answers that are exact at their key's
-            # generation vector.
-            self._cache.put(
-                (spec.dataset, spec.kind, spec.params_key(), new_gvec), ids
-            )
-            if self.config.filter_k and spec.kind == "skyline" and len(ids):
-                flt = compute_filter_points(
-                    rows, k=self.config.filter_k, kernel=self.config.kernel
-                )
-                with self._lock:
-                    self._filters[spec.dataset] = (new_gvec, flt)
-        span.set_attrs(results=len(ids))
-        return ClusterResponse(
-            dataset=spec.dataset,
-            kind=spec.kind,
-            ids=ids,
-            generations=new_gvec,
-            degraded=bool(lost),
-            missing_shards=sorted(lost),
-            status="degraded" if lost else "ok",
-        )
+        exact = not lost and answered == new_gvec
+        if exact and self.filter_k and spec.kind == "skyline" and len(ids):
+            flt = compute_filter_points(rows, k=self.filter_k, kernel=self.kernel)
+            with self._lock:
+                self._filters[spec.dataset] = (new_gvec, flt)
+        return Answer(ids, answered, missing=sorted(lost), cacheable=exact)
 
     # -- fan-out ----------------------------------------------------------------
 
@@ -672,13 +547,13 @@ class ClusterCoordinator:
     def _leg_timeout(self, start: float, deadline: float | None) -> float:
         remaining = self._remaining(start, deadline)
         if remaining is None:
-            return self.config.shard_timeout_s
-        return max(min(self.config.shard_timeout_s, remaining), 0.001)
+            return self.shard_timeout_s
+        return max(min(self.shard_timeout_s, remaining), 0.001)
 
     def _remaining(self, start: float, deadline: float | None) -> float | None:
         if deadline is None:
             return None
-        return max(deadline - (self.clock.monotonic() - start), 0.0)
+        return max(deadline - (time.monotonic() - start), 0.0)
 
     def _call_shard(
         self,
@@ -716,8 +591,6 @@ class ClusterCoordinator:
             # lost exactly as if the shard's transport had died.
             raise ShardLostError(shard, f"injected:{decision.action}") from exc
 
-    # -- degraded paths ---------------------------------------------------------
-
     def _note_lost(self, dataset: str, lost: Dict[int, str]) -> None:
         if not lost:
             return
@@ -730,38 +603,6 @@ class ClusterCoordinator:
             get_events().emit(
                 "serve.shard.lost", shard=shard, dataset=dataset, reason=reason
             )
-
-    def _all_lost(
-        self, spec: QuerySpec, lost: Dict[int, str], span: Any
-    ) -> ClusterResponse:
-        """Every owning shard lost: serve the newest stale answer, if any."""
-        stale = self._cache.latest(spec.dataset, spec.kind, spec.params_key())
-        get_metrics().counter("serve.cluster.degraded").inc()
-        get_events().emit(
-            "cluster.degraded",
-            dataset=spec.dataset,
-            query=spec.kind,
-            missing=sorted(lost),
-            stale=stale is not None,
-        )
-        span.set_attrs(degraded=True, missing=sorted(lost))
-        if stale is None:
-            raise ClusterUnavailableError(
-                f"query {spec.describe()}: all {len(lost)} owning shards "
-                f"lost ({', '.join(f'{s}:{r}' for s, r in sorted(lost.items()))}) "
-                "and no stale answer cached"
-            )
-        generations, ids = stale
-        return ClusterResponse(
-            dataset=spec.dataset,
-            kind=spec.kind,
-            ids=ids,
-            generations=tuple(generations),
-            cache_hit=True,
-            degraded=True,
-            missing_shards=sorted(lost),
-            status="degraded",
-        )
 
     # -- internals --------------------------------------------------------------
 
@@ -777,9 +618,8 @@ class ClusterCoordinator:
         shard: int,
         ans: Dict[str, Any],
     ) -> Tuple[List[int], np.ndarray]:
-        """Translate one shard answer to global ids, dropping rows whose
-        identity the coordinator already released (a remove racing the
-        fan-out: such rows cannot be live at the labelled generations)."""
+        """Translate one shard answer to global ids, dropping rows the
+        coordinator has not bound yet (an insert still in flight)."""
         rows = np.asarray(ans["rows"], dtype=np.float64)
         global_ids: List[int] = []
         keep: List[int] = []
@@ -794,96 +634,39 @@ class ClusterCoordinator:
 
     # -- introspection ----------------------------------------------------------
 
-    def uptime_s(self) -> float:
-        return self.clock.monotonic() - self._started_at
-
-    def cache_stats(self) -> Dict[str, int]:
-        return self._cache.stats()
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-ready operational snapshot (the cluster ``stats`` op)."""
-        snapshot = get_metrics().snapshot()
+    def describe(self) -> Dict[str, Any]:
+        """The cluster's part of ``stats``: placements and the shard table."""
         with self._lock:
-            datasets = {
-                name: {
-                    "size": p.size,
-                    "generation": sum(p.generation_vector()),
-                    "generations": list(p.generation_vector()),
-                    "shard_fn": p.shard_fn,
-                    "shards": len(p.shard_ids),
-                }
-                for name, p in (
-                    (n, self._map.placement(n)) for n in self._map.datasets()
-                )
-            }
+            placements = [self._map.placement(n) for n in self._map.datasets()]
             participation: Dict[int, int] = {}
-            for name in self._map.datasets():
-                for shard in self._map.placement(name).shard_ids:
+            for p in placements:
+                for shard in p.shard_ids:
                     participation[shard] = participation.get(shard, 0) + 1
-            shards = {
-                f"shard{ep.index}": {
-                    "address": ep.address(),
-                    "state": ep.state,
-                    "datasets": participation.get(ep.index, 0),
-                    "lost": self._lost_counts.get(ep.index, 0),
-                }
-                for ep in self._endpoints
+            return {
+                "cluster": {"shards": self.num_shards},
+                "datasets": {
+                    p.name: {
+                        "size": p.size,
+                        "generation": sum(p.generation_vector()),
+                        "generations": list(p.generation_vector()),
+                        "shard_fn": p.shard_fn,
+                        "shards": len(p.shard_ids),
+                    }
+                    for p in placements
+                },
+                "shards": {
+                    f"shard{ep.index}": {
+                        "address": ep.address(),
+                        "state": ep.state,
+                        "datasets": participation.get(ep.index, 0),
+                        "lost": self._lost_counts.get(ep.index, 0),
+                    }
+                    for ep in self._endpoints
+                },
             }
-        return {
-            "uptime_s": round(self.uptime_s(), 6),
-            "kernel": get_kernel(self.config.kernel).name,
-            "cluster": {"shards": self.num_shards},
-            "datasets": datasets,
-            "shards": shards,
-            "cache": self._cache.stats(),
-            "counters": {
-                name: value
-                for name, value in snapshot["counters"].items()
-                if name.startswith(("serve.", "prune."))
-            },
-            "gauges": {
-                name: value
-                for name, value in snapshot["gauges"].items()
-                if name.startswith(("serve.", "partition."))
-            },
-            "latency": snapshot["histograms"].get(
-                "serve.cluster.latency_s",
-                Histogram("serve.cluster.latency_s").snapshot(),
-            ),
-            "events": get_events().counts(),
-        }
-
-    def slo_report(self) -> Dict[str, Any]:
-        return self.slo.evaluate()
 
     def health(self) -> Dict[str, Any]:
-        """Liveness + burn state + shard reachability (the ``health`` op)."""
-        slo_state = self.slo.evaluate()["state"]
-        status = {"ok": "healthy", "ticket": "degraded", "page": "unhealthy"}[
-            slo_state
-        ]
+        """Shard reachability for the ``health`` op."""
         with self._lock:
             down = [ep.index for ep in self._endpoints if ep.state != "up"]
-            datasets = len(self._map.datasets())
-        if down and status == "healthy":
-            status = "degraded"
-        return {
-            "status": status,
-            "slo_state": slo_state,
-            "uptime_s": round(self.uptime_s(), 6),
-            "datasets": datasets,
-            "shards": self.num_shards,
-            "shards_down": down,
-        }
-
-    def events_tail(
-        self,
-        n: int | None = 50,
-        *,
-        kinds: Sequence[str] | None = None,
-        since_seq: int | None = None,
-    ) -> List[Dict[str, Any]]:
-        return [
-            event.to_dict()
-            for event in get_events().tail(n, kinds=kinds, since_seq=since_seq)
-        ]
+        return {"shards": self.num_shards, "shards_down": down}

@@ -2,10 +2,10 @@
 
 ``repro serve --cluster N`` and the cluster test suites need a topology
 without provisioning machines: a :class:`LocalCluster` boots N fully
-independent :class:`~repro.serving.service.SkylineService` instances,
-each behind its own :func:`~repro.serving.server.make_tcp_server` on a
-loopback port, and the coordinator talks to them over real sockets — the
-exact wire path a distributed deployment uses.
+independent single-node :class:`~repro.serving.service.SkylineService`
+instances, each behind its own TCP server on a loopback port, and the
+coordinator's sharded backend talks to them over real sockets — the exact
+wire path a distributed deployment uses.
 
 Chaos hook: :meth:`LocalCluster.kill` stops a shard's accept loop *and*
 severs its established connections (a plain ``server_close`` would leave
@@ -21,7 +21,7 @@ import threading
 from typing import Any, Dict, List
 
 from repro.serving.server import ServingTCPServer
-from repro.serving.service import ServeConfig, SkylineService
+from repro.serving.service import LocalBackend, ServeConfig, SkylineService
 
 __all__ = ["LocalCluster"]
 
@@ -112,9 +112,9 @@ class LocalCluster:
                     snapshot_every=self._snapshot_every,
                 )
             )
-        service = SkylineService(self._config, durability=durability)
-        if durability is not None:
-            service.recover_datasets()
+        backend = LocalBackend(durability=durability)
+        service = SkylineService(self._config, backend=backend)
+        backend.recover_datasets()
         return service
 
     @property
@@ -151,9 +151,10 @@ class LocalCluster:
         server.shutdown()
         server.close_connections()
         server.server_close()
-        durability = self.services[index].durability
-        if durability is not None:
-            durability.close()
+        backend = self.services[index].backend
+        assert isinstance(backend, LocalBackend)
+        if backend.durability is not None:
+            backend.durability.close()
 
     def restart(self, index: int) -> str:
         """Bring a killed shard back on its old address, state recovered

@@ -75,7 +75,9 @@ class DatasetPlacement:
     generations: Dict[int, int] = field(default_factory=dict)
     #: global id -> (shard id, shard-local id)
     local_of: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    #: (shard id, shard-local id) -> global id
+    #: (shard id, shard-local id) -> global id, released rows included:
+    #: shard-local ids are never reused, so a fan-out answer computed
+    #: before a remove still maps.
     global_of: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     def generation_vector(self) -> Tuple[int, ...]:
@@ -111,7 +113,6 @@ class DatasetPlacement:
             raise KeyError(
                 f"unknown point id {global_id} in dataset {self.name!r}"
             ) from None
-        del self.global_of[address]
         self.size -= 1
         return address
 
@@ -139,6 +140,12 @@ class ShardMap:
 
     def datasets(self) -> List[str]:
         return sorted(self._placements)
+
+    def discard(self, placement: DatasetPlacement) -> None:
+        """Forget ``placement`` (a register that did not complete), unless
+        a newer register has replaced it already."""
+        if self._placements.get(placement.name) is placement:
+            del self._placements[placement.name]
 
     def placement(self, name: str) -> DatasetPlacement:
         try:

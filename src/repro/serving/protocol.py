@@ -1,14 +1,21 @@
-"""JSON-lines request protocol of ``repro serve``.
+"""JSON-lines request protocol of ``repro serve`` and the coordinator.
 
 One request per line, one response per line.  Every request is an object
-with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
+with an ``"op"`` field; every response has ``"ok": true/false``.  One
+dispatcher, :func:`handle_request`, serves both planes; a front end over
+a sharded backend differs only in what its responses carry: the
+``generations`` vector instead of a scalar ``generation``, ``shards`` on
+``register`` / ``ping``, ``missing_shards`` on queries, and the per-shard
+table in ``stats``.  The ops:
 
 ``register``
     ``{"op": "register", "dataset": "qws", "points": [[...], ...]}`` or
     ``{"op": "register", "dataset": "qws", "generate": {"n": 500, "d": 4,
     "seed": 0}}`` (synthesises a QWS-like sample server-side, so clients
     don't ship megabytes of literals).  Optional ``scheme`` (default
-    ``"angle"``) and ``partitions``.
+    ``"angle"``), ``partitions`` and, on a cluster, ``shard_fn``
+    (``"hash"`` / ``"angle"`` / ``"grid"`` / ``"dim"``; omitted =
+    single-shard placement).
 ``query``
     ``{"op": "query", "dataset": "qws", "kind": "skyline"}`` plus the
     kind-specific parameters (``k`` / ``lower`` + ``upper`` / ``dims``)
@@ -19,7 +26,7 @@ with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
     response carries candidate ``rows`` alongside ``ids`` plus traffic
     accounting (``held`` / ``candidates`` / ``sent``), and an optional
     ``filters`` row list prunes dominated candidates before they cross
-    the wire.
+    the wire.  A single node's op only.
 ``insert`` / ``remove``
     Point mutations; responses carry the new ``generation`` (and the
     assigned ``id`` for inserts).
@@ -34,10 +41,13 @@ with an ``"op"`` field; every response has ``"ok": true/false``.  The ops:
     ``"format": "prometheus"`` text exposition.  ``repro top`` is a
     client of exactly these verbs.
 
-Failures are responses, not broken connections: an invalid request gets
-``{"ok": false, "status": "error", "error": ...}``; an admission-control
-rejection gets ``{"ok": false, "status": "rejected", "reason": ...}`` —
-the JSON-lines analogue of HTTP 429.
+Failures are responses, not broken connections: an invalid request (a
+shard's rejection of a write included) gets ``{"ok": false, "status":
+"error", "error": ...}``; an admission-control rejection gets ``{"ok":
+false, "status": "rejected", "reason": ...}`` — the JSON-lines analogue
+of HTTP 429; a lost shard transport, or a query whose every shard is lost
+with nothing stale cached, gets ``{"ok": false, "status":
+"unavailable"}``.  Partial shard loss is a successful ``degraded`` answer.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ import numpy as np
 from repro.serving.queries import QuerySpec
 from repro.serving.service import (
     ServiceOverloadedError,
+    ServiceUnavailableError,
     SkylineService,
     UnknownDatasetError,
 )
@@ -102,20 +113,28 @@ def _whole_number(params: Dict[str, Any], name: str, default: int) -> int:
     return int(value)
 
 
+def _generation(service: SkylineService, label: Any) -> Dict[str, Any]:
+    """A mutation's generation on the wire: scalar, or the shard vector."""
+    if service.backend.sharded:
+        return {"generations": list(label)}
+    return {"generation": label}
+
+
 def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
     dataset = str(request.get("dataset", ""))
-    generation = service.register(
+    shard_fn = request.get("shard_fn")
+    label = service.register(
         dataset,
         _points_of(request),
         scheme=str(request.get("scheme", "angle")),
         num_partitions=int(request.get("partitions", 8)),
+        shard_fn=str(shard_fn) if shard_fn is not None else None,
     )
-    return {
-        "ok": True,
-        "dataset": dataset,
-        "generation": generation,
-        "size": len(service.store(dataset)),
-    }
+    if service.backend.sharded:
+        extra = {"shards": service.backend.num_shards}  # type: ignore[attr-defined]
+    else:
+        extra = {"size": len(service.store(dataset))}
+    return {"ok": True, "dataset": dataset, **_generation(service, label), **extra}
 
 
 def _handle_query(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -149,17 +168,17 @@ def _handle_shard_query(
 
 
 def _handle_insert(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
-    point_id, generation = service.insert(
+    point_id, label = service.insert(
         str(request.get("dataset", "")), request["point"]
     )
-    return {"ok": True, "id": point_id, "generation": generation}
+    return {"ok": True, "id": point_id, **_generation(service, label)}
 
 
 def _handle_remove(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
-    generation = service.remove(
+    label = service.remove(
         str(request.get("dataset", "")), int(request["id"])
     )
-    return {"ok": True, "generation": generation}
+    return {"ok": True, **_generation(service, label)}
 
 
 def _handle_events(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -207,7 +226,7 @@ def handle_request(
             return _handle_register(service, request)
         if op == "query":
             return _handle_query(service, request)
-        if op == "shard_query":
+        if op == "shard_query" and not service.backend.sharded:
             return _handle_shard_query(service, request)
         if op == "insert":
             return _handle_insert(service, request)
@@ -224,7 +243,12 @@ def handle_request(
         if op == "metrics":
             return _handle_metrics(service, request)
         if op == "ping":
-            return {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
+            pong: Dict[str, Any] = {
+                "ok": True, "pong": True, "version": PROTOCOL_VERSION,
+            }
+            if service.backend.sharded:
+                pong["shards"] = service.backend.num_shards  # type: ignore[attr-defined]
+            return pong
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "status": "error", "error": f"unknown op {op!r}"}
@@ -235,6 +259,13 @@ def handle_request(
             "reason": exc.reason,
             "error": str(exc),
         }
+    except ServiceUnavailableError as exc:
+        response: Dict[str, Any] = {
+            "ok": False, "status": "unavailable", "error": str(exc),
+        }
+        if exc.shard is not None:
+            response["shard"] = exc.shard
+        return response
     except UnknownDatasetError as exc:
         return {
             "ok": False,

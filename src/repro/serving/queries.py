@@ -16,7 +16,7 @@ dispatched through the existing :mod:`repro.core` algorithms:
   attribute dimensions (ignore attributes the user doesn't care about).
 
 A :class:`QuerySpec` is the canonical, hashable description of one query;
-its :meth:`~QuerySpec.cache_key` — ``(dataset, kind, params, generation)``
+its :meth:`~QuerySpec.cache_key` — ``(dataset, kind, params, generations)``
 — is the versioned key of the serving layer's result cache.
 """
 
@@ -97,9 +97,10 @@ class QuerySpec:
             return (self.dims,)
         return ()
 
-    def cache_key(self, generation: int) -> Tuple[Any, ...]:
-        """The versioned result-cache key for this query at ``generation``."""
-        return (self.dataset, self.kind, self.params_key(), int(generation))
+    def cache_key(self, generation: int | Tuple[int, ...]) -> Tuple[Any, ...]:
+        """The versioned result-cache key for this query at ``generation``
+        (a store generation, or a backend's generation vector)."""
+        return (self.dataset, self.kind, self.params_key(), generation)
 
     def describe(self) -> str:
         """Short human-readable label used in spans and logs."""

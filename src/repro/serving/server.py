@@ -1,8 +1,8 @@
 """Serving front ends: JSON-lines over stdio or a threading TCP socket.
 
-``repro serve`` (see :mod:`repro.cli`) builds a
-:class:`~repro.serving.service.SkylineService` and hands it to one of the
-two loops here:
+``repro serve`` and ``repro coordinator`` (see :mod:`repro.cli`) build a
+:class:`~repro.serving.service.SkylineService` — over a local or a
+sharded backend — and hand it to one of the two loops here:
 
 * :func:`serve_stdio` — one session over stdin/stdout, the default.  A
   client drives it through a pipe (see
@@ -37,9 +37,8 @@ __all__ = ["serve_lines", "serve_stdio", "make_tcp_server"]
 #: event instead of silently relying on process exit to reap it.
 DEFAULT_STOP_JOIN_S = 5.0
 
-#: A request dispatcher: ``(service, decoded request) -> response object``.
-#: :func:`repro.serving.protocol.handle_request` is the single-node one;
-#: the cluster coordinator plugs in its own and reuses both loops.
+#: A request dispatcher: ``(service, decoded request) -> response object``;
+#: :func:`repro.serving.protocol.handle_request` serves both planes.
 RequestHandler = Callable[[Any, Dict[str, Any]], Dict[str, Any]]
 
 
@@ -93,15 +92,12 @@ def serve_stdio(
     service: Any,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
-    *,
-    handler: RequestHandler = handle_request,
 ) -> None:
     """Serve one session over stdin/stdout (the ``repro serve`` default)."""
     serve_lines(
         service,
         stdin if stdin is not None else sys.stdin,
         stdout if stdout is not None else sys.stdout,
-        handler=handler,
     )
 
 
@@ -137,7 +133,7 @@ class _TextOut:
 
 
 class ServingTCPServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server bound to one service and one dispatcher.
+    """Threading TCP server bound to one service.
 
     Session threads are tracked (not merely daemonised): a clean stop
     joins them with a bound, so in-flight responses get to finish and
@@ -149,15 +145,12 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: tuple,
-        service: Any,
-        handler: RequestHandler = handle_request,
-    ):
+    def __init__(self, address: tuple, service: Any):
         super().__init__(address, _SessionHandler)
         self.service = service
-        self.handler = handler
+        # The dispatcher each session runs, kept on the instance so a
+        # wrapper can time every request of this server.
+        self.handler: RequestHandler = handle_request
         self._sessions_lock = threading.Lock()
         self._sessions: Dict[int, threading.Thread] = {}
         self._stopped = threading.Event()
@@ -213,12 +206,8 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
 
 
 def make_tcp_server(
-    service: Any,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    handler: RequestHandler = handle_request,
+    service: Any, host: str = "127.0.0.1", port: int = 0
 ) -> ServingTCPServer:
     """Bind a TCP server (``port=0`` picks a free port; see
     ``server.server_address``); the caller runs ``serve_forever()``."""
-    return ServingTCPServer((host, port), service, handler)
+    return ServingTCPServer((host, port), service)

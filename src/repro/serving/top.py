@@ -113,30 +113,16 @@ def render_frame(
         head += f"   every {interval_s:g}s"
     lines.append(head)
 
-    cluster_frame = bool(stats.get("shards"))
-    if cluster_frame:
-        # Coordinator stats spell their counters serve.cluster.*.
-        requests = counters.get("serve.cluster.requests", 0)
-        line = f"requests {requests}"
-        if previous is not None:
-            line += f" ({_rate(deltas.get('serve.cluster.requests', 0), dt)})"
-        line += (
-            f"   degraded {counters.get('serve.cluster.degraded', 0)}"
-            f"   shard-lost {counters.get('serve.shard.lost', 0)}"
-            f"   mutations {counters.get('serve.cluster.mutations', 0)}"
-        )
-    else:
-        requests = counters.get("serve.requests", 0)
-        line = f"requests {requests}"
-        if previous is not None:
-            line += f" ({_rate(deltas.get('serve.requests', 0), dt)})"
-        line += (
-            f"   computes {counters.get('serve.computes', 0)}"
-            f"   coalesced {counters.get('serve.coalesced', 0)}"
-            f"   shed {counters.get('serve.shed', 0)}"
-            f"   degraded {counters.get('serve.degraded', 0)}"
-            f"   mutations {counters.get('serve.mutations', 0)}"
-        )
+    # Both front ends count the same things; a coordinator (its stats carry
+    # a shard table) spells its counters serve.cluster.*.
+    plane = "serve.cluster" if stats.get("shards") else "serve"
+    line = f"requests {counters.get(f'{plane}.requests', 0)}"
+    if previous is not None:
+        line += f" ({_rate(deltas.get(f'{plane}.requests', 0), dt)})"
+    for name in ("computes", "coalesced", "shed", "degraded", "mutations"):
+        line += f"   {name} {counters.get(f'{plane}.{name}', 0)}"
+    if plane == "serve.cluster":
+        line += f"   shard-lost {counters.get('serve.shard.lost', 0)}"
     lines.append(line)
 
     cache = stats.get("cache", {})

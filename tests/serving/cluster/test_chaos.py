@@ -5,7 +5,7 @@ Two failure injectors, the same assertions:
 * :meth:`LocalCluster.kill` — a real crash: the accept loop stops and the
   established connections are severed mid-stream;
 * a PR-4 :class:`~repro.mapreduce.faults.FaultPlan` wired through
-  ``ClusterConfig.fault_plan`` — deterministic crash / cooperative-hang /
+  ``ShardedBackend(fault_plan=...)`` — deterministic crash / cooperative-hang /
   slow decisions per fan-out leg.
 
 Invariants under loss:
@@ -26,12 +26,12 @@ import pytest
 from repro.mapreduce.faults import FaultPlan, FaultRule
 from repro.observability.metrics import get_metrics
 from repro.serving.cluster import (
-    ClusterConfig,
-    ClusterCoordinator,
     ClusterUnavailableError,
     LocalCluster,
+    ShardedBackend,
 )
 from repro.serving.queries import QuerySpec, evaluate
+from repro.serving.service import SkylineService
 
 SHARDS = 3
 
@@ -56,7 +56,7 @@ def _assert_degraded_bracket(coordinator, dataset, rows, spec, dead, answer):
     true_answer = set(evaluate(spec, all_ids, rows))
     survivors = [
         i for i in range(rows.shape[0])
-        if coordinator.shard_of(dataset, i) not in dead
+        if coordinator.backend.shard_of(dataset, i) not in dead
     ]
     ids = np.array(survivors, dtype=np.intp)
     survivors_only = set(evaluate(spec, ids, rows[ids]))
@@ -75,9 +75,8 @@ class TestKilledShard:
     def test_degraded_answer_is_sound_over_survivors(self):
         rows = _points()
         with LocalCluster(SHARDS) as fleet:
-            coordinator = ClusterCoordinator(
-                fleet.addresses(),
-                config=ClusterConfig(shard_timeout_s=2.0),
+            coordinator = SkylineService(
+                backend=ShardedBackend(fleet.addresses(), shard_timeout_s=2.0)
             )
             with coordinator:
                 coordinator.register("chaos", rows, shard_fn="angle")
@@ -112,7 +111,7 @@ class TestKilledShard:
         # Shard loss does not invalidate: at an unchanged generation
         # vector the cached full answer is still the right answer.
         with LocalCluster(SHARDS) as fleet:
-            with ClusterCoordinator(fleet.addresses()) as coordinator:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("chaos", _points(), shard_fn="hash")
                 spec = QuerySpec(dataset="chaos")
                 full = coordinator.query(spec)
@@ -123,7 +122,7 @@ class TestKilledShard:
 
     def test_all_shards_lost_serves_stale_else_raises(self):
         with LocalCluster(SHARDS) as fleet:
-            with ClusterCoordinator(fleet.addresses()) as coordinator:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("chaos", _points(), shard_fn="grid")
                 spec = QuerySpec(dataset="chaos")
                 full = coordinator.query(spec)
@@ -148,11 +147,11 @@ class TestKilledShard:
         # silently drop the mutation.
         rows = _points()
         with LocalCluster(SHARDS) as fleet:
-            with ClusterCoordinator(fleet.addresses()) as coordinator:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("chaos", rows, shard_fn="angle")
                 victim = next(
                     i for i in range(rows.shape[0])
-                    if coordinator.shard_of("chaos", i) == 2
+                    if coordinator.backend.shard_of("chaos", i) == 2
                 )
                 fleet.kill(2)
                 with pytest.raises(Exception):
@@ -161,9 +160,9 @@ class TestKilledShard:
 
 class TestInjectedFaults:
     def _coordinator(self, fleet, *rules, timeout_s=0.5):
-        return ClusterCoordinator(
-            fleet.addresses(),
-            config=ClusterConfig(
+        return SkylineService(
+            backend=ShardedBackend(
+                fleet.addresses(),
                 shard_timeout_s=timeout_s,
                 fault_plan=FaultPlan(seed=11, rules=tuple(rules)),
             ),

@@ -7,7 +7,9 @@ End-to-end over real pipes/sockets:
 * ``repro coordinator --shard ...`` — coordinator-only process fanning
   out to externally-owned shard servers;
 * ``repro top`` — the cluster frame rendered from a live coordinator's
-  ``stats`` (shard table, wire-pruning line).
+  ``stats`` (shard table, wire-pruning line);
+* the one dispatcher — the same answers and error responses from a
+  single node and a coordinator.
 """
 
 import json
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 from repro.serving.client import ServingClient
-from repro.serving.cluster import ClusterCoordinator, LocalCluster
-from repro.serving.cluster.protocol import handle_cluster_request
+from repro.serving.cluster import LocalCluster, ShardedBackend
+from repro.serving.protocol import handle_request
 from repro.serving.queries import QuerySpec, evaluate
+from repro.serving.service import SkylineService
 from repro.serving.top import collect_sample, render_frame
 from tests.serving.harness import spawn_server, subprocess_env, tcp_server
 
@@ -77,11 +80,9 @@ class TestServeCluster:
 
     def test_handler_exception_does_not_drop_pipelined_requests(self):
         with LocalCluster(2) as fleet:
-            with ClusterCoordinator(fleet.addresses()) as coordinator:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("qws", _points(), shard_fn="angle")
-                with tcp_server(
-                    coordinator, handler=handle_cluster_request
-                ) as (host, port):
+                with tcp_server(coordinator) as (host, port):
                     with socket.create_connection((host, port), 10) as sock:
                         sock.sendall(
                             b'{"op": "remove", "dataset": "qws",'
@@ -151,11 +152,80 @@ class TestCoordinatorCommand:
         assert "--shard" in proc.stderr
 
 
+class TestOneDispatcher:
+    """``handle_request`` answers a single node and a coordinator alike."""
+
+    @pytest.fixture(scope="class")
+    def planes(self):
+        with LocalCluster(2) as fleet:
+            with SkylineService(
+                backend=ShardedBackend(fleet.addresses())
+            ) as coordinator:
+                yield SkylineService(), coordinator
+
+    def test_generated_register_matches_single_node(self, planes):
+        register = {
+            "op": "register", "dataset": "gen",
+            "generate": {"n": 50, "d": 3, "seed": 1},
+        }
+        skylines = []
+        for service in planes:
+            assert handle_request(service, register)["ok"]
+            answer = handle_request(service, {"op": "query", "dataset": "gen"})
+            skylines.append(answer["ids"])
+        assert skylines[0] == skylines[1] == [4, 14, 19, 29, 40, 41, 49]
+
+    def test_malformed_generate_is_an_error_on_both_planes(self, planes):
+        register = {"op": "register", "dataset": "bad", "generate": 5}
+        single, cluster = (handle_request(s, register) for s in planes)
+        assert single["status"] == "error" and "generate" in single["error"]
+        assert cluster == single
+
+    @pytest.mark.parametrize("shard_fn", [None, "hash"])
+    @pytest.mark.parametrize(
+        "point", [[0.1, 0.2], [-0.1, 0.2, 0.3]], ids=["wrong-width", "negative"]
+    )
+    def test_rejected_insert_is_the_same_error(self, planes, point, shard_fn):
+        register = {"op": "register", "dataset": "w", "points": _points().tolist()}
+        if shard_fn is not None:
+            register["shard_fn"] = shard_fn
+        insert = {"op": "insert", "dataset": "w", "point": point}
+        responses = []
+        for service in planes:
+            assert handle_request(service, register)["ok"]
+            responses.append(handle_request(service, insert))
+        single, cluster = responses
+        assert single["ok"] is False and single["status"] == "error", single
+        assert cluster == single
+
+    def test_rejected_register_leaves_no_dataset(self, planes):
+        register = {"op": "register", "dataset": "neg", "points": [[-1, 2, 3]]}
+        query = {"op": "query", "dataset": "neg"}
+        single, cluster = (
+            (handle_request(s, register), handle_request(s, query))
+            for s in planes
+        )
+        assert single[0]["status"] == "error", single
+        assert cluster == single
+
+    def test_lost_shard_write_is_unavailable(self):
+        with LocalCluster(1) as fleet:
+            with SkylineService(
+                backend=ShardedBackend(fleet.addresses())
+            ) as coordinator:
+                coordinator.register("qws", _points())
+                fleet.kill(0)
+                response = handle_request(coordinator, {
+                    "op": "insert", "dataset": "qws", "point": [0.5] * 3,
+                })
+        assert response["status"] == "unavailable" and response["shard"] == 0
+
+
 class TestTopClusterFrame:
     def test_frame_shows_shards_and_wire_traffic(self):
         rows = _points(n=80, seed=3)
         with LocalCluster(3) as fleet:
-            with ClusterCoordinator(fleet.addresses()) as coordinator:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("qws", rows, shard_fn="angle")
                 coordinator.query(QuerySpec(dataset="qws"))
                 fleet.kill(2)
@@ -164,9 +234,7 @@ class TestTopClusterFrame:
                 )
                 assert hurt.degraded
 
-                with tcp_server(
-                    coordinator, handler=handle_cluster_request
-                ) as (host, port):
+                with tcp_server(coordinator) as (host, port):
                     with ServingClient.connect(host, port) as client:
                         sample = collect_sample(client)
 

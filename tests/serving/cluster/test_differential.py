@@ -1,7 +1,7 @@
 """Differential suite: the cluster must equal a single-node service.
 
 One :class:`LocalCluster` of three real TCP shard servers behind a
-:class:`ClusterCoordinator`, versus one in-process
+coordinator front end (a :class:`ShardedBackend`), versus one in-process
 :class:`SkylineService` over the same mutation history.  Because the
 coordinator replicates the single-node id discipline (arrival order,
 never reused), every query kind must return *identical raw id lists* —
@@ -14,14 +14,9 @@ import pytest
 
 from repro.data.generators import correlated
 from repro.observability.metrics import get_metrics
-from repro.serving.cluster import (
-    SHARD_FUNCTIONS,
-    ClusterConfig,
-    ClusterCoordinator,
-    LocalCluster,
-)
+from repro.serving.cluster import SHARD_FUNCTIONS, LocalCluster, ShardedBackend
 from repro.serving.queries import QuerySpec
-from repro.serving.service import SkylineService
+from repro.serving.service import ServeConfig, SkylineService
 
 SHARDS = 3
 
@@ -68,8 +63,8 @@ def test_all_kinds_match_single_node(cluster, shard_fn, kernel):
     d = points.shape[1]
     single = SkylineService()
     single.register("diff", points)
-    with ClusterCoordinator(
-        cluster.addresses(), config=ClusterConfig(kernel=kernel)
+    with SkylineService(
+        ServeConfig(kernel=kernel), backend=ShardedBackend(cluster.addresses())
     ) as coordinator:
         dataset = f"diff-{shard_fn}-{kernel}"
         # Same dataset name on both sides keeps the specs shared.
@@ -96,13 +91,13 @@ def test_single_shard_placement_matches(cluster):
     points = _points(60, 2, seed=9)
     single = SkylineService()
     single.register("diff", points)
-    with ClusterCoordinator(cluster.addresses()) as coordinator:
+    with SkylineService(backend=ShardedBackend(cluster.addresses())) as coordinator:
         coordinator.register("diff", points)  # no shard_fn: one shard
         _assert_parity(coordinator, single, _specs(2))
 
 
 def test_cache_hits_at_stable_generation_vector(cluster):
-    with ClusterCoordinator(cluster.addresses()) as coordinator:
+    with SkylineService(backend=ShardedBackend(cluster.addresses())) as coordinator:
         coordinator.register("diff", _points(80, 3), shard_fn="angle")
         spec = QuerySpec(dataset="diff")
         cold = coordinator.query(spec)
@@ -126,7 +121,7 @@ def _wire_counters():
 
 def _assert_wire_pruned(cluster, dataset, points, specs):
     """Communication efficiency: shards send fewer rows than they hold."""
-    with ClusterCoordinator(cluster.addresses()) as coordinator:
+    with SkylineService(backend=ShardedBackend(cluster.addresses())) as coordinator:
         coordinator.register(dataset, points, shard_fn="angle")
         # The counters are process-global: count only these queries.
         before = _wire_counters()

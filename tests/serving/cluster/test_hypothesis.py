@@ -16,13 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serving.cluster import (
-    SHARD_FUNCTIONS,
-    ClusterConfig,
-    ClusterCoordinator,
-    LocalCluster,
-)
+from repro.serving.cluster import SHARD_FUNCTIONS, LocalCluster, ShardedBackend
 from repro.serving.queries import QuerySpec, evaluate
+from repro.serving.service import SkylineService
 
 SHARDS = 3
 D = 3
@@ -97,8 +93,8 @@ def test_random_interleavings_match_model(cluster, schedule):
     model = {i: list(row) for i, row in enumerate(rows)}
     rng = np.random.default_rng(_counter[0])
 
-    with ClusterCoordinator(
-        cluster.addresses(), config=ClusterConfig()
+    with SkylineService(
+        backend=ShardedBackend(cluster.addresses())
     ) as coordinator:
         gvec = coordinator.register(
             dataset, np.asarray(rows, dtype=np.float64), shard_fn=shard_fn

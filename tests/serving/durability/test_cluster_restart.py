@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro.observability.metrics import get_metrics
-from repro.serving.cluster import ClusterConfig, ClusterCoordinator, LocalCluster
+from repro.serving.cluster import LocalCluster, ShardedBackend
 from repro.serving.queries import QuerySpec
+from repro.serving.service import ServeConfig, SkylineService
 
 DATASET = "fleet"
 DIMS = 3
@@ -44,10 +45,13 @@ def _specs():
     ]
 
 
-def _config():
+def _coordinator(fleet):
     # cache_entries=0: every query is a real fan-out, so post-restart
     # answers come from the recovered shard, not the coordinator cache.
-    return ClusterConfig(shard_timeout_s=5.0, cache_entries=0)
+    return SkylineService(
+        ServeConfig(cache_entries=0),
+        backend=ShardedBackend(fleet.addresses(), shard_timeout_s=5.0),
+    )
 
 
 def _answers(coordinator):
@@ -76,7 +80,7 @@ class TestRestartContinuity:
     def test_recovered_shard_answers_id_for_id(self, tmp_path):
         rows = _points()
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with _coordinator(fleet) as coord:
                 gvec = coord.register(DATASET, rows, shard_fn="angle")
                 assert gvec == (1, 1)
                 inserted = [
@@ -106,7 +110,7 @@ class TestRestartContinuity:
     def test_both_shards_survive_sequential_restarts(self, tmp_path):
         rows = _points(seed=12)
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with _coordinator(fleet) as coord:
                 coord.register(DATASET, rows, shard_fn="angle")
                 coord.insert(DATASET, [0.015] * DIMS)
                 pre = _answers(coord)
@@ -121,7 +125,7 @@ class TestGenerationRegression:
     def test_rolled_back_shard_is_quarantined_not_merged(self, tmp_path):
         rows = _points(seed=13)
         with LocalCluster(2, data_dir=str(tmp_path), fsync="always") as fleet:
-            with ClusterCoordinator(fleet.addresses(), config=_config()) as coord:
+            with _coordinator(fleet) as coord:
                 coord.register(DATASET, rows, shard_fn="angle")
                 wal_paths = [
                     os.path.join(

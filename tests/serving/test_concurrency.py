@@ -3,18 +3,24 @@
 A single writer thread mutates a store/service while reader threads hammer
 it; the writer records the membership snapshot after every mutation, and
 at the end every answer a reader got is checked against the recorded
-ground truth of the generation it was labelled with.  Plus a hypothesis
-property test driving random insert/remove sequences through the store.
+ground truth of the generation it was labelled with.  The overload case
+runs on both front ends: a single node and a 2-shard cluster coordinator.
+Plus a hypothesis property test driving random insert/remove sequences
+through the store.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mapreduce.faults import FaultPlan, FaultRule
 from repro.observability.metrics import get_metrics
+from repro.serving.cluster import LocalCluster, ShardedBackend
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.service import (
     ServeConfig,
@@ -128,16 +134,77 @@ class TestServiceStress:
         for spec, response in answers:
             history.verify(response.generation, response.ids, spec)
 
-    def test_overload_sheds_without_wrong_answers(self):
-        service = SkylineService(
-            ServeConfig(max_inflight=1, max_queue=0, stale_on_overload=True)
-        )
+    @pytest.mark.parametrize("plane", ["single", "cluster"])
+    def test_overload_sheds_without_wrong_answers(self, plane):
+        with _overloaded(plane) as (service, write, verify):
+            spec = QuerySpec(dataset="qws")
+            service.query(spec)  # warm the stale path
+            answers = []
+            rejections = []
+            stop = threading.Event()
+            answers_lock = threading.Lock()
+
+            def reader():
+                while not stop.is_set():
+                    try:
+                        response = service.query(spec)
+                        with answers_lock:
+                            answers.append(response)
+                    except ServiceOverloadedError:
+                        with answers_lock:
+                            rejections.append(1)
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for t in threads:
+                t.start()
+            write(steps=20)
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+
+            shed = get_metrics().counter(f"{service.backend.plane}.shed").value
+            assert shed > 0, "over-admission never shed a request"
+            for response in answers:
+                verify(response, spec)
+
+    def test_identical_cluster_queries_share_one_fan_out(self):
+        # Slow legs keep the leader's fan-out open while the followers
+        # arrive; every leg is one shard-side ``shard_candidates`` call.
+        slow = FaultRule(fault="slow", kind="map", times=None, slow_s=0.3)
+        with LocalCluster(2) as fleet:
+            backend = ShardedBackend(
+                fleet.addresses(), fault_plan=FaultPlan(seed=5, rules=(slow,))
+            )
+            with SkylineService(backend=backend) as coordinator:
+                coordinator.register("qws", _points(), shard_fn="angle")
+                served = get_metrics().counter("serve.shard.served")
+                before = served.value
+                spec = QuerySpec(dataset="qws", kind="skyband", k=2)
+                start = threading.Barrier(4)
+
+                def worker():
+                    start.wait()
+                    return coordinator.query(spec)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    responses = list(pool.map(lambda _: worker(), range(4)))
+        assert served.value - before == 2, "one leg per shard, not per request"
+        assert sum(1 for r in responses if r.coalesced) == 3
+        assert len({tuple(r.ids) for r in responses}) == 1
+        assert get_metrics().counter("serve.cluster.coalesced").value == 3
+
+
+@contextmanager
+def _overloaded(plane):
+    """A front end with one admission permit and slow computes, plus its
+    writer and the check of an answer against the truth at its label."""
+    config = ServeConfig(max_inflight=1, max_queue=0, stale_on_overload=True)
+    if plane == "single":
+        service = SkylineService(config)
         service.register("qws", _points())
         store = service.store("qws")
         history = _History(store)
-        spec = QuerySpec(dataset="qws")
-        service.query(spec)  # warm the stale path
-
         # Make each compute hold the single admission permit long enough
         # that concurrent queries genuinely overflow capacity.
         original_snapshot = store.skyline_snapshot
@@ -148,33 +215,65 @@ class TestServiceStress:
             return result
 
         store.skyline_snapshot = slow_snapshot
-        answers = []
-        rejections = []
-        stop = threading.Event()
-        answers_lock = threading.Lock()
+        yield (
+            service,
+            lambda steps: _run_writer(store, history, steps),
+            lambda response, spec: history.verify(
+                response.generation, response.ids, spec
+            ),
+        )
+        return
+    slow = FaultRule(fault="slow", kind="map", times=None, slow_s=0.005)
+    with LocalCluster(2) as fleet:
+        backend = ShardedBackend(
+            fleet.addresses(), fault_plan=FaultPlan(seed=3, rules=(slow,))
+        )
+        with SkylineService(config, backend=backend) as service:
+            service.register("qws", _points(), shard_fn="hash")
+            history = _ShardHistory(service, _points())
+            yield service, history.write, history.verify
 
-        def reader():
-            while not stop.is_set():
-                try:
-                    response = service.query(spec)
-                    with answers_lock:
-                        answers.append(response)
-                except ServiceOverloadedError:
-                    with answers_lock:
-                        rejections.append(1)
 
-        threads = [threading.Thread(target=reader) for _ in range(6)]
-        for t in threads:
-            t.start()
-        _run_writer(store, history, steps=20)
-        stop.set()
-        for t in threads:
-            t.join(timeout=30)
+class _ShardHistory:
+    """Ground truth of a hash-sharded dataset at any per-shard generation
+    vector: each shard's writes, in order, with the generation they made."""
 
-        shed = get_metrics().counter("serve.shed").value
-        assert shed > 0, "over-admission never shed a request"
-        for response in answers:
-            history.verify(response.generation, response.ids, spec)
+    def __init__(self, service, rows):
+        self.service = service
+        self.initial = {i: row for i, row in enumerate(rows)}
+        self.writes = []  # (shard, generation, id, row or None = removed)
+
+    def write(self, steps, seed=1):
+        rng = np.random.default_rng(seed)
+        backend = self.service.backend
+        live = list(self.initial)
+        for _ in range(steps):
+            if rng.random() < 0.4:
+                victim = int(rng.choice(live))
+                shard = backend.shard_of("qws", victim)
+                gvec = self.service.remove("qws", victim)
+                live.remove(victim)
+                self.writes.append((shard, gvec[shard], victim, None))
+            else:
+                row = rng.random(3) + 0.01
+                pid, gvec = self.service.insert("qws", row)
+                shard = backend.shard_of("qws", pid)
+                live.append(pid)
+                self.writes.append((shard, gvec[shard], pid, row))
+
+    def verify(self, response, spec):
+        members = dict(self.initial)
+        for shard, generation, pid, row in self.writes:
+            if generation <= response.generations[shard]:
+                if row is None:
+                    del members[pid]
+                else:
+                    members[pid] = row
+        ids = np.array(sorted(members), dtype=np.intp)
+        rows = np.array([members[i] for i in sorted(members)])
+        assert response.ids == evaluate(spec, ids, rows), (
+            f"generations {response.generations}: served {response.ids}"
+        )
 
 
 coords = st.tuples(

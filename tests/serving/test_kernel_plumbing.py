@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import ENV_KERNEL, BlockKernel, default_kernel_name
-from repro.serving.cluster import ClusterConfig, ClusterCoordinator, LocalCluster
+from repro.serving.cluster import LocalCluster, ShardedBackend
 from repro.serving.cluster.merge import merge_candidates
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.service import ServeConfig, SkylineService
@@ -101,8 +101,10 @@ class TestMergeKernel:
         # Scalar shards and no filter broadcast: every block sweep below
         # is the coordinator's merge.
         with LocalCluster(2, config=ServeConfig(kernel="scalar")) as fleet:
-            config = ClusterConfig(kernel="block", filter_k=0)
-            with ClusterCoordinator(fleet.addresses(), config=config) as coordinator:
+            backend = ShardedBackend(fleet.addresses(), filter_k=0)
+            with SkylineService(
+                ServeConfig(kernel="block"), backend=backend
+            ) as coordinator:
                 coordinator.register("plumb", _points())
                 single = SkylineService(ServeConfig(kernel="scalar"))
                 single.register("plumb", _points())

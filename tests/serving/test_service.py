@@ -339,7 +339,7 @@ class TestStats:
 
     def test_response_to_dict_round_trip(self):
         response = QueryResponse(
-            dataset="qws", kind="skyline", ids=[1, 2], generation=3,
+            dataset="qws", kind="skyline", ids=[1, 2], generations=(3,),
             cache_hit=True, latency_s=0.25,
         )
         record = response.to_dict()
