@@ -83,20 +83,22 @@ def bnl_skyline(
     -------
     :class:`BNLResult` with ascending input indices of the skyline.
     """
-    pts = validate_points(points)
     knl = get_kernel(kernel)
     if window_size is None and knl.batch:
         # Columnar fast path: sort-first sweep over whole chunks.  The
         # skyline is unique, so indices match the loop below exactly; an
-        # unbounded window means one pass in both worlds.
+        # unbounded window means one pass in both worlds.  The kernel
+        # validates the points, once; a non-empty input always has a
+        # non-empty skyline, so the indices tell whether a pass ran.
         local = DominanceCounter()
-        indices = knl.skyline(pts, counter=local, stage=stage)
+        indices = knl.skyline(points, counter=local, stage=stage)
         if counter is not None:
             counter.merge(local)
         return BNLResult(
-            indices=indices, passes=1 if pts.shape[0] else 0,
+            indices=indices, passes=1 if indices.size else 0,
             dominance_tests=local.tests,
         )
+    pts = validate_points(points)
     n = pts.shape[0]
     if window_size is not None and window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")

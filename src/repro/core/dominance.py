@@ -25,15 +25,16 @@ __all__ = [
     "dominated_by_any",
     "dominated_mask",
     "incomparable",
+    "point_matrix",
     "validate_points",
 ]
 
 
-def validate_points(points: np.ndarray, *, name: str = "points") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject NaNs.
+def point_matrix(points: np.ndarray, *, name: str = "points") -> np.ndarray:
+    """Coerce to a 2-D float64 ``(n, d)`` array, ``d ≥ 1``; no NaN scan.
 
-    NaNs break dominance transitivity (every comparison is false), so they
-    are rejected up-front rather than silently producing a wrong skyline.
+    :func:`validate_points` without its pass over the values, for a caller
+    that hands the matrix on to an op that validates it anyway.
     """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
@@ -42,6 +43,16 @@ def validate_points(points: np.ndarray, *, name: str = "points") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D (n, d), got shape {arr.shape}")
     if arr.shape[1] == 0:
         raise ValueError(f"{name} must have at least one attribute dimension")
+    return arr
+
+
+def validate_points(points: np.ndarray, *, name: str = "points") -> np.ndarray:
+    """Coerce to a 2-D float64 array and reject NaNs.
+
+    NaNs break dominance transitivity (every comparison is false), so they
+    are rejected up-front rather than silently producing a wrong skyline.
+    """
+    arr = point_matrix(points, name=name)
     if np.isnan(arr).any():
         raise ValueError(f"{name} contains NaN values")
     return arr

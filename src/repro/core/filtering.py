@@ -80,8 +80,8 @@ def compute_filter_points(
     if k == 0 or n == 0:
         return np.empty((0, d))
 
-    rng = np.random.default_rng(seed)
     if n > sample:
+        rng = np.random.default_rng(seed)
         drawn = pts[rng.choice(n, size=sample, replace=False)]
     else:
         drawn = pts

@@ -19,11 +19,13 @@ The inverse transform follows the standard hyperspherical recursion::
     v_k = r·sin ø_1 ⋯ sin ø_{k−1} · cos ø_k     (k = 2 … n−1)
     v_n = r·sin ø_1 ⋯ sin ø_{n−1}
 
-Everything is vectorised over ``(n, d)`` arrays.  The suffix sums of
-squares behind ``r`` and every ø_i come from one accumulation,
-:func:`_suffix_square_sums`, shared by the full transform and by
+Everything is vectorised over ``(n, d)`` arrays.  The suffix norms
+behind ``r`` and every ø_i come from one accumulation,
+:func:`_suffix_norms`, shared by the full transform and by
 :func:`angle_columns` (just the angle axes a partitioner splits), so both
-produce bit-identical angles.
+produce bit-identical angles.  A suffix whose squares leave the float
+range (a coordinate above ~1.34e154) is summed again scaled by its largest
+coordinate, as ``hypot`` does; every other suffix keeps the plain sums.
 """
 
 from __future__ import annotations
@@ -81,18 +83,58 @@ def _suffix_square_sums(pts: np.ndarray, lowest: int) -> np.ndarray:
     ``_SUM_BLOCK`` rows, so each block's strided column reads stay in
     cache instead of streaming the whole matrix once per dimension;
     blocking changes no add, only the order the rows are visited in.
+    A square or sum past the float range reads ``inf``, silently:
+    :func:`_suffix_norms` repairs those rows.
     """
     n, d = pts.shape
     sums = np.empty((d - lowest, n))
     square = np.empty(min(n, _SUM_BLOCK))
-    for start in range(0, n, _SUM_BLOCK):
-        stop = min(start + _SUM_BLOCK, n)
-        block = pts[start:stop]
-        np.square(block[:, d - 1], out=sums[d - 1 - lowest, start:stop])
-        for k in range(d - 2, lowest - 1, -1):
-            sq = np.square(block[:, k], out=square[: stop - start])
-            np.add(sums[k + 1 - lowest, start:stop], sq, out=sums[k - lowest, start:stop])
+    with np.errstate(over="ignore"):
+        for start in range(0, n, _SUM_BLOCK):
+            stop = min(start + _SUM_BLOCK, n)
+            block = pts[start:stop]
+            np.square(block[:, d - 1], out=sums[d - 1 - lowest, start:stop])
+            for k in range(d - 2, lowest - 1, -1):
+                sq = np.square(block[:, k], out=square[: stop - start])
+                np.add(
+                    sums[k + 1 - lowest, start:stop], sq, out=sums[k - lowest, start:stop]
+                )
     return sums
+
+
+def _suffix_norms(pts: np.ndarray, suffixes: Sequence[int]) -> np.ndarray:
+    """Row ``j`` holds ``‖(v_k, …, v_n)‖`` per point, ``k = suffixes[j]``.
+
+    The square roots of :func:`_suffix_square_sums`, bit for bit, wherever
+    those sums stay finite.  The first row of the sums holds each point's
+    largest one, so an ``inf`` there names every row that overflowed.  A
+    row with an infinite coordinate is unbounded and keeps its ``inf``
+    norms.  In any other overflowed row, each infinite norm is summed again
+    from its own suffix divided by that suffix's largest coordinate, then
+    scaled back after the root (as ``hypot`` does).  Scaling by the suffix's
+    own maximum, not the row's, keeps a row's small suffixes from
+    underflowing and makes every norm depend on its suffix alone, so
+    :func:`angle_columns` still matches the full transform bit for bit.
+    """
+    lowest = min(suffixes)
+    sums = _suffix_square_sums(pts, lowest)
+    norms = np.empty((len(suffixes), pts.shape[0]))
+    for j, k in enumerate(suffixes):
+        np.sqrt(sums[k - lowest], out=norms[j])
+    over = np.flatnonzero(np.isinf(sums[0]))
+    if over.size:
+        over = over[np.isfinite(pts[over]).all(axis=1)]
+    for j, k in enumerate(suffixes):
+        if not over.size:
+            break
+        hit = over[np.isinf(norms[j, over])]
+        if hit.size:
+            suffix = pts[hit, k:]
+            scale = suffix.max(axis=1)
+            scaled = _suffix_square_sums(suffix / scale[:, None], 0)[0]
+            with np.errstate(over="ignore"):
+                norms[j, hit] = np.sqrt(scaled) * scale
+    return norms
 
 
 def to_hyperspherical(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,10 +156,10 @@ def to_hyperspherical(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _orthant_points(points)
     d = pts.shape[1]
-    sums = _suffix_square_sums(pts, 0)
-    r = np.sqrt(sums[0])
+    norms = _suffix_norms(pts, range(d))
+    r = norms[0]
     # suffix[:, i] = sqrt(v_{i+1}² + ... + v_n²)  (0-indexed: dims i+1..d-1)
-    suffix = np.sqrt(sums[1:].T)  # (n, d-1)
+    suffix = norms[1:].T  # (n, d-1)
     angles = np.arctan2(suffix, _unsigned_zeros(pts[:, : d - 1]))
     return r, angles
 
@@ -144,12 +186,9 @@ def angle_columns(points: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     out = np.empty((n, len(axes)))
     if not axes:
         return out
-    lowest = min(axes)
-    sums = _suffix_square_sums(pts, lowest + 1)
+    norms = _suffix_norms(pts, [axis + 1 for axis in axes])
     for j, axis in enumerate(axes):
-        out[:, j] = np.arctan2(
-            np.sqrt(sums[axis - lowest]), _unsigned_zeros(pts[:, axis])
-        )
+        out[:, j] = np.arctan2(norms[j], _unsigned_zeros(pts[:, axis]))
     return out
 
 

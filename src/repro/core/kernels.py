@@ -21,7 +21,9 @@ analogue of the PR-2 executor seam — with two backends:
 The block backend's :meth:`~DominanceKernel.skyline` applies the
 Ciaccia–Martinenghi *sort-first* ordering (monotone entropy score with a
 full lexicographic tiebreak, the SFS invariant) before sweeping, so no
-point is ever evicted and one pass always suffices; the broadcast
+point is ever evicted and one pass always suffices.  A batch of at most
+``FIRST_CHUNK`` rows is one intra-chunk pass that compares every pair
+both ways, where order cannot matter, so it sweeps unsorted; the broadcast
 *filter-point* stage of the same paper lives in
 :mod:`repro.core.filtering` and calls :meth:`~DominanceKernel.filter_survivors`.
 
@@ -50,6 +52,7 @@ from repro.core.dominance import (
     dominated_by_any,
     dominates,
     dominates_any,
+    point_matrix,
     validate_points,
 )
 
@@ -152,7 +155,11 @@ def sort_first_order(rows: np.ndarray) -> np.ndarray:
     stable lexsort keyed by (run, coordinates) reorders the tied positions
     within their runs.
     """
-    pts = validate_points(rows)
+    return _sort_first_order(validate_points(rows))
+
+
+def _sort_first_order(pts: np.ndarray) -> np.ndarray:
+    """:func:`sort_first_order` of already validated points."""
     shifted = pts - pts.min(axis=0, keepdims=True)
     scores = np.log1p(shifted).sum(axis=1)
     order = np.argsort(scores, kind="stable")
@@ -524,9 +531,9 @@ class BlockKernel(DominanceKernel):
             return keep
         cols = _columns(pts)
         sums = _column_sums(cols)
-        # The accumulated skyline, column-major like the candidates.
-        sky = np.empty((d, min(n, 1024)))
-        sky_sums = np.empty(sky.shape[1])
+        # The accumulated skyline, column-major like the candidates;
+        # allocated when a chunk first hands survivors on to a later one.
+        sky = sky_sums = None
         sky_len = 0
         tests = 0
         for start, stop in _sweep_chunks(n):
@@ -535,7 +542,7 @@ class BlockKernel(DominanceKernel):
             surv_sums = sums[start:stop]
             # k > 1: dominators found so far per survivor; a survivor dies
             # at k.  k = 1 stays on the cheaper any-dominance test.
-            found = np.zeros(stop - start, dtype=np.int64)
+            found = np.zeros(stop - start, dtype=np.int64) if k > 1 else None
             # Established skyline first: transitivity makes the intra-chunk
             # resolution below exact over survivors only (a chunk row
             # dominated by a dead chunk row is dominated by whatever killed
@@ -570,37 +577,45 @@ class BlockKernel(DominanceKernel):
                     survivors = survivors[alive_mask]
                     surv = surv[:, alive_mask]
                     surv_sums = surv_sums[alive_mask]
-                    found = found[alive_mask]
+                    if k > 1:
+                        found = found[alive_mask]
                 wstart = wstop
-            if survivors.size:
+            m = survivors.size
+            if m > 1:
+                # Pairwise over survivors, both ways: duplicates make the
+                # full pass the safe shape, and it needs no row order, so
+                # a one-chunk sweep needs no sort-first permutation.
+                # Survivors that die here still count: each is a real
+                # dominator, and the band's own members below k never
+                # reach k.
+                args = (surv, surv, surv_sums, surv_sums)
+                if k == 1:
+                    intra_alive = ~_any_dominates_block(*args)
+                else:
+                    intra_alive = found + _count_dominators_block(*args) < k
+                tests += m * m
+                survivors = survivors[intra_alive]
                 m = survivors.size
-                if m > 1:
-                    # Pairwise over survivors: the sort order already
-                    # forbids j < i wins, but duplicates make the full
-                    # both-sides pass the safe shape.  Survivors that die
-                    # here still count: each is a real dominator, and the
-                    # band's own members below k never reach k.
-                    args = (surv, surv, surv_sums, surv_sums)
-                    if k == 1:
-                        intra_alive = ~_any_dominates_block(*args)
-                    else:
-                        intra_alive = found + _count_dominators_block(*args) < k
-                    tests += m * m
-                    survivors = survivors[intra_alive]
-                    surv = surv[:, intra_alive]
-                    surv_sums = surv_sums[intra_alive]
-                    m = survivors.size
-                keep[start + survivors] = True
-                if sky_len + m > sky.shape[1]:
-                    grown = np.empty((d, max(sky.shape[1] * 2, sky_len + m)))
-                    grown[:, :sky_len] = sky[:, :sky_len]
-                    sky = grown
-                    grown_sums = np.empty(sky.shape[1])
-                    grown_sums[:sky_len] = sky_sums[:sky_len]
-                    sky_sums = grown_sums
-                sky[:, sky_len : sky_len + m] = surv
-                sky_sums[sky_len : sky_len + m] = surv_sums
-                sky_len += m
+            if m == 0:
+                continue
+            kept = start + survivors
+            keep[kept] = True
+            if stop == n:
+                break
+            # Later chunks sweep against these survivors.
+            if sky is None:
+                sky = np.empty((d, min(n, 1024)))
+                sky_sums = np.empty(sky.shape[1])
+            if sky_len + m > sky.shape[1]:
+                grown = np.empty((d, max(sky.shape[1] * 2, sky_len + m)))
+                grown[:, :sky_len] = sky[:, :sky_len]
+                sky = grown
+                grown_sums = np.empty(sky.shape[1])
+                grown_sums[:sky_len] = sky_sums[:sky_len]
+                sky_sums = grown_sums
+            sky[:, sky_len : sky_len + m] = cols[:, kept]
+            sky_sums[sky_len : sky_len + m] = sums[kept]
+            sky_len += m
         if counter is not None:
             counter.add(tests, stage)
         return keep
@@ -612,10 +627,18 @@ class BlockKernel(DominanceKernel):
         counter: DominanceCounter | None = None,
         stage: str = "skyline",
     ) -> np.ndarray:
-        pts = validate_points(rows)
-        if pts.shape[0] == 0:
+        # Every non-empty input reaches sweep_sorted, which scans it for
+        # NaN: one scan per matrix, so only its shape is checked here.
+        pts = point_matrix(rows)
+        n = pts.shape[0]
+        if n == 0:
             return np.empty(0, dtype=np.intp)
-        order = sort_first_order(pts)
+        if n <= FIRST_CHUNK:
+            # One chunk: the sweep is a single intra-chunk pass over every
+            # pair, both ways, so the mask and the n² tests do not depend
+            # on the row order and the sort-first permutation buys nothing.
+            return self.sweep_sorted(pts, counter=counter, stage=stage).nonzero()[0]
+        order = _sort_first_order(pts)
         mask = self.sweep_sorted(pts[order], counter=counter, stage=stage)
         return np.sort(order[mask]).astype(np.intp)
 

@@ -158,9 +158,13 @@ class PartitionAssignMapper(Mapper):
 def _concat_payloads(values: Sequence[Block]) -> Block:
     """A reduce group's shuffled payloads as one ``(indices, rows)`` pair.
 
-    The payloads are adopted as they are: :func:`bnl_skyline` validates the
-    merged matrix, one NaN scan per group instead of one per payload.
+    The payloads are adopted as they are: the kernel behind
+    :func:`bnl_skyline` validates the merged matrix, one NaN scan per group
+    instead of one per payload.  A group of one payload is that payload,
+    uncopied.
     """
+    if len(values) == 1:
+        return values[0]
     return (
         np.concatenate([indices for indices, _ in values]),
         np.concatenate([rows for _, rows in values]),

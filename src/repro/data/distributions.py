@@ -130,6 +130,15 @@ def empirical_quantile(sample: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     probs = (np.arange(sorted_sample.size) + 0.5) / sorted_sample.size
 
     def quantile(u: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(u), probs, sorted_sample)
+        u = np.asarray(u)
+        flat = u.ravel()
+        # np.interp starts each bin search from the previous value's bin,
+        # so values taken in sorted order find their bins in a step or two
+        # instead of a binary search each.  The search only finds the bin
+        # faster, never a different one, so every value keeps its bits.
+        order = np.argsort(flat)
+        out = np.empty(flat.shape)
+        out[order] = np.interp(flat[order], probs, sorted_sample)
+        return out.reshape(u.shape)
 
     return quantile

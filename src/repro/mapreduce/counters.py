@@ -42,10 +42,16 @@ class Counters:
         return dict(self._data.get(group, {}))
 
     def merge(self, other: "Counters") -> None:
-        """Fold another counter set into this one (used at task completion)."""
+        """Fold another counter set into this one (used at task completion).
+
+        Every value in ``other`` already passed :meth:`increment`'s type
+        check, so the sums fold straight into the buckets.
+        """
+        data = self._data
         for grp, names in other._data.items():
+            bucket = data[grp]
             for name, val in names.items():
-                self.increment(grp, name, val)
+                bucket[name] = bucket.get(name, 0) + val
 
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """Deep-copy snapshot, suitable for JSON serialization."""

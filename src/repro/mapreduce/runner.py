@@ -84,8 +84,16 @@ Pair = Tuple[Hashable, Any]
 _Pending = Dict[Future, Tuple[int, Any, int]]
 
 
+#: Duration histogram of each task kind, named once for every job.
+_DURATION_HISTOGRAMS = {kind: f"task.{kind.value}.duration_s" for kind in TaskKind}
+
+
 def _task_span_attrs(stats: TaskStats) -> Dict[str, Any]:
-    """Span annotations shared by real and synthetic task spans."""
+    """Span annotations shared by real and synthetic task spans.
+
+    Built only when the tracer records spans: a disabled tracer's spans
+    drop their attributes anyway.
+    """
     return {
         "task_kind": str(stats.kind),
         "records_in": stats.records_in,
@@ -98,7 +106,7 @@ def _task_span_attrs(stats: TaskStats) -> Dict[str, Any]:
 
 def _observe_task(stats: TaskStats) -> None:
     """Feed one finished task into the duration histograms."""
-    get_metrics().histogram(f"task.{stats.kind}.duration_s").observe(
+    get_metrics().histogram(_DURATION_HISTOGRAMS[stats.kind]).observe(
         stats.duration_s
     )
 
@@ -368,7 +376,8 @@ class Runner:
                         else:
                             partitions.append(grouped)
                     shuffle_wall = (time.perf_counter_ns() - t1) / 1e9
-                    sh_span.set_attrs(**shuffle_stats.as_dict())
+                    if tracer.enabled:
+                        sh_span.set_attrs(**shuffle_stats.as_dict())
 
                 # Per-reduce-partition record counts: the skew the paper's
                 # partitioning schemes compete on.
@@ -401,12 +410,13 @@ class Runner:
                     reduce_stats.tasks.append(stats)
                     _observe_task(stats)
 
-                job_span.set_attrs(
-                    map_wall_s=round(map_wall, 9),
-                    shuffle_wall_s=round(shuffle_wall, 9),
-                    reduce_wall_s=round(reduce_wall, 9),
-                    output_records=sum(len(p) for p in outputs),
-                )
+                if tracer.enabled:
+                    job_span.set_attrs(
+                        map_wall_s=round(map_wall, 9),
+                        shuffle_wall_s=round(shuffle_wall, 9),
+                        reduce_wall_s=round(reduce_wall, 9),
+                        output_records=sum(len(p) for p in outputs),
+                    )
                 if lost:
                     job_span.set_attrs(partial=True, lost_partitions=list(lost))
             finally:
@@ -703,9 +713,9 @@ class Runner:
         timeout_s: float | None = None,
     ) -> Any:
         """Execute one attempt in the driver under a real task span."""
-        task_id = f"{kind}-{index}"
-        with self.tracer.span(
-            task_id,
+        tracer = self.tracer
+        with tracer.span(
+            f"{kind}-{index}",
             kind="task",
             parent=parent,
             attempt=attempt,
@@ -718,7 +728,8 @@ class Runner:
             _, _, stats = result
             if attempt > 1:
                 stats.attempt = attempt
-            span.set_attrs(**_task_span_attrs(stats))
+            if tracer.enabled:
+                span.set_attrs(**_task_span_attrs(stats))
         return result
 
     def _drain(
@@ -858,13 +869,17 @@ class Runner:
                 next_ready = min(d[0] for d in delayed)
                 clock.sleep(max(0.0, next_ready - clock.monotonic()))
                 continue
-            done, _ = wait(
-                live,
-                timeout=_drain_wait_timeout(
-                    ex, policy, live, started, delayed, durations, now
-                ),
-                return_when=FIRST_COMPLETED,
-            )
+            if ex.inline:
+                # Inline futures resolve during submit: nothing to wait on.
+                done = live
+            else:
+                done, _ = wait(
+                    live,
+                    timeout=_drain_wait_timeout(
+                        policy, live, started, delayed, durations, now
+                    ),
+                    return_when=FIRST_COMPLETED,
+                )
             for future in sorted(done, key=lambda f: pending[f][0]):
                 index, payload, attempt = pending.pop(future)
                 started.pop(future, None)
@@ -894,7 +909,7 @@ class Runner:
                 if attempt > 1:
                     stats.attempt = attempt
                 durations.append(stats.duration_s)
-                if not ex.inline:
+                if not ex.inline and tracer.enabled:
                     span_extra = (
                         {"speculative": True} if index in speculated else {}
                     )
@@ -1046,7 +1061,6 @@ class Runner:
 
 
 def _drain_wait_timeout(
-    ex: Executor,
     policy: RetryPolicy,
     live: List[Future],
     started: Dict[Future, float],
@@ -1054,7 +1068,7 @@ def _drain_wait_timeout(
     durations: List[float],
     now: float,
 ) -> float | None:
-    """How long the drain loop may block before its next housekeeping pass.
+    """How long a pool drain may block before its next housekeeping pass.
 
     ``None`` (block until a future completes) whenever nothing is
     scheduled: no backoff expiry pending, no deadline to enforce, no armed
@@ -1063,17 +1077,13 @@ def _drain_wait_timeout(
     candidates: List[float] = []
     if delayed:
         candidates.append(max(0.0, min(d[0] for d in delayed) - now))
-    if policy.task_timeout_s is not None and not ex.inline:
+    if policy.task_timeout_s is not None:
         deadlines = [
             started[f] + policy.task_timeout_s - now for f in live if f in started
         ]
         if deadlines:
             candidates.append(max(0.0, min(deadlines)))
-    if (
-        policy.speculation
-        and not ex.inline
-        and len(durations) >= policy.speculation_min_completed
-    ):
+    if policy.speculation and len(durations) >= policy.speculation_min_completed:
         candidates.append(policy.speculation_poll_s)
     return min(candidates) if candidates else None
 
@@ -1115,7 +1125,10 @@ def _ingest_into(
 
     def _ingest(index: int, result: Any) -> Any:
         buffers, task_counters, stats = result
-        streaming.ingest(index, buffers, on_duplicate=on_duplicate)
+        # The task's bytes_out already counted every pair it emitted.
+        streaming.ingest(
+            index, buffers, on_duplicate=on_duplicate, nbytes=stats.bytes_out
+        )
         return (None, task_counters, stats)
 
     return _ingest

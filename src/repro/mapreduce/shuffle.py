@@ -121,8 +121,10 @@ def _safe_sort(pairs: List[Pair]) -> List[Pair]:
     Always sorts through :func:`_sort_token` so in-memory sorts, spilled
     segment sorts, and k-way merges agree on one ordering — a segment sorted
     by natural ``<`` and merged by a different order would interleave
-    wrongly.
+    wrongly.  Fewer than two pairs are already in order.
     """
+    if len(pairs) < 2:
+        return list(pairs)
     return sorted(pairs, key=lambda kv: _sort_token(kv[0]))
 
 
@@ -274,8 +276,14 @@ class StreamingShuffle:
         buffers: List[List[Pair]],
         *,
         on_duplicate: str = "raise",
+        nbytes: int | None = None,
     ) -> None:
         """Absorb one map task's per-partition buffers (sorting them now).
+
+        ``nbytes`` is the buffers' :func:`estimate_nbytes` total when the
+        caller has already counted it — a map task's ``bytes_out`` is
+        exactly that sum — so no pair is walked twice; ``None`` walks them
+        here.
 
         ``on_duplicate`` controls what a second ingest of the same map index
         does: ``"raise"`` (the default — a duplicate is a runner bug in a
@@ -301,15 +309,18 @@ class StreamingShuffle:
                     f"map task {map_index} produced {len(buffers)} buffers "
                     f"for {self.num_partitions} partitions"
                 )
+            if nbytes is None:
+                nbytes = sum(
+                    estimate_nbytes(key) + estimate_nbytes(value)
+                    for seg in buffers
+                    for key, value in seg
+                )
+            self.stats.bytes += nbytes
             for part, seg in enumerate(buffers):
                 if not seg:
                     continue
                 self.stats.segments += 1
                 self.stats.records += len(seg)
-                for key, value in seg:
-                    self.stats.bytes += (
-                        estimate_nbytes(key) + estimate_nbytes(value)
-                    )
                 self._segments[part][map_index] = (
                     _safe_sort(seg) if self._sort_keys else list(seg)
                 )
@@ -346,9 +357,13 @@ class StreamingShuffle:
                 self._read_spill(spilled[i]) if i in spilled else segments[i]
                 for i in indices
             ]
-            merged = list(
-                heapq.merge(*streams, key=lambda kv: _sort_token(kv[0]))
-            )
+            if len(streams) > 1:
+                merged = list(
+                    heapq.merge(*streams, key=lambda kv: _sort_token(kv[0]))
+                )
+            else:
+                # At most one segment, sorted at ingest: nothing to merge.
+                merged = [pair for stream in streams for pair in stream]
         else:
             merged = [pair for i in indices for pair in segments[i]]
         for path in spilled.values():

@@ -272,5 +272,10 @@ def handle_request(
             "status": "error",
             "error": f"unknown dataset {exc.args[0]!r}",
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument, quotes included;
+        # the argument itself is the message.
+        message = str(exc.args[0]) if exc.args else str(exc)
+        return {"ok": False, "status": "error", "error": message}
+    except (TypeError, ValueError) as exc:
         return {"ok": False, "status": "error", "error": str(exc)}

@@ -215,3 +215,52 @@ class TestPartialAngles:
         r_ref, angles_ref = _reversed_cumsum_transform(pts)
         assert np.array_equal(r, r_ref) and np.array_equal(angles, angles_ref)
         assert np.array_equal(angle_columns(pts, axes), angles[:, axes])
+
+
+class TestHugeCoordinates:
+    """Squares past the float range (coordinates above ~1.34e154) are
+    summed again scaled, and nothing else moves."""
+
+    def test_equal_huge_coordinates_are_half_a_right_angle(self):
+        angles = angle_columns(np.array([[1.35e154, 1.35e154], [1.0, 2.0]]), [0])
+        assert angles[0, 0] == pytest.approx(np.pi / 4, rel=1e-15)
+        assert angles[1, 0] == np.arctan2(2.0, 1.0)
+
+    def test_rows_with_an_infinity_keep_their_angles(self):
+        pts = np.array([[np.inf, 1.0, 1.0], [1.0, np.inf, 1e200]])
+        with np.errstate(over="ignore"):
+            r_ref, angles_ref = _reversed_cumsum_transform(pts)
+        r, angles = to_hyperspherical(pts)
+        assert np.array_equal(r, r_ref) and np.array_equal(angles, angles_ref)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.integers(2, 6)),
+            elements=st.floats(0, 1e300),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_angles_up_to_1e300(self, pts, data):
+        # Runs under the pytest filter that turns a RuntimeWarning from
+        # repro.core.hyperspherical into a failure.
+        d = pts.shape[1]
+        r, angles = to_hyperspherical(pts)
+        assert np.isfinite(r).all()
+        assert ((angles >= 0) & (angles <= MAX_ANGLE)).all()
+        axes = data.draw(st.lists(st.integers(0, d - 2), unique=True).map(sorted))
+        assert np.array_equal(angle_columns(pts, axes), angles[:, axes])
+        # Every norm whose plain sum of squares stays finite keeps the plain
+        # transform's bits; every other one matches a norm that never
+        # squares at all.
+        with np.errstate(over="ignore"):
+            sums = np.cumsum((pts**2)[:, ::-1], axis=1)[:, ::-1]
+        plain = np.isfinite(sums)
+        hypot = np.stack([np.hypot.reduce(pts[:, k:], axis=1) for k in range(d)], axis=1)
+        norms = np.where(plain, np.sqrt(sums), hypot)
+        want_r, want_angles = norms[:, 0], np.arctan2(norms[:, 1:], pts[:, :-1])
+        assert np.array_equal(r[plain[:, 0]], want_r[plain[:, 0]])
+        assert np.array_equal(angles[plain[:, 1:]], want_angles[plain[:, 1:]])
+        np.testing.assert_allclose(r, want_r, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(angles, want_angles, rtol=1e-13, atol=0)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bnl import bnl_skyline
 from repro.core.incremental import IncrementalSkyline
 from repro.core.dominance import DominanceCounter
-from repro.core.kernels import KERNEL_NAMES, get_kernel, sort_first_order
+from repro.core.kernels import FIRST_CHUNK, KERNEL_NAMES, get_kernel, sort_first_order
 from repro.core.mr_skyline import run_mr_skyline
 from repro.core.partitioning import make_partitioner
 from repro.core.sfs import sfs_skyline
@@ -234,6 +234,28 @@ def test_block_dominance_tests_on_the_qws_batch_job():
     }
 
 
+def test_block_job_on_the_serve_mixed_points():
+    # The MR-Angle block job that serve-mixed and serve-cluster time,
+    # pinned like the batch job above: uniform 1,000 x 4 rounded to the
+    # six decimals the wire carries.  The engine's byte accounting is
+    # pinned with it: the shuffle counts exactly what the map tasks
+    # emitted.
+    pts = np.round(np.random.default_rng(2012).random((1000, 4)), 6)
+    result = run_mr_skyline(pts, method="angle", kernel="block")
+    assert result.dominance_tests == 6_194
+    assert sum(r.shuffle_stats.bytes for r in result.chain.results) == 6_376
+    map_bytes = [t.bytes_out for r in result.chain.results for t in r.map_stats.tasks]
+    assert sum(map_bytes) == 6_376
+    assert result.points_pruned == 922
+    assert result.global_indices.size == 74
+    assert _sha256(result.global_indices) == (
+        "a62d55a88e7be4814e2073754f07331509c5bcd04ce5fce4e9dd60edee4becef"
+    )
+    assert _sha256(result.partition_ids) == (
+        "a8be603266ab43cfeb00f867514113838948ec2730878b1561edf1371cf27afd"
+    )
+
+
 # -- Hypothesis: adversarial search beyond the curated sets -------------------
 
 finite = st.floats(
@@ -282,3 +304,32 @@ def test_hypothesis_mr_pipeline_matches_oracle(pts):
             pts, method="grid", num_workers=2, kernel=kernel, prune_filter_k=4
         )
         assert np.array_equal(_ids(result.global_indices), expected)
+
+
+@st.composite
+def one_chunk_batches(draw):
+    """At most ``FIRST_CHUNK`` rows: grid values (ties, duplicates) or floats."""
+    n = draw(st.integers(min_value=1, max_value=FIRST_CHUNK))
+    d = draw(st.integers(min_value=1, max_value=6))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0]) if draw(st.booleans()) else finite
+    pts = np.array(
+        draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    if draw(st.booleans()) and n > 1:
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        pts[-k:] = pts[:k]
+    return pts
+
+
+@given(one_chunk_batches())
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_one_chunk_block_skyline_matches_scalar(pts):
+    # A block sweep of at most FIRST_CHUNK rows runs in input order, with
+    # no sort-first permutation: one intra-chunk pass over every pair,
+    # both ways, n^2 tests (none for a single row).
+    counter = DominanceCounter()
+    got = get_kernel("block").skyline(pts, counter=counter)
+    assert np.array_equal(got, get_kernel("scalar").skyline(pts))
+    n = pts.shape[0]
+    assert counter.tests == (n * n if n > 1 else 0)

@@ -20,6 +20,7 @@ from repro.core.partitioning import (
     make_partitioner,
     partition_sizes,
 )
+from repro.core.partitioning.angular import _sorted_quantiles
 
 nonneg_clouds = arrays(
     np.float64,
@@ -472,6 +473,20 @@ class TestAngularFitCuts:
         assert np.array_equal(
             np.quantile(np.sort(angles), qs), np.quantile(angles, qs)
         )
+
+    @given(
+        tie_heavy_angles
+        | arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e300, 1e300)),
+        st.integers(2, 17),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interpolated_edges_are_np_quantile_bits(self, column, k):
+        """The fit's edges, read off the sorted column, carry the very
+        bits of ``np.quantile`` over the unsorted column."""
+        qs = np.linspace(0, 1, k + 1)[1:-1]
+        got = _sorted_quantiles(np.sort(column), qs)
+        want = np.quantile(column, qs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(
         arrays(

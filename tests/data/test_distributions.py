@@ -159,3 +159,20 @@ class TestEmpiricalQuantile:
         q = empirical_quantile(np.array(data))
         out = q(np.array([u]))[0]
         assert min(data) - 1e-9 <= out <= max(data) + 1e-9
+
+    @given(
+        data=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+        u=st.lists(
+            st.floats(0, 1) | st.sampled_from([0.0, 0.5, 1.0, 1e-12]), max_size=80
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_order_interpolation_keeps_the_bits(self, data, u):
+        """Values interpolated in sorted order carry the bits of one
+        ``np.interp`` over the unsorted values."""
+        sample = np.sort(np.array(data))
+        probs = (np.arange(sample.size) + 0.5) / sample.size
+        u = np.array(u, dtype=np.float64)
+        got = empirical_quantile(np.array(data))(u)
+        want = np.interp(u, probs, sample)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Tests for the synthetic QWS workload generator and extension procedure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,16 @@ class TestExtension:
         a = extend_dataset(base, 4000, seed=5)
         b = extend_dataset(base, 4000, seed=5)
         assert np.array_equal(a.raw, b.raw)
+
+    def test_benchmark_extension_is_pinned(self):
+        # The benchmark's QWS 100,000 (perfbench batch-qws), byte for byte:
+        # a change to the copula sampling or the empirical quantiles shows
+        # up here without running the benchmark.
+        ext = extend_dataset(generate_qws(10_000, seed=2012), 100_000, seed=2013)
+        assert ext.raw.shape == (100_000, 10) and ext.raw.dtype == np.float64
+        assert hashlib.sha256(ext.raw.tobytes()).hexdigest() == (
+            "1de2427b0c0c939e7a57d520e587447855189de23c6f21f9831835171c36d9de"
+        )
 
     def test_jitter_stays_near_parents(self, base):
         ext = extend_dataset(base, 3500, seed=3, method="jitter", narrow_range=0.01)

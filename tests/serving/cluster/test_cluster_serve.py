@@ -181,6 +181,20 @@ class TestOneDispatcher:
         assert single["status"] == "error" and "generate" in single["error"]
         assert cluster == single
 
+    def test_unknown_remove_id_is_a_plain_message_on_both_planes(self, planes):
+        register = {"op": "register", "dataset": "x", "points": _points().tolist()}
+        remove = {"op": "remove", "dataset": "x", "id": 999}
+        answers = []
+        for service in planes:
+            assert handle_request(service, register)["ok"]
+            answers.append(handle_request(service, remove))
+        single, cluster = answers
+        assert single == {"ok": False, "status": "error", "error": "unknown point id 999"}
+        assert cluster == {
+            "ok": False, "status": "error",
+            "error": "unknown point id 999 in dataset 'x'",
+        }
+
     @pytest.mark.parametrize("shard_fn", [None, "hash"])
     @pytest.mark.parametrize(
         "point", [[0.1, 0.2], [-0.1, 0.2, 0.3]], ids=["wrong-width", "negative"]

@@ -95,6 +95,16 @@ class TestDispatch:
         })
         assert removed == {"ok": True, "generation": 3}
 
+    def test_unknown_remove_id_answers_the_plain_message(self):
+        service = SkylineService()
+        handle_request(service, {
+            "op": "register", "dataset": "x", "points": [[1.0, 2.0], [2.0, 1.0]],
+        })
+        response = handle_request(service, {"op": "remove", "dataset": "x", "id": 999})
+        assert response == {
+            "ok": False, "status": "error", "error": "unknown point id 999",
+        }
+
     def test_stats_and_ping(self):
         service = _service()
         stats = handle_request(service, {"op": "stats"})
