@@ -1,14 +1,13 @@
 """Micro-benchmarks of the single-machine skyline algorithms.
 
-Not a paper figure — these quantify the building blocks (BNL vs SFS vs D&C
-vs the brute-force reference) across the three canonical workloads, and are
+Not a paper figure — these quantify the building blocks (BNL vs SFS)
+across the three canonical workloads, and are
 the numbers to watch when optimising the inner dominance kernels.
 """
 
 import pytest
 
 from repro.core.bnl import bnl_skyline
-from repro.core.dnc import dnc_skyline
 from repro.core.sfs import sfs_skyline
 from repro.data.generators import generate
 
@@ -18,7 +17,6 @@ D = 5
 ALGORITHMS = {
     "bnl": lambda pts: bnl_skyline(pts).indices,
     "sfs": lambda pts: sfs_skyline(pts).indices,
-    "dnc": lambda pts: dnc_skyline(pts).indices,
 }
 
 

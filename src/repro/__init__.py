@@ -46,7 +46,6 @@ _EXPORTS = {
         "MRSkylineResult",
         "RandomPartitioner",
         "bnl_skyline",
-        "dnc_skyline",
         "dominates",
         "run_mr_skyline",
         "sfs_skyline",
@@ -82,7 +81,6 @@ __all__ = [
     "ServiceRegistry",
     "__version__",
     "bnl_skyline",
-    "dnc_skyline",
     "dominates",
     "extend_dataset",
     "generate_qws",

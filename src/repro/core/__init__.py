@@ -7,8 +7,8 @@ Layout:
 * :mod:`repro.core.kernels` — pluggable dominance backends
   (``scalar`` reference / ``block`` columnar)
 * :mod:`repro.core.filtering` — Ciaccia–Martinenghi filter-point selection
-* :mod:`repro.core.bnl` / :mod:`repro.core.sfs` / :mod:`repro.core.dnc` —
-  single-machine skyline algorithms
+* :mod:`repro.core.bnl` / :mod:`repro.core.sfs` — single-machine skyline
+  algorithms
 * :mod:`repro.core.skyline` — unified single-machine API
 * :mod:`repro.core.hyperspherical` — Eq. (1) coordinate transform
 * :mod:`repro.core.partitioning` — dimensional / grid / angular / random
@@ -32,7 +32,6 @@ from repro.core.skyline import skyline
 _EXPORTS = {
     "repro.core.blocks": ("PointBlock", "concat_blocks"),
     "repro.core.bnl": ("BNLResult", "bnl_merge", "bnl_skyline"),
-    "repro.core.dnc": ("DNCResult", "dnc_skyline"),
     "repro.core.dominance": (
         "DominanceCounter",
         "dominance_matrix",
@@ -68,7 +67,6 @@ _EXPORTS = {
         "ScalarKernel",
         "default_kernel_name",
         "get_kernel",
-        "make_kernel",
         "set_default_kernel",
         "sort_first_order",
     ),
@@ -116,7 +114,6 @@ __all__ = [
     "DEFAULT_FILTER_K",
     "DEFAULT_FILTER_SAMPLE",
     "DimensionalPartitioner",
-    "DNCResult",
     "DominanceCounter",
     "DominanceKernel",
     "GridPartitioner",
@@ -140,7 +137,6 @@ __all__ = [
     "default_partition_count",
     "delta_dominance",
     "delta_lower_bound",
-    "dnc_skyline",
     "dominance_ability_angle",
     "dominance_ability_grid",
     "distance_representatives",
@@ -155,7 +151,6 @@ __all__ = [
     "incomparable",
     "is_skyline",
     "k_skyband",
-    "make_kernel",
     "load_imbalance",
     "local_skyline_optimality",
     "make_partitioner",

@@ -64,7 +64,6 @@ __all__ = [
     "ScalarKernel",
     "default_kernel_name",
     "get_kernel",
-    "make_kernel",
     "set_default_kernel",
     "sort_first_order",
 ]
@@ -790,7 +789,7 @@ _KERNELS: dict[str, DominanceKernel] = {
 }
 
 
-def make_kernel(name: str | DominanceKernel | None = None) -> DominanceKernel:
+def get_kernel(name: str | DominanceKernel | None = None) -> DominanceKernel:
     """Resolve a kernel from a name (or pass an instance through).
 
     ``None`` resolves via :func:`default_kernel_name`.  Kernels are
@@ -806,7 +805,3 @@ def make_kernel(name: str | DominanceKernel | None = None) -> DominanceKernel:
             f"unknown kernel {name!r}; expected one of {', '.join(KERNEL_NAMES)}"
         )
     return kernel
-
-
-#: Alias that reads better at call sites resolving the process default.
-get_kernel = make_kernel

@@ -38,12 +38,7 @@ import numpy as np
 from repro.core.blocks import PointBlock
 from repro.core.bnl import bnl_skyline
 from repro.core.dominance import DominanceCounter, validate_points
-from repro.core.filtering import (
-    DEFAULT_FILTER_K,
-    DEFAULT_FILTER_SAMPLE,
-    FilterScore,
-    compute_filter_points,
-)
+from repro.core.filtering import DEFAULT_FILTER_K, compute_filter_points
 from repro.core.kernels import DominanceKernel, get_kernel
 from repro.core.partitioning import (
     GridPartitioner,
@@ -366,9 +361,6 @@ def run_mr_skyline(
     pipelined: bool = False,
     kernel: str | DominanceKernel | None = None,
     prune_filter_k: int | None = None,
-    filter_sample: int = DEFAULT_FILTER_SAMPLE,
-    filter_score: FilterScore = "volume",
-    filter_seed: int = 0,
 ) -> MRSkylineResult:
     """Run one of the MapReduce skyline algorithms end to end.
 
@@ -427,9 +419,6 @@ def run_mr_skyline(
         :data:`~repro.core.filtering.DEFAULT_FILTER_K` under a batch
         kernel, 0 under the scalar reference — so scalar runs stay
         bit-comparable with every earlier BENCH record.
-    filter_sample / filter_score / filter_seed:
-        Sample size, ranking criterion (``"volume"`` / ``"entropy"``) and
-        RNG seed for :func:`repro.core.filtering.compute_filter_points`.
 
     Returns
     -------
@@ -490,14 +479,7 @@ def run_mr_skyline(
         filters: np.ndarray | None = None
         filter_count = 0
         if prune_filter_k:
-            filters = compute_filter_points(
-                pts,
-                k=prune_filter_k,
-                sample=filter_sample,
-                seed=filter_seed,
-                score=filter_score,
-                kernel=knl,
-            )
+            filters = compute_filter_points(pts, k=prune_filter_k, kernel=knl)
             filter_count = int(filters.shape[0])
 
         params = {

@@ -6,9 +6,9 @@ are interchangeable and cross-checkable:
 
 * ``"bnl"`` — block-nested-loops (the paper's choice), :mod:`repro.core.bnl`
 * ``"sfs"`` — sort-filter-skyline, :mod:`repro.core.sfs`
-* ``"dnc"`` — divide-and-conquer, :mod:`repro.core.dnc`
-* ``"numpy"`` — brute-force vectorised reference (complement of
-  :func:`repro.core.dominance.dominated_mask`)
+
+:func:`skyline_numpy` is the brute-force vectorised reference (complement
+of :func:`repro.core.dominance.dominated_mask`) both are checked against.
 
 For distributed execution see :mod:`repro.core.mr_skyline`.
 """
@@ -20,15 +20,14 @@ from typing import Literal
 import numpy as np
 
 from repro.core.bnl import bnl_skyline
-from repro.core.dnc import dnc_skyline
 from repro.core.dominance import DominanceCounter, dominated_mask, validate_points
 from repro.core.sfs import sfs_skyline
 
 __all__ = ["Algorithm", "skyline", "skyline_points", "skyline_numpy", "is_skyline"]
 
-Algorithm = Literal["bnl", "sfs", "dnc", "numpy"]
+Algorithm = Literal["bnl", "sfs"]
 
-_ALGORITHMS = ("bnl", "sfs", "dnc", "numpy")
+_ALGORITHMS = ("bnl", "sfs")
 
 
 def skyline_numpy(
@@ -59,14 +58,6 @@ def skyline(
         return bnl_skyline(points, counter=counter, **kwargs).indices
     if algorithm == "sfs":
         return sfs_skyline(points, counter=counter, **kwargs).indices
-    if algorithm == "dnc":
-        if kwargs:
-            raise TypeError(f"dnc takes no extra options, got {sorted(kwargs)}")
-        return dnc_skyline(points, counter=counter).indices
-    if algorithm == "numpy":
-        if kwargs:
-            raise TypeError(f"numpy takes no extra options, got {sorted(kwargs)}")
-        return skyline_numpy(points, counter=counter)
     raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ALGORITHMS}")
 
 

@@ -118,7 +118,3 @@ class JobFailedError(EngineError):
         detail = "; ".join(str(f) for f in failures[:3])
         more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
         super().__init__(f"job {job_name!r} failed: {detail}{more}")
-
-
-class SerializationError(EngineError):
-    """A record could not be encoded to, or decoded from, bytes."""

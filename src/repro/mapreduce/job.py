@@ -40,25 +40,14 @@ class JobConf:
         from block boundaries instead).
     partitioner:
         Key-routing policy; defaults to :class:`HashPartitioner`.
-    spill_records:
-        Map-side buffer size that triggers an early combiner pass; ``0``
-        runs the combiner only once at task end.
-    sort_keys:
-        Whether the shuffle sorts keys (Hadoop semantics; on by default).
     params:
         Arbitrary user parameters delivered to every task's ``setup``.
-    spill_dir / spill_threshold_records:
-        Enable the external-sort shuffle path for oversized partitions.
     """
 
     num_reducers: int = 1
     num_map_tasks: int = 1
     partitioner: Partitioner = field(default_factory=HashPartitioner)
-    spill_records: int = 0
-    sort_keys: bool = True
     params: Dict[str, Any] = field(default_factory=dict)
-    spill_dir: str | None = None
-    spill_threshold_records: int = 0
 
     def validate(self) -> None:
         if self.num_reducers <= 0:
@@ -67,8 +56,6 @@ class JobConf:
             raise JobConfigError(
                 f"num_map_tasks must be >= 1, got {self.num_map_tasks}"
             )
-        if self.spill_records < 0:
-            raise JobConfigError(f"spill_records must be >= 0, got {self.spill_records}")
         if not isinstance(self.partitioner, Partitioner):
             raise JobConfigError(
                 f"partitioner must be a Partitioner, got {type(self.partitioner)!r}"

@@ -268,28 +268,20 @@ class Runner:
         with self._lease_executor() as ex:
             return self._run_job(ex, job, splits)
 
-    def run_chain(
-        self,
-        chain: JobChain,
-        records: Sequence[Pair],
-        *,
-        pipelined: bool | None = None,
-    ) -> ChainResult:
+    def run_chain(self, chain: JobChain, records: Sequence[Pair]) -> ChainResult:
         """Execute a job chain, feeding each job the previous job's output.
 
-        ``pipelined`` (default: the chain's own flag) overlaps adjacent
-        jobs: job *k+1*'s map task *i* runs over job *k*'s reduce partition
-        *i* as soon as that partition's reducer finishes, instead of
-        waiting for the whole job and re-splitting its concatenated output.
+        A chain built with ``pipelined=True`` overlaps adjacent jobs: job
+        *k+1*'s map task *i* runs over job *k*'s reduce partition *i* as
+        soon as that partition's reducer finishes, instead of waiting for
+        the whole job and re-splitting its concatenated output.
         Stage builders after the first are called with an empty record list
         (the data is still in flight), and the downstream job's
         ``num_map_tasks`` is overridden by the upstream reducer count.
         """
-        if pipelined is None:
-            pipelined = getattr(chain, "pipelined", False)
         self._begin_run()
         with self._lease_executor() as ex:
-            if pipelined:
+            if chain.pipelined:
                 return self._run_chain_pipelined(ex, chain, records)
             current: List[Pair] = list(records)
             results: List[JobResult] = []
@@ -311,13 +303,7 @@ class Runner:
         spec = JobSpec.of(job)
         counters = Counters()
         tracer = self.tracer
-        streaming = StreamingShuffle(
-            len(splits),
-            job.conf.num_reducers,
-            sort_keys=job.conf.sort_keys,
-            spill_dir=job.conf.spill_dir,
-            spill_threshold_records=job.conf.spill_threshold_records,
-        )
+        streaming = StreamingShuffle(len(splits), job.conf.num_reducers)
 
         with tracer.span(
             job.name,
@@ -479,13 +465,7 @@ class Runner:
                     job=job,
                     spec=spec,
                     num_maps=num_maps,
-                    streaming=StreamingShuffle(
-                        num_maps,
-                        job.conf.num_reducers,
-                        sort_keys=job.conf.sort_keys,
-                        spill_dir=job.conf.spill_dir,
-                        spill_threshold_records=job.conf.spill_threshold_records,
-                    ),
+                    streaming=StreamingShuffle(num_maps, job.conf.num_reducers),
                 )
                 state.job_span = tracer.start_span(
                     job.name,

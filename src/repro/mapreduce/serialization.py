@@ -1,76 +1,16 @@
-"""Record serialization for the shuffle's spills and size accounting.
+"""Size accounting for the shuffle.
 
-:class:`PickleCodec` (pickle protocol 5) encodes one shuffled value —
-arbitrary Python objects, NumPy arrays and point blocks included — and
-wraps any pickling failure in :class:`SerializationError`.
-
-Framed streams (:func:`write_frames` / :func:`read_frames`) store a sequence
-of encoded records as ``<uint32 length><payload>`` so spill files can be
-re-read without a manifest.  :func:`estimate_nbytes` provides the cheap size
-estimate that feeds :attr:`TaskStats.bytes_out` and the shuffle cost model.
+:func:`estimate_nbytes` provides the cheap serialized-size estimate that
+feeds :attr:`TaskStats.bytes_out`, the shuffle's byte tally and the
+shuffle cost model.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
 import sys
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any
 
 import numpy as np
-
-from repro.mapreduce.errors import SerializationError
-
-_LEN = struct.Struct("<I")
-_MAX_FRAME = 1 << 31
-
-
-class PickleCodec:
-    """General-purpose codec backed by :mod:`pickle` protocol 5."""
-
-    def encode(self, obj: Any) -> bytes:
-        try:
-            return pickle.dumps(obj, protocol=5)
-        except Exception as exc:  # pragma: no cover - exotic unpicklables
-            raise SerializationError(f"cannot pickle {type(obj)!r}: {exc}") from exc
-
-    def decode(self, payload: bytes) -> Any:
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            raise SerializationError(f"cannot unpickle frame: {exc}") from exc
-
-
-def write_frames(stream: BinaryIO, payloads: Iterable[bytes]) -> int:
-    """Write length-prefixed frames; returns the number of frames written."""
-    count = 0
-    for payload in payloads:
-        if len(payload) >= _MAX_FRAME:
-            raise SerializationError(f"frame too large: {len(payload)} bytes")
-        stream.write(_LEN.pack(len(payload)))
-        stream.write(payload)
-        count += 1
-    return count
-
-
-def read_frames(stream: BinaryIO) -> Iterator[bytes]:
-    """Yield payloads from a framed stream until EOF.
-
-    Raises :class:`SerializationError` on a truncated trailing frame.
-    """
-    while True:
-        header = stream.read(_LEN.size)
-        if not header:
-            return
-        if len(header) < _LEN.size:
-            raise SerializationError("truncated frame header")
-        (length,) = _LEN.unpack(header)
-        payload = stream.read(length)
-        if len(payload) < length:
-            raise SerializationError(
-                f"truncated frame payload: wanted {length}, got {len(payload)}"
-            )
-        yield payload
 
 
 def estimate_nbytes(obj: Any) -> int:

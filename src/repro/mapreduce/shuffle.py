@@ -14,31 +14,21 @@ Two shuffle implementations share one ordering and one stats model:
   regardless of ingestion order (segments are always merged in map-task
   order, so value order within a key is stable).
 
-Both support an external-sort spill path through framed temp files for
-memory-constrained runs.
-
 Key ordering is total even for heterogeneous or partially-ordered key sets:
 keys compare by type name first, then natural ``<`` within a type, falling
 back to ``repr`` for same-type keys that raise ``TypeError`` (e.g. the
 tuples ``(1, "a")`` and ``("a", 1)``).  Every sort and merge path uses this
-one ordering, so spilled and in-memory runs interleave consistently.
+one ordering, so pre-sorted segments interleave consistently.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, List, Tuple
+from typing import Any, Hashable, List, Tuple
 
-from repro.mapreduce.serialization import (
-    PickleCodec,
-    estimate_nbytes,
-    read_frames,
-    write_frames,
-)
+from repro.mapreduce.serialization import estimate_nbytes
 from repro.observability.metrics import get_metrics
 
 Pair = Tuple[Hashable, Any]
@@ -52,7 +42,6 @@ class ShuffleStats:
     records: int = 0
     bytes: int = 0
     segments: int = 0
-    spilled_segments: int = 0
     #: Map outputs offered more than once (late speculative losers) and
     #: dropped before commit — always 0 in a fault-free run.
     duplicate_segments: int = 0
@@ -63,7 +52,6 @@ class ShuffleStats:
             "records": self.records,
             "bytes": self.bytes,
             "segments": self.segments,
-            "spilled_segments": self.spilled_segments,
             "duplicate_segments": self.duplicate_segments,
         }
 
@@ -72,7 +60,6 @@ class ShuffleStats:
         registry.counter("shuffle.records").inc(self.records)
         registry.counter("shuffle.bytes").inc(self.bytes)
         registry.counter("shuffle.segments").inc(self.segments)
-        registry.counter("shuffle.spilled_segments").inc(self.spilled_segments)
         registry.counter("shuffle.duplicate_segments").inc(
             self.duplicate_segments
         )
@@ -118,10 +105,10 @@ def _sort_token(key: Hashable) -> _SortKey:
 def _safe_sort(pairs: List[Pair]) -> List[Pair]:
     """Stable-sort pairs by the shuffle's total key order.
 
-    Always sorts through :func:`_sort_token` so in-memory sorts, spilled
-    segment sorts, and k-way merges agree on one ordering — a segment sorted
-    by natural ``<`` and merged by a different order would interleave
-    wrongly.  Fewer than two pairs are already in order.
+    Always sorts through :func:`_sort_token` so segment sorts and k-way
+    merges agree on one ordering — a segment sorted by natural ``<`` and
+    merged by a different order would interleave wrongly.  Fewer than two
+    pairs are already in order.
     """
     if len(pairs) < 2:
         return list(pairs)
@@ -146,10 +133,6 @@ def group_sorted(pairs: List[Pair]) -> Grouped:
 def shuffle(
     map_outputs: List[List[List[Pair]]],
     num_partitions: int,
-    *,
-    sort_keys: bool = True,
-    spill_dir: str | None = None,
-    spill_threshold_records: int = 0,
 ) -> Tuple[List[Grouped], ShuffleStats]:
     """Merge map-side buffers into grouped reduce inputs.
 
@@ -160,13 +143,6 @@ def shuffle(
         partition *p*.
     num_partitions:
         Number of reduce partitions ``R``.
-    sort_keys:
-        Sort each partition's pairs by key before grouping (Hadoop always
-        does; disable only for experiments).
-    spill_dir / spill_threshold_records:
-        When set and a partition exceeds the threshold, its segments are
-        staged through framed temp files and k-way merged — an external-sort
-        path exercising the same code users would need at scale.
 
     Returns
     -------
@@ -177,23 +153,12 @@ def shuffle(
     for part in range(num_partitions):
         segments = [out[part] for out in map_outputs if out[part]]
         stats.segments += len(segments)
-        n_records = sum(len(seg) for seg in segments)
-        stats.records += n_records
+        stats.records += sum(len(seg) for seg in segments)
         for seg in segments:
             for key, value in seg:
                 stats.bytes += estimate_nbytes(key) + estimate_nbytes(value)
-        use_spill = (
-            spill_dir is not None
-            and spill_threshold_records > 0
-            and n_records > spill_threshold_records
-            and sort_keys
-        )
-        if use_spill:
-            merged = _external_merge(segments, spill_dir, stats)
-        else:
-            flat = [pair for seg in segments for pair in seg]
-            merged = _safe_sort(flat) if sort_keys else flat
-        partitions.append(group_sorted(merged))
+        flat = [pair for seg in segments for pair in seg]
+        partitions.append(group_sorted(_safe_sort(flat)))
     stats.observe(get_metrics())
     return partitions, stats
 
@@ -215,28 +180,15 @@ class StreamingShuffle:
     map-order concatenation — same key order, same value order within a
     key, same :class:`ShuffleStats` accounting.
 
-    The spill path mirrors the batch rules: once a partition's cumulative
-    records exceed ``spill_threshold_records`` (and ``sort_keys`` is on),
-    all of its segments — buffered and future — are staged through framed
-    temp files and stream-merged at finalize.
-
-    Shared state (segment buffers, spill paths, counts, stats) mutates only
-    under ``self._lock`` — the engine's lock-discipline contract, enforced
+    Shared state (segment buffers, stats) mutates only under
+    ``self._lock`` — the engine's lock-discipline contract, enforced
     statically by ``repro lint`` — so a future runner variant may ingest
     from executor callbacks on worker threads without re-auditing this
-    class.  The lock is reentrant (spilling happens mid-ingest) and is
-    never held across the k-way merge itself, only across buffer handoff.
+    class.  The lock is never held across the k-way merge itself, only
+    across buffer handoff.
     """
 
-    def __init__(
-        self,
-        num_map_tasks: int,
-        num_partitions: int,
-        *,
-        sort_keys: bool = True,
-        spill_dir: str | None = None,
-        spill_threshold_records: int = 0,
-    ):
+    def __init__(self, num_map_tasks: int, num_partitions: int):
         if num_map_tasks < 0:
             raise ValueError(f"num_map_tasks must be >= 0, got {num_map_tasks}")
         if num_partitions <= 0:
@@ -244,16 +196,10 @@ class StreamingShuffle:
         self.num_map_tasks = num_map_tasks
         self.num_partitions = num_partitions
         self.stats = ShuffleStats()
-        self._sort_keys = sort_keys
-        self._spill_dir = spill_dir
-        self._spill_threshold = spill_threshold_records
-        self._codec = PickleCodec()
-        # Per partition: map-task index → in-memory sorted segment / spill path.
+        # Per partition: map-task index → sorted segment.
         self._segments: List[dict[int, List[Pair]]] = [
             {} for _ in range(num_partitions)
         ]
-        self._spilled: List[dict[int, str]] = [{} for _ in range(num_partitions)]
-        self._counts = [0] * num_partitions
         self._ingested: set[int] = set()
         self._lock = threading.RLock()
 
@@ -261,14 +207,6 @@ class StreamingShuffle:
     def complete(self) -> bool:
         """True once every map task's buffers have been ingested."""
         return len(self._ingested) >= self.num_map_tasks
-
-    @property
-    def _spill_enabled(self) -> bool:
-        return (
-            self._spill_dir is not None
-            and self._spill_threshold > 0
-            and self._sort_keys
-        )
 
     def ingest(
         self,
@@ -321,22 +259,14 @@ class StreamingShuffle:
                     continue
                 self.stats.segments += 1
                 self.stats.records += len(seg)
-                self._segments[part][map_index] = (
-                    _safe_sort(seg) if self._sort_keys else list(seg)
-                )
-                self._counts[part] += len(seg)
-                if (
-                    self._spill_enabled
-                    and self._counts[part] > self._spill_threshold
-                ):
-                    self._spill_partition(part)
+                self._segments[part][map_index] = _safe_sort(seg)
             self._ingested.add(map_index)
 
     def finalize(self, part: int) -> Grouped:
         """Merge + group one partition; legal only once :attr:`complete`.
 
-        Frees the partition's buffered segments and spill files, so each
-        partition can be finalized exactly once.
+        Frees the partition's buffered segments, so each partition can be
+        finalized exactly once.
         """
         # Detach the partition's buffers under the lock; merge outside it
         # (the k-way merge is the expensive part and touches nothing shared).
@@ -348,26 +278,13 @@ class StreamingShuffle:
                     "pending"
                 )
             segments = self._segments[part]
-            spilled = self._spilled[part]
             self._segments[part] = {}
-            self._spilled[part] = {}
-        indices = sorted(segments.keys() | spilled.keys())
-        if self._sort_keys:
-            streams: List[Iterable[Pair]] = [
-                self._read_spill(spilled[i]) if i in spilled else segments[i]
-                for i in indices
-            ]
-            if len(streams) > 1:
-                merged = list(
-                    heapq.merge(*streams, key=lambda kv: _sort_token(kv[0]))
-                )
-            else:
-                # At most one segment, sorted at ingest: nothing to merge.
-                merged = [pair for stream in streams for pair in stream]
+        streams = [segments[i] for i in sorted(segments)]
+        if len(streams) > 1:
+            merged = list(heapq.merge(*streams, key=lambda kv: _sort_token(kv[0])))
         else:
-            merged = [pair for i in indices for pair in segments[i]]
-        for path in spilled.values():
-            self._unlink(path)
+            # At most one segment, sorted at ingest: nothing to merge.
+            merged = [pair for stream in streams for pair in stream]
         return group_sorted(merged)
 
     def finalize_all(self) -> List[Grouped]:
@@ -375,81 +292,12 @@ class StreamingShuffle:
         return [self.finalize(part) for part in range(self.num_partitions)]
 
     def close(self) -> None:
-        """Release buffered segments and delete any remaining spill files."""
+        """Release buffered segments."""
         with self._lock:
             self._segments = [{} for _ in range(self.num_partitions)]
-            leftover = self._spilled
-            self._spilled = [{} for _ in range(self.num_partitions)]
-        for spilled in leftover:
-            for path in spilled.values():
-                self._unlink(path)
 
     def __enter__(self) -> "StreamingShuffle":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # -- internals ---------------------------------------------------------------
-
-    def _spill_partition(self, part: int) -> None:
-        """Stage all of one partition's in-memory segments to framed files.
-
-        Reached from :meth:`ingest` with the (reentrant) lock already held;
-        it re-acquires so its mutations are lock-guarded in their own right.
-        """
-        assert self._spill_dir is not None
-        os.makedirs(self._spill_dir, exist_ok=True)
-        with self._lock:
-            for map_index, seg in sorted(self._segments[part].items()):
-                fd, path = tempfile.mkstemp(dir=self._spill_dir, suffix=".spill")
-                self._spilled[part][map_index] = path
-                self.stats.spilled_segments += 1
-                with os.fdopen(fd, "wb") as fh:
-                    write_frames(fh, (self._codec.encode(p) for p in seg))
-            self._segments[part] = {}
-
-    def _read_spill(self, path: str) -> Iterable[Pair]:
-        with open(path, "rb") as fh:
-            for frame in read_frames(fh):
-                yield self._codec.decode(frame)
-
-    @staticmethod
-    def _unlink(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-
-
-def _external_merge(
-    segments: List[List[Pair]], spill_dir: str, stats: ShuffleStats
-) -> List[Pair]:
-    """Sort each segment, spill to framed files, then k-way merge."""
-    codec = PickleCodec()
-    paths: List[str] = []
-    os.makedirs(spill_dir, exist_ok=True)
-    try:
-        for seg in segments:
-            fd, path = tempfile.mkstemp(dir=spill_dir, suffix=".spill")
-            paths.append(path)
-            stats.spilled_segments += 1
-            with os.fdopen(fd, "wb") as fh:
-                write_frames(fh, (codec.encode(p) for p in _safe_sort(seg)))
-
-        def _stream(path: str):
-            with open(path, "rb") as fh:
-                for frame in read_frames(fh):
-                    yield codec.decode(frame)
-
-        streams = [_stream(p) for p in paths]
-        merged = list(
-            heapq.merge(*streams, key=lambda kv: _sort_token(kv[0]))
-        )
-        return merged
-    finally:
-        for path in paths:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass

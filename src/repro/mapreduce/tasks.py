@@ -7,9 +7,8 @@ multiprocessing runner; per-job parameters travel in ``JobConf.params`` and
 are available as ``self.params`` after ``setup``.
 
 The :class:`MapContext` buffers emitted pairs per reduce partition and runs
-the combiner whenever the in-memory buffer exceeds ``JobConf.spill_records``
-(and once more at task end), mirroring Hadoop's spill-time combining.  This
-is where the paper's "local skyline computation" middle stage plugs in.
+the combiner once over them at task end.  This is where the paper's "local
+skyline computation" middle stage plugs in.
 """
 
 from __future__ import annotations
@@ -99,8 +98,6 @@ class MapContext(_ContextBase):
         num_partitions: int,
         partition_fn: Callable[[Hashable, int], int],
         combiner_factory: Callable[[], Reducer] | None = None,
-        spill_records: int = 0,
-        sort_keys: bool = True,
     ):
         super().__init__(params, counters)
         if num_partitions <= 0:
@@ -108,10 +105,7 @@ class MapContext(_ContextBase):
         self.num_partitions = num_partitions
         self._partition_fn = partition_fn
         self._combiner_factory = combiner_factory
-        self._spill_records = spill_records
-        self._sort_keys = sort_keys
         self._buffers: List[List[Pair]] = [[] for _ in range(num_partitions)]
-        self._buffered = 0
         self.records_out = 0
         self.spills = 0
 
@@ -123,23 +117,12 @@ class MapContext(_ContextBase):
                 "map", f"partitioner returned {part} outside [0, {self.num_partitions})"
             )
         self._buffers[part].append((key, value))
-        self._buffered += 1
         self.records_out += 1
-        if self._spill_records and self._buffered >= self._spill_records:
-            self._run_combiner()
 
     def finish(self) -> List[List[Pair]]:
-        """Final combine pass; returns the per-partition pair lists."""
-        if self._combiner_factory is not None:
-            self._run_combiner()
-        return self._buffers
-
-    # -- internals ---------------------------------------------------------------
-
-    def _run_combiner(self) -> None:
+        """Combine pass at task end; returns the per-partition pair lists."""
         if self._combiner_factory is None:
-            self._buffered = 0
-            return
+            return self._buffers
         self.spills += 1
         self.counters.framework("combiner_invocations")
         for part in range(self.num_partitions):
@@ -147,18 +130,14 @@ class MapContext(_ContextBase):
             if not buffer:
                 continue
             combined = _combine(
-                buffer,
-                self._combiner_factory,
-                self.params,
-                self.counters,
-                sort_keys=self._sort_keys,
+                buffer, self._combiner_factory, self.params, self.counters
             )
             self.counters.framework("combiner_in_records", len(buffer))
             self.counters.framework("combiner_out_records", len(combined))
             self._buffers[part] = combined
-        self._buffered = sum(len(b) for b in self._buffers)
         # Combined output still counts once toward records_out semantics:
-        self.records_out = self._buffered
+        self.records_out = sum(len(b) for b in self._buffers)
+        return self._buffers
 
 
 class ReduceContext(_ContextBase):
@@ -177,8 +156,6 @@ def _combine(
     combiner_factory: Callable[[], Reducer],
     params: Dict[str, Any],
     counters: Counters,
-    *,
-    sort_keys: bool,
 ) -> List[Pair]:
     """Group ``pairs`` by key and run the combiner over each group."""
     groups: Dict[Hashable, List[Any]] = {}
@@ -187,8 +164,7 @@ def _combine(
     combiner = combiner_factory()
     combiner.setup(params)
     ctx = ReduceContext(params, counters)
-    keys = sorted(groups) if sort_keys else list(groups)
-    for key in keys:
+    for key in sorted(groups):
         combiner.reduce(key, groups[key], ctx)
     combiner.cleanup(ctx)
     return ctx.output
@@ -202,20 +178,10 @@ def run_map_task(
     num_partitions: int,
     partition_fn: Callable[[Hashable, int], int],
     combiner_factory: Callable[[], Reducer] | None,
-    spill_records: int,
-    sort_keys: bool = True,
 ) -> Tuple[List[List[Pair]], Counters, float, int, int]:
     """Execute one map task; returns (buffers, counters, seconds, in, out)."""
     counters = Counters()
-    ctx = MapContext(
-        params,
-        counters,
-        num_partitions,
-        partition_fn,
-        combiner_factory,
-        spill_records,
-        sort_keys,
-    )
+    ctx = MapContext(params, counters, num_partitions, partition_fn, combiner_factory)
     mapper = mapper_factory()
     start = time.perf_counter_ns()
     records_in = 0
@@ -296,8 +262,6 @@ class JobSpec:
     params: Dict[str, Any]
     num_reducers: int
     partitioner: Any
-    spill_records: int
-    sort_keys: bool
 
     @classmethod
     def of(cls, job: "Job") -> "JobSpec":
@@ -310,8 +274,6 @@ class JobSpec:
             params=dict(job.conf.params),
             num_reducers=job.conf.num_reducers,
             partitioner=job.conf.partitioner,
-            spill_records=job.conf.spill_records,
-            sort_keys=job.conf.sort_keys,
         )
 
 
@@ -328,8 +290,6 @@ def execute_map_task(
         spec.num_reducers,
         spec.partitioner,
         spec.combiner,
-        spec.spill_records,
-        spec.sort_keys,
     )
     bytes_out = sum(
         estimate_nbytes(k) + estimate_nbytes(v) for buf in buffers for k, v in buf

@@ -86,6 +86,11 @@ __all__ = [
     "SkylineService",
 ]
 
+#: A ``partition.skew.*.max_min_ratio`` gauge crossing this bound emits a
+#: ``skew.alert`` event (the re-balancer trigger signal).  It must exceed
+#: 1: the ratio of a perfectly balanced job is 1.
+SKEW_ALERT_RATIO = 8.0
+
 
 class ServiceOverloadedError(RuntimeError):
     """429-style rejection: over capacity (or past deadline), no stale answer."""
@@ -120,8 +125,8 @@ class ServeConfig:
     """Admission-control, cache and backend knobs of one front end.
 
     Every field applies to both planes except ``mr_bulk_threshold``,
-    ``num_workers``, ``executor`` and ``skew_alert_ratio``, which configure
-    a :class:`LocalBackend`'s stores.  ``kernel`` is the stores' backend on
+    ``num_workers`` and ``executor``, which configure a
+    :class:`LocalBackend`'s stores.  ``kernel`` is the stores' backend on
     a single node and the merge/filter backend of a coordinator.
     """
 
@@ -153,9 +158,6 @@ class ServeConfig:
     #: Availability SLO: fraction of requests that must be answered at all
     #: (shed-without-stale and errors count against it).
     slo_availability_target: float = 0.999
-    #: A ``partition.skew.*.max_min_ratio`` gauge crossing this bound emits
-    #: a ``skew.alert`` event (the re-balancer trigger signal).
-    skew_alert_ratio: float = 8.0
 
     def validate(self) -> None:
         if self.max_inflight < 1:
@@ -176,10 +178,6 @@ class ServeConfig:
             raise ValueError(
                 f"slo_latency_threshold_s must be > 0, "
                 f"got {self.slo_latency_threshold_s}"
-            )
-        if self.skew_alert_ratio <= 1.0:
-            raise ValueError(
-                f"skew_alert_ratio must be > 1, got {self.skew_alert_ratio}"
             )
         if self.kernel is not None and self.kernel not in KERNEL_NAMES:
             raise ValueError(
@@ -297,7 +295,7 @@ class LocalBackend:
         # that swap registries build their service after the swap.
         self._skew_watch = get_metrics().watch(
             "partition.skew.*.max_min_ratio",
-            config.skew_alert_ratio,
+            SKEW_ALERT_RATIO,
             _on_skew_alert,
         )
 

@@ -1,4 +1,4 @@
-"""Tests for the SFS and divide-and-conquer skyline algorithms."""
+"""Tests for the SFS skyline algorithm and its monotone scores."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.dnc import dnc_skyline
 from repro.core.dominance import DominanceCounter
 from repro.core.sfs import monotone_score, sfs_skyline
 from repro.core.skyline import skyline_numpy
@@ -101,47 +100,3 @@ class TestSFS:
     @settings(max_examples=80, deadline=None)
     def test_property_matches_bruteforce(self, pts):
         assert np.array_equal(sfs_skyline(pts).indices, skyline_numpy(pts))
-
-
-class TestDNC:
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(5)
-        pts = rng.random((400, 4))
-        assert np.array_equal(dnc_skyline(pts).indices, skyline_numpy(pts))
-
-    def test_recursion_exercised_beyond_base_case(self):
-        rng = np.random.default_rng(6)
-        pts = rng.random((1000, 3))  # > base case of 64 -> real splits
-        assert np.array_equal(dnc_skyline(pts).indices, skyline_numpy(pts))
-
-    def test_anticorrelated_everything_skyline(self):
-        x = np.linspace(0, 1, 300)
-        pts = np.column_stack([x, 1 - x])
-        assert dnc_skyline(pts).indices.size == 300
-
-    def test_duplicates(self):
-        pts = np.vstack([np.ones((100, 2)), np.zeros((3, 2))])
-        assert dnc_skyline(pts).indices.tolist() == [100, 101, 102]
-
-    def test_counter(self):
-        counter = DominanceCounter()
-        dnc_skyline(np.random.default_rng(7).random((200, 3)), counter=counter)
-        assert counter.by_stage.get("dnc", 0) > 0
-
-    @given(clouds)
-    @settings(max_examples=80, deadline=None)
-    def test_property_matches_bruteforce(self, pts):
-        assert np.array_equal(dnc_skyline(pts).indices, skyline_numpy(pts))
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(65, 200), st.integers(1, 4)),
-            elements=st.floats(0, 3, allow_nan=False).map(lambda x: round(x)),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_property_heavy_ties_above_base_case(self, pts):
-        # Quantised coordinates create many exact ties across the split
-        # boundary — the D&C lexicographic-order argument must still hold.
-        assert np.array_equal(dnc_skyline(pts).indices, skyline_numpy(pts))

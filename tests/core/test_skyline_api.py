@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.skyline import is_skyline, skyline, skyline_numpy, skyline_points
 
-ALGOS = ("bnl", "sfs", "dnc", "numpy")
+ALGOS = ("bnl", "sfs")
 
 clouds = arrays(
     np.float64,
@@ -41,9 +41,9 @@ class TestDispatch:
 
     def test_kwargs_rejected_where_unsupported(self):
         with pytest.raises(TypeError):
-            skyline(np.ones((2, 2)), algorithm="dnc", window_size=3)
+            skyline(np.ones((2, 2)), algorithm="bnl", score="sum")
         with pytest.raises(TypeError):
-            skyline(np.ones((2, 2)), algorithm="numpy", score="sum")
+            skyline(np.ones((2, 2)), algorithm="sfs", window_size=3)
 
     def test_skyline_points_returns_rows(self):
         pts = np.array([[5.0, 5.0], [1.0, 1.0]])

@@ -1,60 +1,8 @@
 """Tests for repro.mapreduce.serialization."""
 
-import io
-
 import numpy as np
-import pytest
 
-from repro.mapreduce.errors import SerializationError
-from repro.mapreduce.serialization import (
-    PickleCodec,
-    estimate_nbytes,
-    read_frames,
-    write_frames,
-)
-
-
-class TestPickleCodec:
-    @pytest.mark.parametrize(
-        "obj",
-        [None, 42, 3.14, "text", b"bytes", [1, 2], {"k": (1, 2)}, (1, "a")],
-    )
-    def test_round_trip(self, obj):
-        codec = PickleCodec()
-        assert codec.decode(codec.encode(obj)) == obj
-
-    def test_numpy_round_trip(self):
-        codec = PickleCodec()
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4)
-        out = codec.decode(codec.encode(arr))
-        assert np.array_equal(out, arr)
-
-    def test_decode_garbage_raises(self):
-        with pytest.raises(SerializationError):
-            PickleCodec().decode(b"\x00not-a-pickle")
-
-
-class TestFrames:
-    def test_round_trip(self):
-        buf = io.BytesIO()
-        payloads = [b"a", b"", b"longer payload"]
-        assert write_frames(buf, payloads) == 3
-        buf.seek(0)
-        assert list(read_frames(buf)) == payloads
-
-    def test_empty_stream(self):
-        assert list(read_frames(io.BytesIO())) == []
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(SerializationError):
-            list(read_frames(io.BytesIO(b"\x01\x00")))
-
-    def test_truncated_payload_raises(self):
-        buf = io.BytesIO()
-        write_frames(buf, [b"abcdef"])
-        data = buf.getvalue()[:-2]
-        with pytest.raises(SerializationError):
-            list(read_frames(io.BytesIO(data)))
+from repro.mapreduce.serialization import estimate_nbytes
 
 
 class TestEstimateNbytes:

@@ -46,11 +46,6 @@ class TestShuffle:
         partitions, _ = shuffle([m0], 1)
         assert [k for k, _ in partitions[0]] == ["a", "m", "z"]
 
-    def test_sort_disabled_preserves_order(self):
-        m0 = [[("z", 1), ("a", 2)]]
-        partitions, _ = shuffle([m0], 1, sort_keys=False)
-        assert [k for k, _ in partitions[0]] == ["z", "a"]
-
     def test_value_order_stable_within_key(self):
         # Map-task order then buffer order — Hadoop gives no guarantee, we do.
         m0 = [[("k", "first")]]
@@ -140,29 +135,3 @@ class TestShuffle:
         for part in partitions:
             keys = [k for k, _ in part]
             assert len(keys) == len(set(keys))
-
-
-class TestExternalSpill:
-    def test_spill_path_equals_in_memory(self, tmp_path):
-        pairs = [(i % 7, i) for i in range(500)]
-        m0 = _one_map_output(pairs, 1, lambda k: 0)
-        in_mem, _ = shuffle([m0], 1)
-        spilled, stats = shuffle(
-            [m0], 1, spill_dir=str(tmp_path), spill_threshold_records=100
-        )
-        assert spilled == in_mem
-        assert stats.spilled_segments >= 1
-
-    def test_spill_files_cleaned_up(self, tmp_path):
-        pairs = [(i, i) for i in range(200)]
-        m0 = _one_map_output(pairs, 1, lambda k: 0)
-        shuffle([m0], 1, spill_dir=str(tmp_path), spill_threshold_records=50)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_below_threshold_stays_in_memory(self, tmp_path):
-        pairs = [(i, i) for i in range(10)]
-        m0 = _one_map_output(pairs, 1, lambda k: 0)
-        _, stats = shuffle(
-            [m0], 1, spill_dir=str(tmp_path), spill_threshold_records=100
-        )
-        assert stats.spilled_segments == 0

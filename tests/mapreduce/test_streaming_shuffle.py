@@ -2,8 +2,8 @@
 
 The streaming form's contract is *exact* output equivalence with
 :func:`repro.mapreduce.shuffle.shuffle` — same key order, same value order
-within a key, same stats volume — for any ingestion order, with or without
-the spill path.  Hypothesis drives the map outputs and the arrival
+within a key, same stats volume — for any ingestion order.  Hypothesis
+drives the map outputs and the arrival
 permutation.
 """
 
@@ -25,8 +25,8 @@ def _split_into_map_outputs(pairs, num_maps, num_partitions):
     return outputs
 
 
-def _stream(map_outputs, num_partitions, order, **kwargs):
-    ss = StreamingShuffle(len(map_outputs), num_partitions, **kwargs)
+def _stream(map_outputs, num_partitions, order):
+    ss = StreamingShuffle(len(map_outputs), num_partitions)
     with ss:
         for map_index in order:
             ss.ingest(map_index, map_outputs[map_index])
@@ -55,50 +55,8 @@ class TestStreamingParity:
         assert stream_stats.bytes == batch_stats.bytes
         assert stream_stats.segments == batch_stats.segments
 
-    @given(shape=_shape)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_batch_with_spill(self, shape, tmp_path_factory):
-        pairs, num_maps, num_parts, rng = shape
-        outputs = _split_into_map_outputs(pairs, num_maps, num_parts)
-        batch, _ = shuffle(outputs, num_parts)
-        order = list(range(num_maps))
-        rng.shuffle(order)
-        spill_dir = tmp_path_factory.mktemp("spill")
-        streamed, stats = _stream(
-            outputs,
-            num_parts,
-            order,
-            spill_dir=str(spill_dir),
-            spill_threshold_records=5,
-        )
-        assert streamed == batch
-        # Spill files are consumed and removed by finalize/close.
-        assert list(spill_dir.iterdir()) == []
-
-    @given(shape=_shape)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_batch_unsorted(self, shape):
-        pairs, num_maps, num_parts, rng = shape
-        outputs = _split_into_map_outputs(pairs, num_maps, num_parts)
-        batch, _ = shuffle(outputs, num_parts, sort_keys=False)
-        order = list(range(num_maps))
-        rng.shuffle(order)
-        streamed, _ = _stream(outputs, num_parts, order, sort_keys=False)
-        assert streamed == batch
-
 
 class TestStreamingContract:
-    def test_spill_actually_spills(self, tmp_path):
-        outputs = _split_into_map_outputs([(0, i) for i in range(50)], 2, 1)
-        ss = StreamingShuffle(
-            2, 1, spill_dir=str(tmp_path), spill_threshold_records=10
-        )
-        ss.ingest(0, outputs[0])
-        ss.ingest(1, outputs[1])
-        assert ss.stats.spilled_segments >= 1
-        merged = ss.finalize(0)
-        assert sum(len(vs) for _, vs in merged) == 50
-
     def test_finalize_before_complete_raises(self):
         ss = StreamingShuffle(2, 1)
         ss.ingest(0, [[(0, 1)]])
@@ -120,16 +78,6 @@ class TestStreamingContract:
         ss = StreamingShuffle(0, 3)
         assert ss.complete
         assert ss.finalize_all() == [[], [], []]
-
-    def test_close_removes_spill_files(self, tmp_path):
-        outputs = _split_into_map_outputs([(0, i) for i in range(40)], 1, 1)
-        ss = StreamingShuffle(
-            1, 1, spill_dir=str(tmp_path), spill_threshold_records=5
-        )
-        ss.ingest(0, outputs[0])
-        assert list(tmp_path.iterdir()) != []
-        ss.close()
-        assert list(tmp_path.iterdir()) == []
 
     def test_same_type_incomparable_keys_match_batch(self):
         # The _sort_token repr fallback must agree between the batch sort

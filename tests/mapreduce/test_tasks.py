@@ -51,7 +51,6 @@ class TestRunMapTask:
             2,
             lambda k, n: 0 if k < "b" else 1,
             None,
-            0,
         )
         assert rin == 2 and rout == 4
         assert sorted(buffers[0]) == [("a", 1)]
@@ -68,7 +67,6 @@ class TestRunMapTask:
             1,
             _hash_partition,
             None,
-            0,
         )
         assert buffers[0] == [("k", "hello")]
 
@@ -82,7 +80,6 @@ class TestRunMapTask:
                 1,
                 _hash_partition,
                 None,
-                0,
             )
         assert info.value.task_id == "map-3"
         assert isinstance(info.value.cause, RuntimeError)
@@ -97,7 +94,6 @@ class TestRunMapTask:
                 2,
                 lambda k, n: 5,
                 None,
-                0,
             )
 
     def test_identity_mapper(self):
@@ -109,7 +105,6 @@ class TestRunMapTask:
             1,
             _hash_partition,
             None,
-            0,
         )
         assert buffers[0] == [("k", "v")]
 
@@ -124,31 +119,16 @@ class TestCombiner:
             1,
             _hash_partition,
             SumReducer,
-            0,
         )
         assert sorted(buffers[0]) == [("a", 3), ("b", 1)]
         assert rout == 2  # post-combine record count
         assert counters.value("framework", "combiner_invocations") == 1
 
-    def test_spill_threshold_triggers_multiple_combines(self):
-        buffers, counters, *_ = run_map_task(
-            "map-0",
-            TokenMapper,
-            [(None, "a a"), (None, "a a"), (None, "a a")],
-            {},
-            1,
-            _hash_partition,
-            SumReducer,
-            2,
-        )
-        assert buffers[0] == [("a", 6)]
-        assert counters.value("framework", "combiner_invocations") >= 2
-
     def test_combiner_result_matches_no_combiner_after_reduce(self):
         records = [(None, "x y x"), (None, "y y z")]
         for combiner in (None, SumReducer):
             buffers, *_ = run_map_task(
-                "m", TokenMapper, records, {}, 1, _hash_partition, combiner, 0
+                "m", TokenMapper, records, {}, 1, _hash_partition, combiner
             )
             grouped = {}
             for k, v in buffers[0]:

@@ -13,15 +13,14 @@ from repro.serving.client import ServingClient
 from repro.serving.server import make_tcp_server
 from repro.serving.service import SkylineService
 
-from tests.serving.harness import wait_for_port
-
 
 def _server():
+    # The server is bound and listening once constructed, so no probe
+    # connection (whose session could outlive it) is needed.
     server = make_tcp_server(SkylineService())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    wait_for_port(str(host), int(port))
     return server, thread, str(host), int(port)
 
 

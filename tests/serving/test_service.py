@@ -5,10 +5,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics
 from repro.observability.tracing import Tracer, set_tracer
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.service import (
+    SKEW_ALERT_RATIO,
     QueryResponse,
     ServeConfig,
     ServiceOverloadedError,
@@ -59,6 +61,18 @@ class TestConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SkylineService(ServeConfig(**kwargs))
+
+    def test_skew_alert_fires_at_the_fixed_bound(self):
+        # A balanced job's max/min ratio is 1, so a bound at or below 1
+        # would alert on every job.
+        assert SKEW_ALERT_RATIO > 1.0
+        SkylineService()
+        gauge = get_metrics().gauge("partition.skew.qws.max_min_ratio")
+        gauge.set(1.0)
+        gauge.set(SKEW_ALERT_RATIO)
+        gauge.set(SKEW_ALERT_RATIO + 1.0)
+        alerts = [e for e in get_events().tail(50) if e.kind == "skew.alert"]
+        assert [e.attrs["threshold"] for e in alerts] == [SKEW_ALERT_RATIO]
 
 
 class TestCachePath:

@@ -10,6 +10,12 @@ import happens at run time.  A module nothing reaches is dead code.
 A second check resolves every ``from repro.… import name`` in the entry
 files themselves, so a stale import inside a function body (which no
 plain module import executes) fails here instead of at run time.
+
+A third check goes one level down, to the knobs: each keyword parameter
+of the pipeline's driver and filter stage and each field of the engine's
+and the server's config objects must be set by some reachable module
+other than its own, as a call keyword or an attribute store, or be
+allowlisted with the reason it stays.
 """
 
 from __future__ import annotations
@@ -99,7 +105,8 @@ def _entry_modules(project: Project) -> List[Module]:
     return [m for m in project.modules.values() if os.path.realpath(m.path) in real]
 
 
-def test_every_module_is_reachable_from_an_entry_point(project):
+def _reachable(project: Project) -> Set[str]:
+    """Every module an entry point loads, the entry points included."""
     seen: Set[str] = set()
     frontier = [m.name for m in _entry_modules(project)]
     while frontier:
@@ -108,6 +115,11 @@ def test_every_module_is_reachable_from_an_entry_point(project):
             continue
         seen.add(name)
         frontier.extend(_imported_modules(project, project.modules[name]))
+    return seen
+
+
+def test_every_module_is_reachable_from_an_entry_point(project):
+    seen = _reachable(project)
     package = [name for name in project.modules if name.split(".")[0] == "repro"]
     unreached = sorted(set(package) - seen)
     assert not unreached, f"modules no entry point imports: {unreached}"
@@ -134,3 +146,83 @@ def test_entry_point_repro_imports_resolve(project):
                         f"{module.path}:{node.lineno}: {source} has no {alias.name}"
                     )
     assert not unresolved, "\n".join(unresolved)
+
+
+#: Owner of each audited knob set: keyword parameters of a function,
+#: annotated fields of a config class.
+KNOB_OWNERS = {
+    "run_mr_skyline": "repro.core.mr_skyline",
+    "compute_filter_points": "repro.core.filtering",
+    "JobConf": "repro.mapreduce.job",
+    "ServeConfig": "repro.serving.service",
+}
+
+#: Knobs no entry point sets, each with the reason it stays.
+KNOB_ALLOWLIST = {
+    "run_mr_skyline.block_rows": (
+        "the chaos differential suite needs many map records on small inputs"
+    ),
+    "run_mr_skyline.prune_filter_k": (
+        "tests run the filter stage under the scalar reference kernel, "
+        "whose default turns it off"
+    ),
+    "run_mr_skyline.runner": (
+        "the chaos suite passes a runner that carries a fault plan, and the "
+        "driver tests one that holds a process pool"
+    ),
+    "compute_filter_points.sample": (
+        "tests use small samples to reach the sampled path on small inputs"
+    ),
+}
+
+
+def _knobs(project: Project) -> Dict[str, str]:
+    """``owner.knob -> defining module`` for every audited knob."""
+    knobs: Dict[str, str] = {}
+    for owner, home in KNOB_OWNERS.items():
+        node = project.modules[home].bindings[owner].node
+        if isinstance(node, ast.FunctionDef):
+            names = [arg.arg for arg in node.args.kwonlyargs]
+        else:
+            names = [
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+        assert names, f"{owner} has no knobs to audit"
+        for name in names:
+            knobs[f"{owner}.{name}"] = home
+    return knobs
+
+
+def _set_names(module: Module) -> Set[str]:
+    """Names ``module`` passes as call keywords or stores as attributes."""
+    found: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            found.update(kw.arg for kw in node.keywords if kw.arg is not None)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return found
+
+
+def test_every_knob_is_set_by_an_entry_point(project):
+    # A knob counts as set wherever its name is passed or stored, so a
+    # knob only forwarded between modules passes: this finds the knobs
+    # nothing names at all.
+    knobs = _knobs(project)
+    setters: Dict[str, Set[str]] = {}
+    for name in _reachable(project):
+        for knob in _set_names(project.modules[name]):
+            setters.setdefault(knob, set()).add(name)
+    unset = {
+        knob
+        for knob, home in knobs.items()
+        if not setters.get(knob.split(".", 1)[1], set()) - {home}
+    }
+    assert not unset - set(KNOB_ALLOWLIST), (
+        "knobs no entry point sets (delete them or allowlist them with a "
+        f"reason): {sorted(unset - set(KNOB_ALLOWLIST))}"
+    )
+    stale = sorted(set(KNOB_ALLOWLIST) - unset)
+    assert not stale, f"allowlisted knobs that are gone or now set: {stale}"
