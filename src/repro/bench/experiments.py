@@ -86,17 +86,15 @@ def _attach_engine_meta(table: Table, records) -> None:
     """Record the execution policy in ``table.meta`` (flows to ``to_json``).
 
     Tables compare simulated cluster seconds, which must not silently mix
-    engine backends — ``meta["engine"]`` makes the executor and chain mode
-    of every run auditable in exports.
+    engine backends — ``meta["engine"]`` makes the executor of every run
+    auditable in exports.
     """
     records = list(records)
     if not records:
         return
     executors = sorted({r.executor for r in records})
-    pipelined = sorted({r.pipelined for r in records})
     table.meta["engine"] = {
         "executor": executors[0] if len(executors) == 1 else executors,
-        "pipelined": pipelined[0] if len(pipelined) == 1 else pipelined,
     }
 
 
@@ -108,7 +106,6 @@ def figure5(
     cluster: ClusterSpec = DEFAULT_CLUSTER,
     cache: DatasetCache | None = None,
     executor: str | None = None,
-    pipelined: bool = False,
 ) -> Table:
     """Figure 5: processing time vs dimension for the three methods.
 
@@ -121,7 +118,6 @@ def figure5(
         cluster=cluster,
         cache=cache,
         executor=executor,
-        pipelined=pipelined,
     )
     sub = "a" if n <= 10_000 else "b"
     table = Table(
@@ -153,7 +149,6 @@ def figure6(
     cache: DatasetCache | None = None,
     include_tree_merge: bool = True,
     executor: str | None = None,
-    pipelined: bool = False,
 ) -> Table:
     """Figure 6: MR-Angle map/reduce time breakdown vs server count.
 
@@ -174,11 +169,9 @@ def figure6(
         num_workers=max(node_counts),
         num_partitions=partitions,
         executor=executor,
-        pipelined=pipelined,
     )
     tree_result = None
     if include_tree_merge:
-        # The tree merge is data-dependently chained, so it cannot pipeline.
         tree_result = run_mr_skyline(
             matrix,
             method="angle",
@@ -205,22 +198,13 @@ def figure6(
         if tree_result is not None:
             row.append(tree_result.simulate(cluster).total_s)
         table.add_row(*row)
-    if pipelined:
-        table.add_note(
-            "pipelined chain: total_s models per-partition job overlap and "
-            "can undercut map_time + reduce_time"
-        )
-    else:
-        table.add_note("sectioned-bar data: total = map_time + reduce_time")
+    table.add_note("sectioned-bar data: total = map_time + reduce_time")
     table.add_note(
         "reduce_time includes the serial global-merge job, the saturation "
         "floor past ~16-24 servers; the tree-merge column is our extension "
         "that parallelises the merge (8-way partial-merge rounds)"
     )
-    table.meta["engine"] = {
-        "executor": result.executor,
-        "pipelined": result.pipelined,
-    }
+    table.meta["engine"] = {"executor": result.executor}
     return table
 
 
@@ -233,7 +217,6 @@ def figure7(
     cache: DatasetCache | None = None,
     include_equal_width: bool = True,
     executor: str | None = None,
-    pipelined: bool = False,
 ) -> Table:
     """Figure 7: local skyline optimality (Eq. 5) vs dimension.
 
@@ -253,7 +236,6 @@ def figure7(
             cluster=cluster,
             cache=cache,
             executor=executor,
-            pipelined=pipelined,
         )
     )
     sub = "a" if n <= 10_000 else "b"
@@ -279,7 +261,6 @@ def figure7(
                 cache=cache,
                 partitioner_kwargs={"bins": "equal-width"},
                 executor=executor,
-                pipelined=pipelined,
             )
             records.append(rec)
             row.append(rec.optimality)
@@ -297,7 +278,6 @@ def headline(
     cluster: ClusterSpec = DEFAULT_CLUSTER,
     cache: DatasetCache | None = None,
     executor: str | None = None,
-    pipelined: bool = False,
 ) -> Table:
     """§V-B headline: MR-Angle is 1.7× / 2.3× faster than MR-Grid / MR-Dim
     at N=100,000, d=10."""
@@ -309,7 +289,6 @@ def headline(
             cluster=cluster,
             cache=cache,
             executor=executor,
-            pipelined=pipelined,
         )
         for m in PAPER_METHODS
     }

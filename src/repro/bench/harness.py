@@ -125,7 +125,6 @@ class PointRecord:
     trace_summary: Dict[str, Any] | None = None
     #: Engine execution policy the cell ran under.
     executor: str = "serial"
-    pipelined: bool = False
     #: Dominance backend ("scalar" / "block") and broadcast filter-set size.
     kernel: str = "scalar"
     filter_points: int = 0
@@ -161,7 +160,6 @@ class PointRecord:
             points_pruned=result.points_pruned,
             trace_summary=trace_summary,
             executor=result.executor,
-            pipelined=result.pipelined,
             kernel=result.kernel,
             filter_points=result.filter_points,
         )

@@ -30,7 +30,6 @@ Usage::
     --executor  engine backend for the runs: serial (default; the
                 measurement path), threads, or processes
     --workers   pool size for the thread/process executors
-    --pipelined overlap the two-job skyline chain (see docs/tuning.md)
     --kernel    dominance backend: scalar (default; the reference) or
                 block (columnar + filter pruning; see docs/kernels.md);
                 `serve` and `coordinator` default to block instead
@@ -60,10 +59,7 @@ _QUICK_NODES = (2, 4, 8)
 
 
 def _experiments(
-    quick: bool,
-    *,
-    executor: str | None = None,
-    pipelined: bool = False,
+    quick: bool, *, executor: str | None = None
 ) -> Dict[str, Callable[[], Table]]:
     from repro.bench import (
         ablations,
@@ -81,11 +77,11 @@ def _experiments(
     fig6_kwargs = (
         {"n": large, "d": dims[-1], "node_counts": _QUICK_NODES} if quick else {}
     )
-    # Engine execution policy, forwarded to the experiments that run the
-    # MapReduce pipeline (theory/ablations/stragglers stay on their own
-    # defaults: theory runs no engine jobs; the others compare chained and
-    # tree-merge variants that pin their own chain modes).
-    engine = {"executor": executor, "pipelined": pipelined}
+    # Engine backend, forwarded to the experiments that run the MapReduce
+    # pipeline (theory/ablations/stragglers stay on their own defaults:
+    # theory runs no engine jobs; the others keep the process-default
+    # executor).
+    engine = {"executor": executor}
     return {
         "fig5a": lambda: figure5(small, dims=dims, **engine),
         "fig5b": lambda: figure5(large, dims=dims, **engine),
@@ -151,12 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="pool size for --executor threads/processes (default: CPU count)",
-    )
-    parser.add_argument(
-        "--pipelined",
-        action="store_true",
-        help="overlap the two-job skyline chain (merge maps start as local-"
-        "skyline partitions finish); results are identical",
     )
     parser.add_argument(
         "--kernel",
@@ -925,7 +915,7 @@ def main(argv: List[str] | None = None) -> int:
         from repro.mapreduce.executors import make_executor
 
         executor = make_executor(args.executor, num_workers=args.workers)
-    registry = _experiments(args.quick, executor=executor, pipelined=args.pipelined)
+    registry = _experiments(args.quick, executor=executor)
     names = list(registry) if args.experiment == "all" else [args.experiment]
     previous_kernel = None
     if args.kernel:

@@ -48,7 +48,7 @@ from repro.core.partitioning import (
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.executors import Executor, make_executor
-from repro.mapreduce.job import ChainResult, Job, JobChain, JobConf
+from repro.mapreduce.job import ChainResult, Job, JobConf
 from repro.mapreduce.partitioner import KeyFieldPartitioner, SingleReducerPartitioner
 from repro.mapreduce.runner import Runner
 from repro.mapreduce.simulation import SimulatedPipeline, simulate_pipeline
@@ -261,8 +261,6 @@ class MRSkylineResult:
     partitioner: SpacePartitioner | None = field(default=None, repr=False)
     #: Executor the engine ran under ("serial" / "threads" / "processes").
     executor: str = "serial"
-    #: Whether the two-job chain ran in pipelined (overlapped) mode.
-    pipelined: bool = False
     #: Dominance backend every UDF ran with ("scalar" / "block").
     kernel: str = "scalar"
     #: Size of the broadcast filter set (0 — filter pruning disabled).
@@ -290,23 +288,14 @@ class MRSkylineResult:
     def global_points(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64)[self.global_indices]
 
-    def simulate(
-        self, cluster: ClusterSpec, *, pipelined: bool | None = None
-    ) -> SimulatedPipeline:
-        """Replay the measured chain on a simulated cluster (Figure 6).
-
-        ``pipelined`` defaults to how this result was actually executed;
-        pass ``True``/``False`` to model the other chaining mode instead.
-        """
-        if pipelined is None:
-            pipelined = self.pipelined
-        return simulate_pipeline(self.chain.results, cluster, pipelined=pipelined)
+    def simulate(self, cluster: ClusterSpec) -> SimulatedPipeline:
+        """Replay the measured chain on a simulated cluster (Figure 6)."""
+        return simulate_pipeline(self.chain.results, cluster)
 
     def summary(self) -> dict:
         return {
             "method": self.method,
             "executor": self.executor,
-            "pipelined": self.pipelined,
             "kernel": self.kernel,
             "filter_points": self.filter_points,
             "partitions": self.num_partitions,
@@ -358,7 +347,6 @@ def run_mr_skyline(
     merge_strategy: str = "single",
     merge_fan_in: int = 8,
     executor: str | Executor | None = None,
-    pipelined: bool = False,
     kernel: str | DominanceKernel | None = None,
     prune_filter_k: int | None = None,
 ) -> MRSkylineResult:
@@ -403,12 +391,6 @@ def run_mr_skyline(
         Executor name (``"serial"`` / ``"threads"`` / ``"processes"``) or a
         ready :class:`~repro.mapreduce.executors.Executor` instance for the
         default runner; ignored when ``runner`` is given.
-    pipelined:
-        Overlap the two jobs: the merge job's map task *i* consumes local
-        skyline partition *i* as soon as its reducer finishes, instead of
-        waiting for the whole partitioning job.  Requires
-        ``merge_strategy="single"`` (tree rounds are sized from the data,
-        which is still in flight while pipelining).  Results are identical.
     kernel:
         Dominance backend for every UDF (name or instance); ``None``
         resolves the process default (``--kernel`` / ``$REPRO_KERNEL``,
@@ -439,12 +421,6 @@ def run_mr_skyline(
         )
     if merge_fan_in < 2:
         raise ValueError(f"merge_fan_in must be >= 2, got {merge_fan_in}")
-    if pipelined and merge_strategy != "single":
-        raise ValueError(
-            "pipelined=True requires merge_strategy='single': tree-merge "
-            "rounds are sized from intermediate data that is still in "
-            "flight while pipelining"
-        )
     owns_runner = runner is None
     if runner is None:
         runner = Runner(make_executor(executor, num_workers=num_workers))
@@ -457,7 +433,6 @@ def run_mr_skyline(
         workers=num_workers,
         merge_strategy=merge_strategy,
         executor=runner.executor_name,
-        pipelined=pipelined,
         kernel=knl.name,
     ) as pipeline_span:
         if partitioner is None:
@@ -503,69 +478,54 @@ def run_mr_skyline(
                 params=params,
             ),
         )
-        def _merge_job(recs: List) -> Job:
-            return Job(
-                name=f"mr-{partitioner.scheme}-merge",
-                mapper=GlobalMergeMapper,
-                reducer=GlobalMergeReducer,
-                conf=JobConf(
-                    num_reducers=1,
-                    num_map_tasks=max(1, min(num_workers, max(len(recs), 1))),
-                    partitioner=SingleReducerPartitioner(),
-                    params={"window_size": window_size, "kernel": knl.name},
-                ),
-            )
+        result1 = runner.run(job1, records=records)
 
-        if pipelined:
-            # Overlapped two-job chain: the merge job's map task i runs
-            # over local-skyline partition i the moment its reducer ends.
-            chain = runner.run_chain(
-                JobChain(
-                    f"mr-{partitioner.scheme}",
-                    [lambda _recs: job1, _merge_job],
-                    pipelined=True,
-                ),
-                records,
-            )
-            result1, result2 = chain.results[0], chain.results[-1]
-        else:
-            result1 = runner.run(job1, records=records)
+        merge_results = []
+        intermediate = list(result1.output_pairs())
+        if merge_strategy == "tree":
+            # Hierarchical rounds: fan_in local skylines per reducer until
+            # only a handful of groups remain, then the final single-reducer
+            # merge.
+            round_no = 0
+            while len(intermediate) > merge_fan_in:
+                # Re-key to dense group ids so `key // fan_in` packs evenly.
+                intermediate = [
+                    (i, block) for i, (_, block) in enumerate(intermediate)
+                ]
+                groups = -(-len(intermediate) // merge_fan_in)  # ceil
+                job = Job(
+                    name=f"mr-{partitioner.scheme}-treemerge-{round_no}",
+                    mapper=TreeMergeMapper,
+                    reducer=LocalSkylineReducer,
+                    conf=JobConf(
+                        num_reducers=groups,
+                        num_map_tasks=max(1, min(num_workers, len(intermediate))),
+                        partitioner=KeyFieldPartitioner(),
+                        params={
+                            "window_size": window_size,
+                            "fan_in": merge_fan_in,
+                            "kernel": knl.name,
+                        },
+                    ),
+                )
+                result = runner.run(job, records=intermediate)
+                merge_results.append(result)
+                intermediate = list(result.output_pairs())
+                round_no += 1
 
-            merge_results = []
-            intermediate = list(result1.output_pairs())
-            if merge_strategy == "tree":
-                # Hierarchical rounds: fan_in local skylines per reducer until
-                # only a handful of groups remain, then the final single-reducer
-                # merge.
-                round_no = 0
-                while len(intermediate) > merge_fan_in:
-                    # Re-key to dense group ids so `key // fan_in` packs evenly.
-                    intermediate = [
-                        (i, block) for i, (_, block) in enumerate(intermediate)
-                    ]
-                    groups = -(-len(intermediate) // merge_fan_in)  # ceil
-                    job = Job(
-                        name=f"mr-{partitioner.scheme}-treemerge-{round_no}",
-                        mapper=TreeMergeMapper,
-                        reducer=LocalSkylineReducer,
-                        conf=JobConf(
-                            num_reducers=groups,
-                            num_map_tasks=max(1, min(num_workers, len(intermediate))),
-                            partitioner=KeyFieldPartitioner(),
-                            params={
-                                "window_size": window_size,
-                                "fan_in": merge_fan_in,
-                                "kernel": knl.name,
-                            },
-                        ),
-                    )
-                    result = runner.run(job, records=intermediate)
-                    merge_results.append(result)
-                    intermediate = list(result.output_pairs())
-                    round_no += 1
-
-            result2 = runner.run(_merge_job(intermediate), records=intermediate)
-            chain = ChainResult(results=[result1, *merge_results, result2])
+        job2 = Job(
+            name=f"mr-{partitioner.scheme}-merge",
+            mapper=GlobalMergeMapper,
+            reducer=GlobalMergeReducer,
+            conf=JobConf(
+                num_reducers=1,
+                num_map_tasks=max(1, min(num_workers, len(intermediate))),
+                partitioner=SingleReducerPartitioner(),
+                params={"window_size": window_size, "kernel": knl.name},
+            ),
+        )
+        result2 = runner.run(job2, records=intermediate)
+        chain = ChainResult(results=[result1, *merge_results, result2])
         counters = Counters()
         for res in chain.results:
             counters.merge(res.counters)
@@ -613,7 +573,6 @@ def run_mr_skyline(
         points_pruned=counters.value(COUNTER_GROUP, "points_pruned"),
         partitioner=partitioner,
         executor=result2.executor,
-        pipelined=pipelined,
         kernel=knl.name,
         filter_points=filter_count,
     )

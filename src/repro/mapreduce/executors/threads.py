@@ -24,8 +24,8 @@ class ThreadExecutor(Executor):
 
     The lazily-created pool is guarded by ``self._lock`` (the engine's
     lock-discipline contract, enforced by ``repro lint``): concurrent
-    first ``submit`` calls — e.g. two pipelined chains sharing one
-    executor instance — must not race the pool into existence twice, and
+    first ``submit`` calls — e.g. two runners sharing one executor
+    instance — must not race the pool into existence twice, and
     ``shutdown`` must not tear it down under a submitter.
 
     Metrics *instrument creation* is likewise locked in the registry;

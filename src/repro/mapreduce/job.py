@@ -198,27 +198,17 @@ class JobChain:
     Each stage is a builder ``records -> Job`` so stages can size themselves
     (e.g. split counts) from the actual intermediate data.  The first builder
     receives the chain's input records.
-
-    ``pipelined=True`` asks the runner to overlap adjacent jobs: job *k+1*'s
-    map task *i* consumes job *k*'s reduce partition *i* as soon as that
-    reducer finishes (no inter-job barrier).  Builders after the first are
-    then called with an *empty* record list — the intermediate data is still
-    in flight — so pipelined stages must size themselves from configuration,
-    not from ``len(records)``.  Outputs are identical either way.
     """
 
     def __init__(
         self,
         name: str,
         stages: Sequence[Callable[[List[Pair]], Job]],
-        *,
-        pipelined: bool = False,
     ):
         if not stages:
             raise JobConfigError("JobChain needs at least one stage")
         self.name = name
         self.stages = list(stages)
-        self.pipelined = pipelined
 
     def __len__(self) -> int:
         return len(self.stages)

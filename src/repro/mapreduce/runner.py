@@ -12,21 +12,14 @@ with a pool executor each reduce partition is submitted the moment it is
 merged — the next partition's merge overlaps the previous partition's
 reduce.
 
-:meth:`Runner.run_chain` additionally supports *pipelined* chains
-(``JobChain(..., pipelined=True)``): job *k+1*'s map task *i* consumes job
-*k*'s reduce partition *i* as soon as it finishes, overlapping the two jobs
-— the §IV pipeline shape the paper's Figure 6 reduce-dominance claim turns
-on.
-
 Every run is traced through :mod:`repro.observability`: a ``job`` span
 nests ``phase`` spans (map / shuffle / reduce), which nest ``task`` spans,
 every task span tagged with its ``executor``.  Inline (serial) execution
 produces real nested task spans; pool executors produce synthetic
 back-dated spans recorded as futures drain (tasks execute in workers, so
-only measured durations travel back).  Pipelined chains use detached spans,
-so overlapping phases render truthfully in ``repro trace``.  Spans export
-as they finish — a job that dies mid-phase still leaves a partial trace,
-and the raised :class:`JobFailedError` carries the completed tasks' stats.
+only measured durations travel back).  Spans export as they finish — a
+job that dies mid-phase still leaves a partial trace, and the raised
+:class:`JobFailedError` carries the completed tasks' stats.
 With the default disabled tracer all hooks are no-ops.
 
 Fault tolerance is policy-driven (see ``docs/fault_tolerance.md``): a
@@ -49,7 +42,6 @@ import statistics
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from repro.mapreduce.counters import Counters
@@ -76,7 +68,7 @@ from repro.mapreduce.tasks import JobSpec, execute_map_task, execute_reduce_task
 from repro.mapreduce.types import PhaseStats, RetryPolicy, TaskKind, TaskStats
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics, observe_partition_skew
-from repro.observability.tracing import Span, Tracer, get_tracer
+from repro.observability.tracing import Tracer, get_tracer
 
 Pair = Tuple[Hashable, Any]
 
@@ -109,29 +101,6 @@ def _observe_task(stats: TaskStats) -> None:
     get_metrics().histogram(_DURATION_HISTOGRAMS[stats.kind]).observe(
         stats.duration_s
     )
-
-
-@dataclass
-class _StageState:
-    """Driver-side bookkeeping for one in-flight stage of a pipelined chain."""
-
-    job: Job
-    spec: JobSpec
-    num_maps: int
-    streaming: StreamingShuffle
-    job_span: Any = None
-    reduce_span: Any = None
-    reduce_pending: _Pending = field(default_factory=dict)
-    reduce_results: List[Any] = field(default_factory=list)
-    counters: Counters = field(default_factory=Counters)
-    map_stats: PhaseStats = field(
-        default_factory=lambda: PhaseStats(kind=TaskKind.MAP)
-    )
-    map_wall: float = 0.0
-    shuffle_wall: float = 0.0
-    reduce_t0: int = 0
-    #: Task ids lost terminally under degraded mode, both phases.
-    lost: List[str] = field(default_factory=list)
 
 
 class Runner:
@@ -269,20 +238,9 @@ class Runner:
             return self._run_job(ex, job, splits)
 
     def run_chain(self, chain: JobChain, records: Sequence[Pair]) -> ChainResult:
-        """Execute a job chain, feeding each job the previous job's output.
-
-        A chain built with ``pipelined=True`` overlaps adjacent jobs: job
-        *k+1*'s map task *i* runs over job *k*'s reduce partition *i* as
-        soon as that partition's reducer finishes, instead of waiting for
-        the whole job and re-splitting its concatenated output.
-        Stage builders after the first are called with an empty record list
-        (the data is still in flight), and the downstream job's
-        ``num_map_tasks`` is overridden by the upstream reducer count.
-        """
+        """Execute a job chain, feeding each job the previous job's output."""
         self._begin_run()
         with self._lease_executor() as ex:
-            if chain.pipelined:
-                return self._run_chain_pipelined(ex, chain, records)
             current: List[Pair] = list(records)
             results: List[JobResult] = []
             with self.tracer.span(
@@ -424,213 +382,6 @@ class Runner:
             lost_partitions=list(lost),
         )
 
-    # -- pipelined chains ---------------------------------------------------------
-
-    def _run_chain_pipelined(
-        self, ex: Executor, chain: JobChain, records: Sequence[Pair]
-    ) -> ChainResult:
-        """Overlapped chain execution.
-
-        Stage *k*'s reduce futures are drained *inside* stage *k+1*'s map
-        phase: each completed reduce partition *i* immediately becomes map
-        task *i* of the next job, so with a pool executor the two jobs'
-        work is in flight together.  Task indices are pinned to partition
-        indices, which keeps outputs deterministic regardless of completion
-        order.  All spans are detached (explicitly parented) because the
-        overlapping phases cannot nest on the tracer's stack.
-        """
-        tracer = self.tracer
-        chain_span = tracer.start_span(
-            chain.name,
-            kind="chain",
-            stages=len(chain),
-            executor=ex.name,
-            pipelined=True,
-        )
-        open_spans: List[Any] = [chain_span]
-        results: List[JobResult] = []
-        prev: _StageState | None = None
-        try:
-            for stage_index, builder in enumerate(chain.stages):
-                job = builder(list(records) if stage_index == 0 else [])
-                job.validate()
-                spec = JobSpec.of(job)
-                if stage_index == 0:
-                    splits = make_splits(records, job.conf.num_map_tasks)
-                    num_maps = len(splits)
-                else:
-                    # One downstream map task per upstream reduce partition.
-                    num_maps = len(prev.reduce_results)
-                state = _StageState(
-                    job=job,
-                    spec=spec,
-                    num_maps=num_maps,
-                    streaming=StreamingShuffle(num_maps, job.conf.num_reducers),
-                )
-                state.job_span = tracer.start_span(
-                    job.name,
-                    kind="job",
-                    parent=chain_span,
-                    num_map_tasks=num_maps,
-                    num_reducers=job.conf.num_reducers,
-                    executor=ex.name,
-                    pipelined=True,
-                )
-                open_spans.append(state.job_span)
-
-                # Map phase — overlaps the previous stage's reduce drain.
-                map_span = tracer.start_span(
-                    "map", kind="phase", parent=state.job_span, phase="map"
-                )
-                open_spans.append(map_span)
-                t0 = time.perf_counter_ns()
-                map_pending: _Pending = {}
-                map_results: List[Any] = [None] * num_maps
-                if stage_index == 0:
-                    for index, split in enumerate(splits):
-                        future = self._submit_task(
-                            ex, execute_map_task, spec, "map",
-                            index, split, 1, map_span,
-                        )
-                        map_pending[future] = (index, split, 1)
-                else:
-
-                    def _feed(part: int, result: Any) -> Any:
-                        output = result[0]
-                        split = InputSplit(index=part, records=list(output))
-                        future = self._submit_task(
-                            ex, execute_map_task, spec, "map",
-                            part, split, 1, map_span,
-                        )
-                        map_pending[future] = (part, split, 1)
-                        return result
-
-                    prev.lost.extend(
-                        self._drain(
-                            ex, execute_reduce_task, prev.spec, "reduce",
-                            prev.reduce_pending, prev.reduce_results,
-                            on_done=_feed, parent=prev.reduce_span,
-                            counters=prev.counters,
-                        )
-                    )
-                    self._finish_stage(ex, prev, results, open_spans)
-                state.lost.extend(
-                    self._drain(
-                        ex, execute_map_task, spec, "map",
-                        map_pending, map_results,
-                        on_done=_ingest_into(
-                            state.streaming, self._active_policy.speculation
-                        ),
-                        parent=map_span,
-                        counters=state.counters,
-                    )
-                )
-                state.map_wall = (time.perf_counter_ns() - t0) / 1e9
-                map_span.set_attrs(tasks=num_maps)
-                tracer.end_span(map_span)
-                open_spans.remove(map_span)
-                for _, task_counters, stats in map_results:
-                    state.counters.merge(task_counters)
-                    state.map_stats.tasks.append(stats)
-                    _observe_task(stats)
-
-                # Shuffle: finalize each partition, launch its reduce at
-                # once.  The reduce span opens alongside the shuffle span —
-                # the two genuinely overlap in pipelined mode.
-                sh_span = tracer.start_span(
-                    "shuffle", kind="phase", parent=state.job_span, phase="shuffle"
-                )
-                open_spans.append(sh_span)
-                state.reduce_span = tracer.start_span(
-                    "reduce", kind="phase", parent=state.job_span, phase="reduce"
-                )
-                open_spans.append(state.reduce_span)
-                state.reduce_t0 = time.perf_counter_ns()
-                t1 = time.perf_counter_ns()
-                state.streaming.stats.observe(get_metrics())
-                state.reduce_results = [None] * job.conf.num_reducers
-                partition_records: List[int] = []
-                for part in range(job.conf.num_reducers):
-                    grouped = state.streaming.finalize(part)
-                    partition_records.append(sum(len(vs) for _, vs in grouped))
-                    future = self._submit_task(
-                        ex, execute_reduce_task, spec, "reduce",
-                        part, grouped, 1, state.reduce_span,
-                    )
-                    state.reduce_pending[future] = (part, grouped, 1)
-                state.shuffle_wall = (time.perf_counter_ns() - t1) / 1e9
-                sh_span.set_attrs(**state.streaming.stats.as_dict())
-                tracer.end_span(sh_span)
-                open_spans.remove(sh_span)
-                observe_partition_skew(get_metrics(), partition_records)
-                prev = state
-
-            prev.lost.extend(
-                self._drain(
-                    ex, execute_reduce_task, prev.spec, "reduce",
-                    prev.reduce_pending, prev.reduce_results,
-                    parent=prev.reduce_span,
-                    counters=prev.counters,
-                )
-            )
-            self._finish_stage(ex, prev, results, open_spans)
-            tracer.end_span(chain_span)
-            open_spans.remove(chain_span)
-            return ChainResult(results=results)
-        except BaseException:
-            for span in reversed(open_spans):
-                tracer.end_span(span, status="error")
-            raise
-
-    def _finish_stage(
-        self,
-        ex: Executor,
-        state: _StageState,
-        results: List[JobResult],
-        open_spans: List[Any],
-    ) -> None:
-        """Aggregate a pipelined stage whose reduces have fully drained."""
-        tracer = self.tracer
-        reduce_stats = PhaseStats(kind=TaskKind.REDUCE)
-        outputs: List[List[Pair]] = []
-        for output, task_counters, stats in state.reduce_results:
-            outputs.append(output)
-            state.counters.merge(task_counters)
-            reduce_stats.tasks.append(stats)
-            _observe_task(stats)
-        reduce_wall = (time.perf_counter_ns() - state.reduce_t0) / 1e9
-        state.reduce_span.set_attrs(tasks=len(state.reduce_results))
-        tracer.end_span(state.reduce_span)
-        open_spans.remove(state.reduce_span)
-        state.job_span.set_attrs(
-            map_wall_s=round(state.map_wall, 9),
-            shuffle_wall_s=round(state.shuffle_wall, 9),
-            reduce_wall_s=round(reduce_wall, 9),
-            output_records=sum(len(p) for p in outputs),
-        )
-        if state.lost:
-            state.job_span.set_attrs(partial=True, lost_partitions=list(state.lost))
-        tracer.end_span(state.job_span)
-        open_spans.remove(state.job_span)
-        state.streaming.close()
-        get_metrics().absorb_counters(state.counters)
-        results.append(
-            JobResult(
-                job_name=state.job.name,
-                outputs=outputs,
-                counters=state.counters,
-                map_stats=state.map_stats,
-                reduce_stats=reduce_stats,
-                shuffle_stats=state.streaming.stats,
-                map_wall_s=state.map_wall,
-                shuffle_wall_s=state.shuffle_wall,
-                reduce_wall_s=reduce_wall,
-                executor=ex.name,
-                partial=bool(state.lost),
-                lost_partitions=list(state.lost),
-            )
-        )
-
     # -- task submission and draining ---------------------------------------------
 
     @contextmanager
@@ -654,7 +405,6 @@ class Runner:
         index: int,
         payload: Any,
         attempt: int,
-        parent: Span | None = None,
     ) -> Future:
         """Submit one task attempt; inline executors trace it right here.
 
@@ -672,7 +422,7 @@ class Runner:
         if ex.inline:
             return ex.submit(
                 self._run_attempt_inline,
-                fn, spec, kind, index, payload, attempt, ex.name, parent,
+                fn, spec, kind, index, payload, attempt, ex.name,
                 decision, timeout_s,
             )
         if decision is not None:
@@ -688,7 +438,6 @@ class Runner:
         payload: Any,
         attempt: int,
         executor_name: str,
-        parent: Span | None,
         decision: FaultDecision | None = None,
         timeout_s: float | None = None,
     ) -> Any:
@@ -697,7 +446,6 @@ class Runner:
         with tracer.span(
             f"{kind}-{index}",
             kind="task",
-            parent=parent,
             attempt=attempt,
             executor=executor_name,
         ) as span:
@@ -722,7 +470,6 @@ class Runner:
         results: List[Any],
         *,
         on_done: Callable[[int, Any], Any] | None = None,
-        parent: Span | None = None,
         counters: Counters | None = None,
     ) -> List[str]:
         """Drive pending futures to completion under the active RetryPolicy.
@@ -777,7 +524,7 @@ class Runner:
             if counters is not None:
                 counters.framework("tasks_lost")
             tracer.record_span(
-                task_id, kind="decision", parent=parent,
+                task_id, kind="decision",
                 decision="degrade", attempt=attempt,
                 task_kind=kind, executor=ex.name,
             )
@@ -795,7 +542,7 @@ class Runner:
             index: int, payload: Any, attempt: int, failure: TaskError
         ) -> None:
             """Record one failed attempt; retry, degrade, or exhaust."""
-            self._note_failure(ex, kind, index, attempt, failure, failures, parent)
+            self._note_failure(ex, kind, index, attempt, failure, failures)
             if isinstance(failure, TaskTimeoutError):
                 metrics.counter(f"task.{kind}.timeouts").inc()
                 if counters is not None:
@@ -809,7 +556,7 @@ class Runner:
                 if counters is not None:
                     counters.framework("task_retries")
                 tracer.record_span(
-                    task_id, kind="decision", parent=parent,
+                    task_id, kind="decision",
                     decision="retry", attempt=attempt + 1,
                     backoff_s=round(delay, 9),
                     task_kind=kind, executor=ex.name,
@@ -834,7 +581,7 @@ class Runner:
                     continue
                 if ready_at <= now:
                     future = self._submit_task(
-                        ex, fn, spec, kind, index, payload, attempt, parent
+                        ex, fn, spec, kind, index, payload, attempt
                     )
                     pending[future] = (index, payload, attempt)
                     started[future] = now
@@ -876,9 +623,7 @@ class Runner:
                     if ex.inline:
                         raise
                     failure = TaskError(f"{kind}-{index}", exc)
-                    self._note_failure(
-                        ex, kind, index, attempt, failure, failures, parent
-                    )
+                    self._note_failure(ex, kind, index, attempt, failure, failures)
                     if policy.on_lost == "degrade" and not in_flight(index):
                         commit_lost(index, attempt)
                     else:
@@ -896,7 +641,6 @@ class Runner:
                     tracer.record_span(
                         stats.task_id,
                         kind="task",
-                        parent=parent,
                         duration_ns=int(stats.duration_s * 1e9),
                         executor=ex.name,
                         **span_extra,
@@ -927,7 +671,7 @@ class Runner:
                             # slot is suspect until the body returns.
                             metrics.counter("executor.suspect_workers").inc()
                         tracer.record_span(
-                            f"{kind}-{index}", kind="decision", parent=parent,
+                            f"{kind}-{index}", kind="decision",
                             decision="timeout", attempt=attempt,
                             timeout_s=policy.task_timeout_s,
                             task_kind=kind, executor=ex.name,
@@ -962,7 +706,7 @@ class Runner:
                         if counters is not None:
                             counters.framework("speculative_attempts")
                         tracer.record_span(
-                            f"{kind}-{index}", kind="decision", parent=parent,
+                            f"{kind}-{index}", kind="decision",
                             decision="speculate", attempt=attempt,
                             elapsed_s=round(elapsed, 9),
                             task_kind=kind, executor=ex.name,
@@ -973,7 +717,7 @@ class Runner:
                             job=spec.name,
                         )
                         backup = self._submit_task(
-                            ex, fn, spec, kind, index, payload, attempt, parent
+                            ex, fn, spec, kind, index, payload, attempt
                         )
                         pending[backup] = (index, payload, attempt)
                         started[backup] = now
@@ -994,7 +738,6 @@ class Runner:
         items: Sequence[Any],
         *,
         on_done: Callable[[int, Any], Any] | None = None,
-        parent: Span | None = None,
         counters: Counters | None = None,
     ) -> Tuple[List[Any], List[str]]:
         """Submit one task per item and drain them all.
@@ -1005,11 +748,11 @@ class Runner:
         results: List[Any] = [None] * len(items)
         pending: _Pending = {}
         for index, item in enumerate(items):
-            future = self._submit_task(ex, fn, spec, kind, index, item, 1, parent)
+            future = self._submit_task(ex, fn, spec, kind, index, item, 1)
             pending[future] = (index, item, 1)
         lost = self._drain(
             ex, fn, spec, kind, pending, results,
-            on_done=on_done, parent=parent, counters=counters,
+            on_done=on_done, counters=counters,
         )
         return results, lost
 
@@ -1021,7 +764,6 @@ class Runner:
         attempt: int,
         exc: TaskError,
         failures: Dict[int, List[TaskError]],
-        parent: Span | None,
     ) -> None:
         """Trace/metric footprint of one failed task attempt."""
         failures.setdefault(index, []).append(exc)
@@ -1032,7 +774,6 @@ class Runner:
                 exc.task_id,
                 kind="task",
                 status="error",
-                parent=parent,
                 attempt=attempt,
                 task_kind=kind,
                 executor=ex.name,

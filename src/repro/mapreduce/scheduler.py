@@ -84,20 +84,12 @@ def schedule_tasks(
     *,
     policy: Policy = "fifo",
     per_task_overhead_s: float = 0.0,
-    release_times_s: Sequence[float] | None = None,
 ) -> Schedule:
     """Greedy list scheduling of ``durations`` onto ``num_slots`` slots.
 
     Each task occupies its slot for ``duration + per_task_overhead_s`` (the
     overhead models task launch — Hadoop's JVM spin-up).  Returns the full
     placement, from which callers read the makespan.
-
-    ``release_times_s`` gives each task an earliest-start time: a task
-    cannot begin before its release even if a slot is idle.  This models
-    pipelined chains, where job *k+1*'s map task *i* is released the moment
-    job *k*'s reduce partition *i* finishes rather than at the phase
-    barrier.  Omitted (or all-zero), every task is available at time 0 and
-    the classic barrier semantics hold.
     """
     if num_slots <= 0:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
@@ -106,15 +98,6 @@ def schedule_tasks(
             raise ValueError(f"task {i} has negative duration {d}")
     if per_task_overhead_s < 0:
         raise ValueError(f"per_task_overhead_s must be >= 0, got {per_task_overhead_s}")
-    if release_times_s is not None:
-        if len(release_times_s) != len(durations):
-            raise ValueError(
-                f"release_times_s has {len(release_times_s)} entries "
-                f"for {len(durations)} tasks"
-            )
-        for i, r in enumerate(release_times_s):
-            if r < 0:
-                raise ValueError(f"task {i} has negative release time {r}")
 
     order = list(range(len(durations)))
     if policy == "lpt":
@@ -127,10 +110,7 @@ def schedule_tasks(
     heapq.heapify(slots)
     schedule = Schedule(num_slots=num_slots)
     for task_index in order:
-        free_at, slot = heapq.heappop(slots)
-        start = free_at
-        if release_times_s is not None:
-            start = max(start, release_times_s[task_index])
+        start, slot = heapq.heappop(slots)
         end = start + durations[task_index] + per_task_overhead_s
         schedule.tasks.append(
             ScheduledTask(task_index=task_index, slot=slot, start_s=start, end_s=end)

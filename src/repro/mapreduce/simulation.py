@@ -15,13 +15,6 @@ simulator computes phase makespans:
 
 Chained jobs add one ``job_overhead_s`` each, so the simulated total for the
 skyline pipelines is ``overheads + Σ(job phases)``.
-
-:func:`simulate_pipeline` can additionally model the runner's *pipelined*
-chain mode (``pipelined=True``): job *k+1*'s map task *i* is released the
-moment job *k*'s reduce partition *i* finishes instead of at the inter-job
-barrier, using the scheduler's release-time support.  Per-job phase numbers
-stay barrier-style (they remain Figure-6 comparable); only the pipeline's
-end-to-end total changes.
 """
 
 from __future__ import annotations
@@ -68,8 +61,6 @@ class SimulatedPipeline:
     """Aggregated times for a chain of jobs (the two-job skyline pipeline)."""
 
     jobs: tuple[SimulatedJob, ...]
-    #: End-to-end time with inter-job pipelining; ``None`` for barrier chains.
-    pipelined_total_s: float | None = None
 
     @property
     def map_time_s(self) -> float:
@@ -81,16 +72,7 @@ class SimulatedPipeline:
 
     @property
     def total_s(self) -> float:
-        if self.pipelined_total_s is not None:
-            return self.pipelined_total_s
         return sum(j.total_s for j in self.jobs)
-
-    @property
-    def overlap_saving_s(self) -> float:
-        """Wall-clock recovered by pipelining versus the barrier chain."""
-        if self.pipelined_total_s is None:
-            return 0.0
-        return max(0.0, sum(j.total_s for j in self.jobs) - self.pipelined_total_s)
 
 
 def _phase_schedule(
@@ -143,80 +125,14 @@ def simulate_job(result: JobResult, cluster: ClusterSpec) -> SimulatedJob:
 
 
 def simulate_pipeline(
-    results: Sequence[JobResult],
-    cluster: ClusterSpec,
-    *,
-    pipelined: bool = False,
+    results: Sequence[JobResult], cluster: ClusterSpec
 ) -> SimulatedPipeline:
     """Replay a chain of measured jobs on ``cluster``.
 
-    Default is Hadoop's sequential semantics: each job starts after the
-    previous one fully finishes.  With ``pipelined=True`` the chain total
-    is recomputed on one shared timeline where job *k+1*'s map task *i* is
-    released when job *k*'s reduce partition *i* ends — the engine's
-    ``JobChain(pipelined=True)`` execution shape.  Per-job
-    :class:`SimulatedJob` entries keep their barrier-style phase splits.
+    Hadoop's sequential semantics: each job starts after the previous one
+    fully finishes.
     """
-    jobs = tuple(simulate_job(r, cluster) for r in results)
-    if not pipelined:
-        return SimulatedPipeline(jobs=jobs)
-    return SimulatedPipeline(
-        jobs=jobs, pipelined_total_s=_pipelined_total_s(results, cluster)
-    )
-
-
-def _pipelined_total_s(results: Sequence[JobResult], cluster: ClusterSpec) -> float:
-    """End-to-end makespan of a pipelined chain on one absolute timeline.
-
-    Reduce partition *i* of each job releases map task *i* of the next job
-    (plus that job's fixed overhead); within a job, reduces still wait for
-    every map plus the shuffle, matching the engine, where a partition can
-    only be finalized once all map outputs for it have been ingested.  When
-    a job has more map tasks than its predecessor had reduce partitions,
-    the extras are released at the predecessor's last reduce completion.
-    """
-    releases: list[float] | None = None  # prev job's per-partition reduce ends
-    total = 0.0
-    for result in results:
-        map_durations = [
-            t.duration_s * cluster.speed_factor for t in result.map_stats.tasks
-        ]
-        if releases is None:
-            map_releases = [cluster.job_overhead_s] * len(map_durations)
-        else:
-            last = max(releases, default=total)
-            map_releases = [
-                (releases[i] if i < len(releases) else last) + cluster.job_overhead_s
-                for i in range(len(map_durations))
-            ]
-        map_schedule = schedule_tasks(
-            map_durations,
-            cluster.map_slots,
-            policy=cluster.scheduling_policy,
-            per_task_overhead_s=cluster.task_launch_s,
-            release_times_s=map_releases,
-        )
-        shuffle_s = 0.0
-        if result.shuffle_stats.bytes > 0:
-            shuffle_s = (
-                result.shuffle_stats.bytes / cluster.aggregate_shuffle_bytes_per_s
-                + cluster.shuffle_latency_s
-            )
-        reduce_durations = [
-            t.duration_s * cluster.speed_factor for t in result.reduce_stats.tasks
-        ]
-        reduce_ready = map_schedule.makespan_s + shuffle_s
-        reduce_schedule = schedule_tasks(
-            reduce_durations,
-            cluster.reduce_slots,
-            policy=cluster.scheduling_policy,
-            per_task_overhead_s=cluster.task_launch_s,
-            release_times_s=[reduce_ready] * len(reduce_durations),
-        )
-        # Schedule.tasks is sorted by task index == reduce partition index.
-        releases = [t.end_s for t in reduce_schedule.tasks]
-        total = max(reduce_schedule.makespan_s, reduce_ready)
-    return total
+    return SimulatedPipeline(jobs=tuple(simulate_job(r, cluster) for r in results))
 
 
 @dataclass(frozen=True, slots=True)

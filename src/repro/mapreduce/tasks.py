@@ -107,7 +107,6 @@ class MapContext(_ContextBase):
         self._combiner_factory = combiner_factory
         self._buffers: List[List[Pair]] = [[] for _ in range(num_partitions)]
         self.records_out = 0
-        self.spills = 0
 
     def emit(self, key: Hashable, value: Any) -> None:
         """Route one intermediate pair to its reduce partition."""
@@ -123,7 +122,6 @@ class MapContext(_ContextBase):
         """Combine pass at task end; returns the per-partition pair lists."""
         if self._combiner_factory is None:
             return self._buffers
-        self.spills += 1
         self.counters.framework("combiner_invocations")
         for part in range(self.num_partitions):
             buffer = self._buffers[part]
@@ -199,8 +197,6 @@ def run_map_task(
     duration = (time.perf_counter_ns() - start) / 1e9
     counters.framework("map_input_records", records_in)
     counters.framework("map_output_records", ctx.records_out)
-    if ctx.spills:
-        counters.framework("map_spills", ctx.spills)
     return buffers, counters, duration, records_in, ctx.records_out
 
 

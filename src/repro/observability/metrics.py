@@ -4,7 +4,7 @@ The registry is the numeric half of the observability layer (spans are
 the temporal half).  Three instrument types cover everything the skyline
 pipeline reports:
 
-* :class:`Counter` — monotone accumulator (dominance tests, spills).
+* :class:`Counter` — monotone accumulator (dominance tests, task retries).
 * :class:`Gauge` — last-written value (partition-skew ratios).
 * :class:`Histogram` — fixed-bucket distribution with quantile
   *estimates* by linear interpolation inside the winning bucket; cheap,

@@ -260,32 +260,15 @@ class Tracer:
 
     # -- span lifecycle ---------------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        kind: str = "span",
-        parent: Span | None = None,
-        **attrs: Any,
-    ):
-        """Context manager opening a child of the currently-open span.
-
-        ``parent`` overrides the stack-derived parent — used by the
-        executor-based runner when the logical parent (a phase span) is not
-        the innermost open span.
-        """
+    def span(self, name: str, kind: str = "span", **attrs: Any):
+        """Context manager opening a child of the currently-open span."""
         if not self.enabled:
             return _NULL_CM
-        return self._live_span(name, kind, attrs, parent)
+        return self._live_span(name, kind, attrs)
 
     @contextmanager
-    def _live_span(
-        self,
-        name: str,
-        kind: str,
-        attrs: Dict[str, Any],
-        parent: Span | None = None,
-    ):
-        span = self._open(name, kind, parent=parent)
+    def _live_span(self, name: str, kind: str, attrs: Dict[str, Any]):
+        span = self._open(name, kind)
         if attrs:
             span.attrs.update(attrs)
         try:
@@ -306,12 +289,13 @@ class Tracer:
     ) -> Span | _NullSpan:
         """Open a *detached* span: timed from now, but not on the stack.
 
-        Detached spans are for concurrent regions — overlapping phases of a
-        pipelined job chain — where LIFO context managers cannot express the
-        true shape.  The caller holds the handle and must finish it with
-        :meth:`end_span`.  Parentage comes from ``parent`` (or the innermost
-        open stack span when omitted); child spans of concurrent regions
-        must therefore pass their parent explicitly.
+        Detached spans are for concurrent regions — the serving plane's
+        per-request admission, cache and compute stages — where LIFO
+        context managers cannot express the true shape.  The caller holds
+        the handle and must finish it with :meth:`end_span`.  Parentage
+        comes from ``parent`` (or the innermost open stack span when
+        omitted); child spans of concurrent regions must therefore pass
+        their parent explicitly.
         """
         if not self.enabled:
             return _NULL_SPAN
@@ -409,14 +393,8 @@ class Tracer:
         self._next_span += 1
         return span
 
-    def _open(
-        self,
-        name: str,
-        kind: str,
-        start_ns: int | None = None,
-        parent: Span | None = None,
-    ) -> Span:
-        span = self._make(name, kind, parent=parent, start_ns=start_ns)
+    def _open(self, name: str, kind: str) -> Span:
+        span = self._make(name, kind)
         self._stack.append(span)
         return span
 

@@ -9,7 +9,7 @@ generation, so mutation implicitly invalidates all cached answers without
 any explicit cache wiring here.
 
 Large cold loads don't pay ``n`` serial inserts: a bulk load at or above
-``mr_bulk_threshold`` rows runs the full pipelined MapReduce skyline job
+``mr_bulk_threshold`` rows runs the full two-job MapReduce skyline
 (:func:`repro.core.mr_skyline.run_mr_skyline`) through the executor layer
 and seeds the incremental structure from the job's per-partition local
 skylines (:meth:`IncrementalSkyline.from_batch`).  Smaller loads use the
@@ -195,7 +195,7 @@ class SkylineStore:
         """Add a batch; returns ``(new point ids, new generation)``.
 
         An initial load of ``mr_bulk_threshold`` rows or more is computed
-        by the pipelined MapReduce job (through the executor layer) and
+        by the two-job MapReduce skyline (through the executor layer) and
         seeds the incremental structure from the job's local skylines;
         everything else takes the in-core vectorised path.
         """
@@ -215,7 +215,6 @@ class SkylineStore:
                 partitioner=partitioner,
                 num_workers=self.num_workers,
                 executor=self.executor,
-                pipelined=True,
                 kernel=self._kernel,
             )
             # Cumulative per-dataset pruning telemetry: how much shuffle

@@ -139,20 +139,6 @@ class TestDifferentialSkyline:
         assert result.counters == base.counters
         assert result.executor == executor
 
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_pipelined_matches_sequential(self, executor, points, baselines):
-        base = baselines["angle"]
-        result = run_mr_skyline(
-            points,
-            method="angle",
-            num_workers=2,
-            executor=executor,
-            pipelined=True,
-        )
-        assert np.array_equal(result.global_indices, base.global_indices)
-        assert result.counters == base.counters
-        assert result.pipelined
-
 
 class TestDifferentialRetries:
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)

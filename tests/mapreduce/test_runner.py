@@ -1,5 +1,7 @@
 """End-to-end tests for the serial and multiprocessing runners."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,25 @@ class ArrayMapper(Mapper):
 class StackReducer(Reducer):
     def reduce(self, key, values, ctx):
         ctx.emit(key, np.vstack(list(values)).sum())
+
+
+class PassThroughMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(key, value)
+
+
+#: Fixed cost of one SleepySumReducer partition.
+REDUCE_SLEEP_S = 0.02
+
+
+class SleepySumReducer(Reducer):
+    """Sums like SumReducer, then sleeps once per partition."""
+
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, sum(values))
+
+    def cleanup(self, ctx):
+        time.sleep(REDUCE_SLEEP_S)
 
 
 def _wordcount_job(reducers=2, maps=2, combiner=None):
@@ -203,6 +224,34 @@ class TestJobChain:
     def test_empty_chain_rejected(self):
         with pytest.raises(JobConfigError):
             JobChain("empty", [])
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_phase_walls_are_disjoint(self, executor):
+        # Reduces run in the reduce phase, never inside the shuffle loop:
+        # the chain's summed phase walls fit inside the elapsed time.
+        def stage1(records):
+            return Job(
+                name="sleepy-wordcount",
+                mapper=TokenMapper,
+                reducer=SleepySumReducer,
+                conf=JobConf(num_reducers=2, num_map_tasks=2),
+            )
+
+        def stage2(records):
+            return Job(
+                name="sleepy-passthrough",
+                mapper=PassThroughMapper,
+                reducer=SleepySumReducer,
+                conf=JobConf(num_reducers=1, num_map_tasks=1),
+            )
+
+        chain = JobChain("sleepy", [stage1, stage2])
+        t0 = time.perf_counter()
+        result = Runner(executor, num_workers=2).run_chain(chain, WORDS)
+        elapsed = time.perf_counter() - t0
+        assert result.wall_s <= elapsed
+        for job in result.results:
+            assert job.shuffle_wall_s < REDUCE_SLEEP_S
 
 
 class TestMultiprocessRunner:

@@ -143,8 +143,13 @@ class TestServiceStress:
             rejections = []
             stop = threading.Event()
             answers_lock = threading.Lock()
+            # The 20 writes take less than one interpreter switch interval,
+            # so the writer waits until every reader has queried once:
+            # otherwise it can finish before any reader runs.
+            looping = threading.Semaphore(0)
 
             def reader():
+                first = True
                 while not stop.is_set():
                     try:
                         response = service.query(spec)
@@ -153,10 +158,15 @@ class TestServiceStress:
                     except ServiceOverloadedError:
                         with answers_lock:
                             rejections.append(1)
+                    if first:
+                        first = False
+                        looping.release()
 
             threads = [threading.Thread(target=reader) for _ in range(6)]
             for t in threads:
                 t.start()
+            for _ in threads:
+                assert looping.acquire(timeout=30), "a reader never queried"
             write(steps=20)
             stop.set()
             for t in threads:
