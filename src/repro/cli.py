@@ -439,21 +439,6 @@ def _run_serve(argv: List[str]) -> int:
         "answer flagged degraded=True",
     )
     parser.add_argument(
-        "--mr-threshold", type=int, default=None, metavar="N",
-        help="bulk loads of >= N rows go through the MapReduce pipeline "
-        "(default 50000)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        default=None,
-        help="engine backend for MR bulk loads (default: $REPRO_EXECUTOR)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker count for MR bulk loads (default 2)",
-    )
-    parser.add_argument(
         "--kernel",
         choices=["scalar", "block"],
         default=None,
@@ -517,15 +502,11 @@ def _run_serve(argv: List[str]) -> int:
         cache_entries=args.cache_size,
         default_deadline_s=args.deadline_s,
         stale_on_overload=not args.no_stale,
-        num_workers=args.workers,
-        executor=args.executor,
         kernel=args.kernel,
         slo_latency_threshold_s=args.slo_latency_s,
         slo_latency_target=args.slo_latency_target,
         slo_availability_target=args.slo_availability_target,
     )
-    if args.mr_threshold is not None:
-        config.mr_bulk_threshold = args.mr_threshold
     try:
         config.validate()
         if args.cluster is not None and args.cluster < 1:

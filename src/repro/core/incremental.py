@@ -24,7 +24,7 @@ membership.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,48 +96,6 @@ class IncrementalSkyline:
             raise ValueError(
                 "partitioner must be fitted when no initial points are given"
             )
-
-    @classmethod
-    def from_batch(
-        cls,
-        partitioner: SpacePartitioner,
-        points: np.ndarray,
-        partition_ids: np.ndarray,
-        local_skylines: Mapping[int, np.ndarray],
-        *,
-        kernel: str | DominanceKernel | None = None,
-    ) -> "IncrementalSkyline":
-        """Seed from an already-computed batch result (e.g. ``run_mr_skyline``).
-
-        ``partition_ids[i]`` is the partition of ``points[i]`` under the
-        *fitted* ``partitioner``; ``local_skylines`` maps partition id to
-        the ascending point indices of its local skyline.  Point ``i``
-        receives id ``i``, matching the batch result's index space, so a
-        serving layer can bulk-load a large dataset through the MapReduce
-        pipeline instead of ``n`` serial inserts.
-        """
-        pts = validate_points(points)
-        parts = np.asarray(partition_ids)
-        n = pts.shape[0]
-        if parts.shape != (n,):
-            raise ValueError(
-                f"partition_ids has shape {parts.shape}, expected ({n},)"
-            )
-        if not getattr(partitioner, "_fitted", False):
-            raise ValueError("partitioner must be fitted for from_batch")
-        self = cls(partitioner, kernel=kernel)
-        self._append(pts, parts)
-        for pid, sky in local_skylines.items():
-            idx = np.asarray(sky, dtype=np.intp).reshape(-1)
-            member = (idx >= 0) & (idx < n)
-            member[member] = parts[idx[member]] == int(pid)
-            if not member.all():
-                raise ValueError(
-                    f"local skyline of partition {pid} references non-member "
-                    f"ids {idx[~member][:5].tolist()}"
-                )
-            self._sky[idx] = True
-        return self
 
     @classmethod
     def from_members(

@@ -251,6 +251,12 @@ class MRSkylineResult:
 
     method: str
     global_indices: np.ndarray
+    #: Partition id -> ascending point indices of its local skyline.  With
+    #: a non-empty filter set (``filter_points > 0``) these are the local
+    #: skylines of the rows that survived map-side pruning, not of every
+    #: partition member: a filter point is sound for the global skyline
+    #: only, so a row it pruned can still belong to its own partition's
+    #: local skyline.
     local_skylines: Dict[int, np.ndarray]
     partition_ids: np.ndarray
     chain: ChainResult

@@ -9,8 +9,8 @@ concurrent queries against it:
 * :class:`~repro.serving.store.SkylineStore` — one
   :class:`~repro.core.incremental.IncrementalSkyline` per registered
   dataset behind a generation counter; mutations touch one partition and
-  bump the generation.  Large cold loads seed through the two-job
-  MapReduce skyline instead of serial inserts.
+  bump the generation.  A bulk load recomputes each touched partition's
+  local skyline in one vectorised pass.
 * :class:`~repro.serving.cache.ResultCache` — versioned result cache
   keyed ``(dataset, kind, params, generation)``; mutation invalidates by
   construction, and stale generations back the degraded answer path.

@@ -57,16 +57,15 @@ class RecoveryReport(NamedTuple):
 def recover_store(
     log: DatasetLog,
     *,
-    executor: Any = None,
     kernel: str | None = None,
 ) -> tuple[SkylineStore | None, RecoveryReport]:
     """Rebuild the store recorded under ``log``; attach the log to it.
 
     Returns ``(store, report)``; the store is ``None`` when the on-disk
     state contains neither a snapshot nor a register record (nothing to
-    recover).  ``executor`` / ``kernel`` override the persisted config's
-    executor and dominance backend — the shard-restart path passes the
-    server's flags so a fleet stays homogeneous.
+    recover).  ``kernel`` overrides the persisted config's dominance
+    backend — the shard-restart path passes the server's flag so a fleet
+    stays homogeneous.
     """
     started = time.perf_counter()
     snapshot = read_snapshot(log.snapshot_path)
@@ -83,9 +82,7 @@ def recover_store(
         covered_seq = int(snapshot.get("wal_seq", -1))
         snapshot_generation = int(snapshot["generation"])
         snapshot_bytes = os.path.getsize(log.snapshot_path)
-        store = _build_store(
-            log.name, snapshot.get("config", {}), executor=executor, kernel=kernel
-        )
+        store = _build_store(log.name, snapshot.get("config", {}), kernel=kernel)
         store.restore_members(
             snapshot.get("ids", []),
             np.asarray(snapshot.get("rows", []), dtype=np.float64).reshape(
@@ -107,9 +104,7 @@ def recover_store(
         if op == "register":
             # A re-registration replaces the store wholesale, exactly as
             # the live path does; everything before it is superseded.
-            store = _build_store(
-                log.name, payload.get("config", {}), executor=executor, kernel=kernel
-            )
+            store = _build_store(log.name, payload.get("config", {}), kernel=kernel)
             replayed += 1
         elif store is None:
             # Mutations before any register record have nothing to apply
@@ -168,29 +163,27 @@ def recover_dataset(
     manager: DurabilityManager,
     name: str,
     *,
-    executor: Any = None,
     kernel: str | None = None,
 ) -> tuple[SkylineStore | None, RecoveryReport]:
     """Recover one dataset by name out of ``manager``'s data directory."""
-    return recover_store(
-        manager.dataset_log(name), executor=executor, kernel=kernel
-    )
+    return recover_store(manager.dataset_log(name), kernel=kernel)
 
 
 def _build_store(
     name: str,
     config: Dict[str, Any],
     *,
-    executor: Any = None,
     kernel: str | None = None,
 ) -> SkylineStore:
-    """A fresh, silent (no durability attached) store per persisted config."""
+    """A fresh, silent (no durability attached) store per persisted config.
+
+    Unknown keys are ignored, so a config written by an older release —
+    which still carries the worker, executor and threshold settings of
+    the since-removed MapReduce bulk-load path — recovers unchanged.
+    """
     return SkylineStore(
         name,
         scheme=str(config.get("scheme", "angle")),
         num_partitions=int(config.get("num_partitions", 8)),
-        num_workers=int(config.get("num_workers", 2)),
-        mr_bulk_threshold=int(config.get("mr_bulk_threshold", 50_000)),
-        executor=executor if executor is not None else config.get("executor"),
         kernel=kernel if kernel is not None else config.get("kernel"),
     )

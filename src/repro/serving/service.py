@@ -68,10 +68,9 @@ from repro.observability.slo import SLOTracker, default_objectives
 from repro.observability.tracing import get_tracer
 from repro.serving.cache import ResultCache
 from repro.serving.queries import QuerySpec, candidate_prune_mask, evaluate
-from repro.serving.store import DEFAULT_MR_BULK_THRESHOLD, SkylineStore
+from repro.serving.store import SkylineStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (and an import cycle guard)
-    from repro.mapreduce.executors import Executor
     from repro.serving.durability.manager import DurabilityManager
 
 __all__ = [
@@ -124,10 +123,9 @@ class UnknownDatasetError(KeyError):
 class ServeConfig:
     """Admission-control, cache and backend knobs of one front end.
 
-    Every field applies to both planes except ``mr_bulk_threshold``,
-    ``num_workers`` and ``executor``, which configure a
-    :class:`LocalBackend`'s stores.  ``kernel`` is the stores' backend on
-    a single node and the merge/filter backend of a coordinator.
+    Every field applies to both planes.  ``kernel`` is the stores'
+    backend on a single node and the merge/filter backend of a
+    coordinator.
     """
 
     #: Concurrent computations admitted at once.
@@ -141,11 +139,6 @@ class ServeConfig:
     #: Shed path: serve the newest stale cached answer (``degraded=True``)
     #: instead of rejecting, when one exists.
     stale_on_overload: bool = True
-    #: Bulk loads at or above this many rows run the MapReduce pipeline.
-    mr_bulk_threshold: int = DEFAULT_MR_BULK_THRESHOLD
-    #: Workers / executor for MR bulk loads of registered datasets.
-    num_workers: int = 2
-    executor: str | Executor | None = None
     #: Dominance backend for every registered dataset and its queries
     #: (``"scalar"`` / ``"block"``); ``None`` resolves the process default
     #: (``$REPRO_KERNEL``, else ``scalar``).  ``repro serve`` always passes
@@ -320,9 +313,6 @@ class LocalBackend:
             name,
             scheme=scheme,
             num_partitions=num_partitions,
-            num_workers=self.config.num_workers,
-            mr_bulk_threshold=self.config.mr_bulk_threshold,
-            executor=self.config.executor,
             kernel=self.config.kernel,
         )
         if self.durability is not None:
@@ -347,9 +337,9 @@ class LocalBackend:
         """Recover every dataset found in the durability directory.
 
         Runs before the server starts answering: each recovered store is
-        installed under its recorded name, with this backend's executor and
-        kernel flags overriding the persisted config (a restarted fleet
-        member stays homogeneous with its peers).  Returns the
+        installed under its recorded name, with this backend's kernel
+        overriding the persisted config (a restarted fleet member stays
+        homogeneous with its peers).  Returns the
         per-dataset :class:`~repro.serving.durability.recovery.RecoveryReport`
         list (empty when durability is off or the directory is fresh).
         """
@@ -360,10 +350,7 @@ class LocalBackend:
         reports = []
         for name in self.durability.dataset_names():
             store, report = recover_dataset(
-                self.durability,
-                name,
-                executor=self.config.executor,
-                kernel=self.config.kernel,
+                self.durability, name, kernel=self.config.kernel
             )
             if store is not None:
                 self._install(name, store)
@@ -939,7 +926,7 @@ class SkylineService:
             "counters": {
                 name: value
                 for name, value in snapshot["counters"].items()
-                if name.startswith(("serve.", "prune.", "wal.", "durability."))
+                if name.startswith(("serve.", "wal.", "durability."))
             },
             "gauges": {
                 name: value

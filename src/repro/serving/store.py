@@ -8,12 +8,10 @@ was computed from.  The serving layer's result cache keys on that
 generation, so mutation implicitly invalidates all cached answers without
 any explicit cache wiring here.
 
-Large cold loads don't pay ``n`` serial inserts: a bulk load at or above
-``mr_bulk_threshold`` rows runs the full two-job MapReduce skyline
-(:func:`repro.core.mr_skyline.run_mr_skyline`) through the executor layer
-and seeds the incremental structure from the job's per-partition local
-skylines (:meth:`IncrementalSkyline.from_batch`).  Smaller loads use the
-in-core vectorised :meth:`IncrementalSkyline.bulk_load`.
+A bulk load of any size — live, or replayed from the write-ahead log —
+is one :meth:`IncrementalSkyline.bulk_load`: the batch is mapped to its
+partitions and each touched partition's local skyline is recomputed in
+one vectorised kernel call.
 """
 
 from __future__ import annotations
@@ -31,13 +29,9 @@ from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics, observe_partition_skew
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (durability imports store)
-    from repro.mapreduce.executors import Executor
     from repro.serving.durability.manager import DatasetLog
 
 __all__ = ["SkylineStore", "StoreSnapshot"]
-
-#: Bulk loads at or above this many rows go through the MapReduce pipeline.
-DEFAULT_MR_BULK_THRESHOLD = 50_000
 
 
 class StoreSnapshot(NamedTuple):
@@ -82,19 +76,13 @@ class SkylineStore:
         *,
         scheme: str = "angle",
         num_partitions: int = 8,
-        num_workers: int = 2,
-        mr_bulk_threshold: int = DEFAULT_MR_BULK_THRESHOLD,
-        executor: str | Executor | None = None,
         kernel: str | DominanceKernel | None = None,
     ):
         self.name = name
         self.scheme = scheme
         self.num_partitions = num_partitions
-        self.num_workers = num_workers
-        self.mr_bulk_threshold = mr_bulk_threshold
-        self.executor = executor
-        # Resolve once at construction: every maintenance comparison and MR
-        # bulk load of this dataset runs one consistent backend.
+        # Resolve once at construction: every maintenance comparison and
+        # query of this dataset runs one consistent backend.
         self._kernel = get_kernel(kernel)
         self._lock = threading.RLock()
         self._sky: IncrementalSkyline | None = None
@@ -192,61 +180,14 @@ class SkylineStore:
         return generation
 
     def bulk_load(self, points: np.ndarray) -> Tuple[List[int], int]:
-        """Add a batch; returns ``(new point ids, new generation)``.
-
-        An initial load of ``mr_bulk_threshold`` rows or more is computed
-        by the two-job MapReduce skyline (through the executor layer) and
-        seeds the incremental structure from the job's local skylines;
-        everything else takes the in-core vectorised path.
-        """
+        """Add a batch; returns ``(new point ids, new generation)``."""
         pts = validate_points(points)
-        seed = None
-        if self._use_mr_path(pts):
-            # Imported here: the engine loads only for a large cold load,
-            # not at server start-up.
-            from repro.core.mr_skyline import COUNTER_GROUP, PRUNE_GROUP, run_mr_skyline
-
-            # The MR job runs outside the lock (it can be long); the seed is
-            # only installed if the store is still empty when we take the
-            # lock — a racing insert falls back to the in-core path.
-            partitioner = make_partitioner(self.scheme, self.num_partitions)
-            result = run_mr_skyline(
-                pts,
-                partitioner=partitioner,
-                num_workers=self.num_workers,
-                executor=self.executor,
-                kernel=self._kernel,
-            )
-            # Cumulative per-dataset pruning telemetry: how much shuffle
-            # work the broadcast filter stage saved this store so far.
-            pruned = result.counters.value(COUNTER_GROUP, "points_pruned")
-            if pruned:
-                get_metrics().counter(
-                    f"{PRUNE_GROUP}.points_pruned.{self.name}"
-                ).inc(pruned)
-            filter_tests = result.counters.value(PRUNE_GROUP, "filter_tests")
-            if filter_tests:
-                get_metrics().counter(
-                    f"{PRUNE_GROUP}.filter_tests.{self.name}"
-                ).inc(filter_tests)
-            seed = (partitioner, result)
         with self._lock:
             if self._durability is not None:
                 self._durability.log_bulk(pts.tolist())
-            if self._sky is None and seed is not None and self._pending_next_id == 0:
-                partitioner, result = seed
-                self._sky = IncrementalSkyline.from_batch(
-                    partitioner,
-                    pts,
-                    result.partition_ids,
-                    result.local_skylines,
-                    kernel=self._kernel,
-                )
-                new_ids = list(range(pts.shape[0]))
-            else:
-                self._ensure_sky(pts)
-                assert self._sky is not None
-                new_ids = self._sky.bulk_load(pts)
+            self._ensure_sky(pts)
+            assert self._sky is not None
+            new_ids = self._sky.bulk_load(pts)
             self._generation += 1
             result = new_ids, self._generation
             self._maybe_checkpoint()
@@ -320,9 +261,6 @@ class SkylineStore:
         return {
             "scheme": self.scheme,
             "num_partitions": self.num_partitions,
-            "num_workers": self.num_workers,
-            "mr_bulk_threshold": self.mr_bulk_threshold,
-            "executor": self.executor if isinstance(self.executor, str) else None,
             "kernel": self._kernel.name,
         }
 
@@ -394,10 +332,6 @@ class SkylineStore:
         )
 
     # -- internals --------------------------------------------------------------
-
-    def _use_mr_path(self, pts: np.ndarray) -> bool:
-        with self._lock:
-            return self._sky is None and pts.shape[0] >= self.mr_bulk_threshold
 
     def _ensure_sky(self, first_batch: np.ndarray) -> None:
         """Fit the partitioner on the first data to arrive.

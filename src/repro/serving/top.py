@@ -135,15 +135,6 @@ def render_frame(
         f"   inflight {stats.get('inflight_computes', 0)}"
         f"   queued {stats.get('queued', 0)}"
     )
-    pruned = sum(
-        v for k, v in counters.items() if k.startswith("prune.points_pruned.")
-    )
-    if pruned:
-        tests = sum(
-            v for k, v in counters.items() if k.startswith("prune.filter_tests.")
-        )
-        lines.append(f"pruned {pruned} points map-side ({tests} filter tests)")
-
     latency = stats.get("latency", {})
     if latency.get("count"):
         lines.append(

@@ -35,7 +35,7 @@ def test_observed_acquisitions_are_a_static_subgraph(static_edges):
     registry = set_metrics(MetricsRegistry())  # fresh -> sanitized _lock
     try:
         rng = np.random.default_rng(7)
-        service = SkylineService(ServeConfig(num_workers=1))
+        service = SkylineService(ServeConfig())
         service.register("contract", rng.random((64, 3)))
         service.stats()
     finally:

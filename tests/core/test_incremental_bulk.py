@@ -1,14 +1,12 @@
-"""Batch seeding and bulk mutation of IncrementalSkyline, plus the
-remove-invalidation regression the serving layer depends on."""
+"""Bulk mutation of IncrementalSkyline, plus the remove-invalidation
+regression the serving layer depends on."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalSkyline
-from repro.core.mr_skyline import run_mr_skyline
-from repro.core.partitioning import AngularPartitioner, make_partitioner
+from repro.core.partitioning import AngularPartitioner
 from repro.core.skyline import skyline_numpy
 
 
@@ -19,55 +17,6 @@ def _fitted_partitioner(partitions=4, d=2, scale=10.0):
 
 def _points(n=200, d=3, seed=0):
     return np.random.default_rng(seed).random((n, d)) + 0.01
-
-
-class TestFromBatch:
-    def test_seeded_from_mr_result_matches_from_scratch(self):
-        pts = _points()
-        partitioner = make_partitioner("angle", 6)
-        result = run_mr_skyline(pts, partitioner=partitioner, num_workers=2)
-        sky = IncrementalSkyline.from_batch(
-            partitioner, pts, result.partition_ids, result.local_skylines
-        )
-        assert len(sky) == 200
-        assert sky.global_skyline() == skyline_numpy(pts).tolist()
-
-    def test_seeded_structure_stays_mutable(self):
-        pts = _points(100)
-        partitioner = make_partitioner("angle", 4)
-        result = run_mr_skyline(pts, partitioner=partitioner, num_workers=2)
-        sky = IncrementalSkyline.from_batch(
-            partitioner, pts, result.partition_ids, result.local_skylines
-        )
-        new_id = sky.insert(np.full(3, 0.001))
-        assert new_id == 100  # ids continue after the batch
-        assert sky.global_skyline() == [new_id]
-        sky.remove(new_id)
-        assert sky.global_skyline() == skyline_numpy(pts).tolist()
-
-    def test_partition_ids_shape_validated(self):
-        pts = _points(10, 2)
-        partitioner = _fitted_partitioner()
-        with pytest.raises(ValueError, match="partition_ids"):
-            IncrementalSkyline.from_batch(
-                partitioner, pts, np.zeros(9, dtype=int), {}
-            )
-
-    def test_unfitted_partitioner_rejected(self):
-        pts = _points(10, 2)
-        with pytest.raises(ValueError, match="fitted"):
-            IncrementalSkyline.from_batch(
-                AngularPartitioner(4), pts, np.zeros(10, dtype=int), {}
-            )
-
-    def test_stray_local_skyline_ids_rejected(self):
-        pts = _points(10, 2)
-        partitioner = _fitted_partitioner()
-        assigned = partitioner.assign(pts)
-        empty_pid = int(max(assigned)) + 1  # a partition with no members
-        bogus = {empty_pid: np.array([0])}
-        with pytest.raises(ValueError, match="non-member"):
-            IncrementalSkyline.from_batch(partitioner, pts, assigned, bogus)
 
 
 class TestBulkLoad:

@@ -24,6 +24,7 @@ from repro.mapreduce.faults import stable_rng
 from repro.serving.durability import (
     DurabilityConfig,
     DurabilityManager,
+    read_snapshot,
     read_wal,
     recover_dataset,
 )
@@ -35,6 +36,9 @@ DATASET = "dur"
 DIMS = 3
 N_BULK = 60
 N_OPS = 30
+#: Store-config keys of releases whose large bulk loads ran the MapReduce
+#: engine; recovery must ignore them.
+LEGACY_CONFIG = {"num_workers": 2, "mr_bulk_threshold": 50_000, "executor": "threads"}
 
 
 def query_specs():
@@ -337,12 +341,40 @@ class TestRecoveryEdges:
         assert len(recovered) == 1
         manager2.close()
 
-    def test_store_config_roundtrips_kernel(self, tmp_path):
+    @pytest.mark.parametrize("legacy", [False, True], ids=["current", "legacy"])
+    @pytest.mark.parametrize("source", ["register", "snapshot"])
+    def test_store_config_roundtrips_kernel(
+        self, tmp_path, monkeypatch, source, legacy
+    ):
+        if legacy:
+            current = SkylineStore.store_config
+            monkeypatch.setattr(
+                SkylineStore,
+                "store_config",
+                lambda self: {**current(self), **LEGACY_CONFIG},
+            )
         data_dir = str(tmp_path / "data")
         manager, store = durable_store(data_dir, kernel="block")
+        apply_ops(store, N_OPS)
+        log = manager.dataset_log(DATASET)
+        if source == "snapshot":
+            store.checkpoint()
+        pre = answers_of(store)
         manager.close()
-        manager2, recovered, _ = recover(data_dir)  # no kernel override
+        monkeypatch.undo()
+
+        if source == "snapshot":
+            config = read_snapshot(log.snapshot_path)["config"]
+        else:
+            config = read_wal(log.wal_path).records[0].payload["config"]
+        assert config["kernel"] == "block"
+        assert (LEGACY_CONFIG.items() <= config.items()) == legacy
+
+        manager2, recovered, report = recover(data_dir)  # no kernel override
         assert recovered.kernel_name == "block"
+        assert (report.snapshot_generation is not None) == (source == "snapshot")
+        assert answers_of(recovered) == pre
+        assert_parity(recovered, reference_store("block", N_OPS))
         manager2.close()
 
 

@@ -2,9 +2,9 @@
 
 For each query kind, after any script of inserts/removes, the service's
 answer must equal :func:`repro.serving.queries.evaluate` run from scratch
-over the membership snapshot of the same generation — across the serial
-and thread executors, and through both bulk-load paths (MapReduce-seeded
-and in-core).
+over the membership snapshot of the same generation — under both
+dominance kernels, with removals that hit current skyline members (the
+step that exposes local skylines missing a row).
 """
 
 import numpy as np
@@ -28,9 +28,15 @@ def _specs(d):
 
 
 def _script(rng, service, live_ids):
-    """One mutation step: mostly inserts, removals once enough points live."""
-    if live_ids and rng.random() < 0.4:
-        victim = int(rng.choice(live_ids))
+    """One mutation step: mostly inserts, removals once enough points live;
+    some removals take a current skyline member."""
+    roll = rng.random()
+    if live_ids and roll < 0.4:
+        if roll < 0.2:
+            _, pool = service.store("qws").skyline_snapshot()
+        else:
+            pool = live_ids
+        victim = int(rng.choice(pool))
         service.remove("qws", victim)
         live_ids.remove(victim)
     else:
@@ -39,14 +45,11 @@ def _script(rng, service, live_ids):
         live_ids.append(pid)
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
-@pytest.mark.parametrize("mr_threshold", [10**9, 50])
-def test_served_answers_match_batch_recomputation(executor, mr_threshold):
+@pytest.mark.parametrize("kernel", ["scalar", "block"])
+def test_served_answers_match_batch_recomputation(kernel):
     rng = np.random.default_rng(42)
     points = rng.random((150, 3)) + 0.01
-    service = SkylineService(
-        ServeConfig(mr_bulk_threshold=mr_threshold, executor=executor)
-    )
+    service = SkylineService(ServeConfig(kernel=kernel))
     service.register("qws", points)
     live_ids = list(range(150))
 

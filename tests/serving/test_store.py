@@ -1,9 +1,9 @@
-"""SkylineStore: generation counting, snapshots, and the MR bulk path."""
+"""SkylineStore: generation counting, snapshots and bulk loads."""
 
 import numpy as np
 import pytest
 
-from repro.core.skyline import skyline_numpy
+from repro.core.skyline import skyline
 from repro.serving.queries import QuerySpec, evaluate
 from repro.serving.store import SkylineStore
 
@@ -82,35 +82,31 @@ class TestSnapshots:
                 snap.rows_of([0, missing])
 
 
-class TestMrBulkPath:
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_mr_seed_matches_in_core_path(self, executor):
-        pts = _points(400, 3, seed=5)
-        mr = SkylineStore(
-            "mr", pts, mr_bulk_threshold=100, executor=executor
-        )
-        core = SkylineStore("core", pts, mr_bulk_threshold=10**9)
-        assert len(mr) == len(core) == 400
-        assert mr.skyline_snapshot()[1] == core.skyline_snapshot()[1]
-        expected = skyline_numpy(pts).tolist()
-        assert mr.skyline_snapshot()[1] == expected
-
-    def test_mr_seeded_store_stays_mutable(self):
-        pts = _points(300, 3, seed=6)
-        store = SkylineStore("mr", pts, mr_bulk_threshold=100)
-        pid, _ = store.insert([0.001, 0.001, 0.001])
-        _, ids = store.skyline_snapshot()
-        assert ids == [pid]
-        store.remove(pid)
-        assert store.skyline_snapshot()[1] == skyline_numpy(pts).tolist()
-
-    def test_second_bulk_load_uses_in_core_path(self):
-        # The MR seed only applies to a cold store; later batches merge in.
-        store = SkylineStore("mr", _points(200, 3), mr_bulk_threshold=100)
-        new_ids, gen = store.bulk_load(_points(200, 3, seed=9))
-        assert gen == 2
-        assert new_ids == list(range(200, 400))
-        snap = store.snapshot()
-        assert store.skyline_snapshot()[1] == evaluate(
-            QuerySpec(dataset="mr"), snap.ids, snap.rows
-        )
+class TestBulkLoadKeepsLocalSkylines:
+    def test_skyline_member_removals_on_a_large_block_load(self):
+        # A bulk load must flag every local-skyline member of its
+        # partition, not only the rows that survive global-skyline
+        # pruning: a row dominated only by a removed skyline member
+        # belongs on the skyline afterwards.  50,000 rows under the block
+        # kernel is the load `repro serve` once seeded from a pruned
+        # MapReduce job, which lost such rows.
+        rows = np.random.default_rng(3).random((50_000, 3))
+        store = SkylineStore("x", rows, kernel="block")
+        live = np.ones(rows.shape[0], dtype=bool)
+        rng = np.random.default_rng(0)
+        for step in range(30):
+            _, current = store.skyline_snapshot()
+            victim = current[rng.integers(len(current))]
+            store.remove(victim)
+            live[victim] = False
+            live_ids = np.flatnonzero(live)
+            expected = live_ids[skyline(rows[live_ids], kernel="block")].tolist()
+            assert store.skyline_snapshot()[1] == expected, f"removal {step}"
+        # A later batch merges in and continues the id sequence.
+        extra = np.random.default_rng(4).random((1_000, 3))
+        new_ids, generation = store.bulk_load(extra)
+        assert new_ids == list(range(50_000, 51_000))
+        assert generation == 32
+        ids = np.concatenate([live_ids, new_ids])
+        merged = np.vstack([rows[live_ids], extra])
+        assert store.skyline_snapshot()[1] == ids[skyline(merged, kernel="block")].tolist()

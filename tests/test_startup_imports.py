@@ -11,7 +11,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 #: What `repro serve` (single node, --cluster and --data-dir) imports
@@ -111,23 +110,17 @@ def test_skyline_name_stays_the_function():
     assert names == [True, "function", "function"]
 
 
-def test_large_register_still_takes_the_mr_path(monkeypatch):
-    import repro.core.mr_skyline as mr_skyline
-    from repro.core.skyline import skyline_numpy
-    from repro.serving.service import ServeConfig, SkylineService
-
-    calls = []
-    real = mr_skyline.run_mr_skyline
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mr_skyline, "run_mr_skyline", spy)
-    pts = np.random.default_rng(3).random((300, 3)) + 0.01
-    service = SkylineService(ServeConfig(mr_bulk_threshold=200))
-    service.register("big", pts)
-    service.register("small", pts[:150])
-    assert calls == [(300, 3)]
-    _, ids = service.store("big").skyline_snapshot()
-    assert ids == skyline_numpy(pts).tolist()
+def test_large_register_loads_no_mapreduce_engine():
+    # Every bulk load runs in core, however large: registering 60,000
+    # rows must not pull in the MapReduce engine.
+    loaded = _run(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from repro.serving.service import SkylineService\n"
+        "service = SkylineService()\n"
+        "service.register('big', np.random.default_rng(3).random((60_000, 3)))\n"
+        "assert len(service.store('big')) == 60_000\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    for name in ("repro.core.mr_skyline", "repro.mapreduce.runner"):
+        assert name not in loaded, f"register loaded {name}"
