@@ -10,13 +10,16 @@ extension procedure.
 
 from __future__ import annotations
 
+from math import sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "correlated_normals",
     "gaussian_copula_uniforms",
     "nearest_correlation",
+    "normal_cdf",
     "sample_with_marginals",
     "truncated_normal",
     "empirical_quantile",
@@ -51,12 +54,26 @@ def gaussian_copula_uniforms(
     Standard Gaussian copula: draw correlated normals via the Cholesky
     factor of the (projected) correlation matrix, then map through Φ.
     """
+    return normal_cdf(correlated_normals(n, correlation, rng))
+
+
+def correlated_normals(
+    n: int, correlation: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The copula's ``(n, d)`` standard normals, before Φ.
+
+    Callers that map one column at a time (:func:`sample_with_marginals`,
+    the QWS extension) take ``normal_cdf(z[:, j])`` per column: Φ is
+    elementwise, so each column gets the bits of
+    :func:`gaussian_copula_uniforms` without its full-matrix temporaries.
+    """
     corr = nearest_correlation(correlation)
     chol = np.linalg.cholesky(corr)
-    z = rng.standard_normal((n, corr.shape[0])) @ chol.T
-    # Φ(z) via the error function; SciPy-free so the data layer only needs numpy.
-    from math import sqrt
+    return rng.standard_normal((n, corr.shape[0])) @ chol.T
 
+
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Φ(z) via the error function; SciPy-free so the data layer only needs numpy."""
     return 0.5 * (1.0 + _erf(z / sqrt(2.0)))
 
 
@@ -81,17 +98,24 @@ def sample_with_marginals(
     correlation: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Copula sampling: correlated uniforms → per-column quantile functions."""
-    u = gaussian_copula_uniforms(n, correlation, rng)
-    # Guard against u exactly 0/1 (erf saturation), where ppf-style marginals
-    # would return infinities or create atoms at the support bounds.
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    if u.shape[1] != len(quantile_fns):
+    """Copula sampling: correlated uniforms → per-column quantile functions.
+
+    One column at a time: each normal column goes through Φ, the clip and
+    its marginal, and the result overwrites that column of the normals, so
+    the sample needs one ``(n, d)`` matrix instead of one per step.
+    """
+    z = correlated_normals(n, correlation, rng)
+    if z.shape[1] != len(quantile_fns):
         raise ValueError(
-            f"{len(quantile_fns)} marginals for {u.shape[1]} copula columns"
+            f"{len(quantile_fns)} marginals for {z.shape[1]} copula columns"
         )
-    cols = [fn(u[:, j]) for j, fn in enumerate(quantile_fns)]
-    return np.column_stack(cols)
+    for j, fn in enumerate(quantile_fns):
+        # Guard against u exactly 0/1 (erf saturation), where ppf-style
+        # marginals would return infinities or create atoms at the support
+        # bounds.
+        u = np.clip(normal_cdf(z[:, j]), 1e-12, 1.0 - 1e-12)
+        z[:, j] = fn(u)
+    return z
 
 
 def truncated_normal(

@@ -6,8 +6,9 @@ the question "run this callable, give me a future" to an executor.  The
 lifecycle is deliberately tiny:
 
 * :meth:`Executor.submit` — schedule one task body, return a
-  :class:`concurrent.futures.Future` (the runner drains futures with
-  :func:`concurrent.futures.wait`),
+  :class:`TaskFuture`: a :class:`concurrent.futures.Future` from the pool
+  executors (the runner drains those with :func:`concurrent.futures.wait`),
+  an already-resolved one from the serial executor,
 * :meth:`Executor.shutdown` — release pools/workers,
 * the context-manager protocol, equivalent to ``shutdown()`` on exit.
 
@@ -27,10 +28,19 @@ Two capability flags drive the runner's behaviour:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from concurrent.futures import Future
-from typing import Any, Callable
+from typing import Any, Callable, Protocol
 
-__all__ = ["Executor"]
+__all__ = ["Executor", "TaskFuture"]
+
+
+class TaskFuture(Protocol):
+    """What the runner reads off a submitted task."""
+
+    def done(self) -> bool: ...
+
+    def cancel(self) -> bool: ...
+
+    def result(self) -> Any: ...
 
 
 class Executor(ABC):
@@ -43,10 +53,10 @@ class Executor(ABC):
     inline: bool = False
 
     @abstractmethod
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> TaskFuture:
         """Schedule ``fn(*args)``; return a future with its result."""
 
-    def cancel(self, future: Future) -> bool:
+    def cancel(self, future: TaskFuture) -> bool:
         """Best-effort cancellation of one submitted task.
 
         Returns ``True`` only when the task was prevented from running.

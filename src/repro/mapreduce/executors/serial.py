@@ -2,12 +2,41 @@
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.mapreduce.executors.base import Executor
 
-__all__ = ["SerialExecutor"]
+__all__ = ["ResolvedFuture", "SerialExecutor"]
+
+
+class ResolvedFuture:
+    """The outcome of a task that already ran: its result or its exception.
+
+    Inline tasks finish during ``submit`` and the runner reads each one
+    right away, so this needs none of a
+    :class:`concurrent.futures.Future`'s condition variable and locking.
+    """
+
+    __slots__ = ("_result", "_exception")
+
+    def __init__(self, result: Any = None, exception: BaseException | None = None):
+        self._result = result
+        self._exception = exception
+
+    def done(self) -> bool:
+        return True
+
+    def cancel(self) -> bool:
+        """The task already ran — nothing left to cancel."""
+        return False
+
+    def exception(self) -> BaseException | None:
+        return self._exception
+
+    def result(self) -> Any:
+        if self._exception is not None:
+            raise self._exception
+        return self._result
 
 
 class SerialExecutor(Executor):
@@ -25,17 +54,11 @@ class SerialExecutor(Executor):
     name = "serial"
     inline = True
 
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
-        future: Future = Future()
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> ResolvedFuture:
         try:
-            future.set_result(fn(*args))
+            return ResolvedFuture(fn(*args))
         # Not a swallow: the exception is transported through the future
         # and re-raised by the runner's drain loop, mirroring how a pool
         # executor surfaces worker failures.
         except BaseException as exc:  # repro: allow[exception-hygiene]
-            future.set_exception(exc)
-        return future
-
-    def cancel(self, future: Future) -> bool:
-        """Serial futures resolve during submit — nothing left to cancel."""
-        return False
+            return ResolvedFuture(exception=exc)

@@ -42,7 +42,7 @@ import statistics
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple, cast
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.errors import (
@@ -52,6 +52,7 @@ from repro.mapreduce.errors import (
     TaskTimeoutError,
 )
 from repro.mapreduce.executors import Executor, make_executor
+from repro.mapreduce.executors.base import TaskFuture
 from repro.mapreduce.faults import (
     FaultDecision,
     FaultInjector,
@@ -73,7 +74,7 @@ from repro.observability.tracing import Tracer, get_tracer
 Pair = Tuple[Hashable, Any]
 
 #: pending-future bookkeeping: future -> (task index, payload, attempt).
-_Pending = Dict[Future, Tuple[int, Any, int]]
+_Pending = Dict[TaskFuture, Tuple[int, Any, int]]
 
 
 #: Duration histogram of each task kind, named once for every job.
@@ -405,7 +406,7 @@ class Runner:
         index: int,
         payload: Any,
         attempt: int,
-    ) -> Future:
+    ) -> TaskFuture:
         """Submit one task attempt; inline executors trace it right here.
 
         The fault injector (when armed) is consulted per attempt *in the
@@ -504,7 +505,7 @@ class Runner:
         delayed: List[Tuple[float, int, Any, int]] = []
         speculated: set[int] = set()
         durations: List[float] = []
-        started: Dict[Future, float] = {}
+        started: Dict[TaskFuture, float] = {}
         entry_now = clock.monotonic()
         for future in pending:
             started.setdefault(future, entry_now)
@@ -600,8 +601,9 @@ class Runner:
                 # Inline futures resolve during submit: nothing to wait on.
                 done = live
             else:
+                # Pool executors hand back concurrent.futures.Future objects.
                 done, _ = wait(
-                    live,
+                    cast(List[Future], live),
                     timeout=_drain_wait_timeout(
                         policy, live, started, delayed, durations, now
                     ),
@@ -783,8 +785,8 @@ class Runner:
 
 def _drain_wait_timeout(
     policy: RetryPolicy,
-    live: List[Future],
-    started: Dict[Future, float],
+    live: List[TaskFuture],
+    started: Dict[TaskFuture, float],
     delayed: List[Tuple[float, int, Any, int]],
     durations: List[float],
     now: float,

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.distributions import (
+    _erfinv,
+    correlated_normals,
     empirical_quantile,
-    gaussian_copula_uniforms,
+    normal_cdf,
     sample_with_marginals,
 )
 from repro.services.qos import Polarity, QoSAttribute, QoSSchema
@@ -96,10 +98,16 @@ _QUANT_DECIMALS = (0, 0, 1, 0, 0, 0, 0, 0, 0, 2)
 
 def quantize_raw(raw: np.ndarray) -> np.ndarray:
     """Round raw attribute values to QWS measurement resolution."""
-    out = np.asarray(raw, dtype=np.float64).copy()
-    for j, dec in enumerate(_QUANT_DECIMALS[: out.shape[1]]):
-        out[:, j] = np.round(out[:, j], dec)
+    out = np.array(raw, dtype=np.float64)
+    _quantize_in_place(out)
     return out
+
+
+def _quantize_in_place(block: np.ndarray) -> None:
+    """Round each column of ``block`` to its attribute's resolution, in place."""
+    for j, dec in enumerate(_QUANT_DECIMALS[: block.shape[1]]):
+        col = block[:, j]
+        np.round(col, dec, out=col)
 
 
 def _marginals():
@@ -110,17 +118,22 @@ def _marginals():
     joint atom at the all-optimal corner manufactures "perfect services"
     that collapse the skyline to a single point — a degenerate workload no
     real service registry exhibits.
+
+    The special functions are the ones ``scipy.stats.lognorm.ppf`` and
+    ``scipy.stats.beta.ppf`` evaluate at loc 0 and scale 1, so the values
+    carry the same bits; ``scipy.special`` costs under a third of the
+    memory ``scipy.stats`` does to import.
     """
-    from scipy import stats
+    from scipy import special
 
     def lognormal(sigma: float, scale: float):
-        return lambda u: stats.lognorm.ppf(u, s=sigma, scale=scale)
+        return lambda u: np.exp(sigma * special.ndtri(u)) * scale
 
     def pct_beta(a: float, b: float):
-        return lambda u: 100.0 * stats.beta.ppf(u, a, b)
+        return lambda u: 100.0 * special.betaincinv(a, b, u)
 
     def scaled_beta(scale: float, a: float, b: float):
-        return lambda u: scale * stats.beta.ppf(u, a, b)
+        return lambda u: scale * special.betaincinv(a, b, u)
 
     return [
         lognormal(0.75, 300.0),  # response_time ms
@@ -186,7 +199,8 @@ def generate_qws(n: int = 10_000, *, seed: int = 0) -> ServiceDataset:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     raw = sample_with_marginals(n, _marginals(), _CORR, rng)
-    return ServiceDataset(raw=quantize_raw(raw), schema=QWS_SCHEMA)
+    _quantize_in_place(raw)
+    return ServiceDataset(raw=raw, schema=QWS_SCHEMA)
 
 
 def extend_dataset(
@@ -232,6 +246,10 @@ def extend_dataset(
     if extra == 0:
         return ServiceDataset(raw=data.copy(), schema=base.schema, name=base.name)
 
+    # The synthetic rows go straight into the final matrix, below the base.
+    out = np.empty((n, data.shape[1]))
+    out[: len(base)] = data
+    synthetic = out[len(base) :]
     if method == "jitter":
         if narrow_range < 0:
             raise ValueError(f"narrow_range must be >= 0, got {narrow_range}")
@@ -240,26 +258,22 @@ def extend_dataset(
         noise = rng.uniform(-1.0, 1.0, size=(extra, data.shape[1])) * spread
         lo = data.min(axis=0)
         hi = data.max(axis=0)
-        synthetic = np.clip(data[parents] + noise, lo, hi)
+        np.clip(data[parents] + noise, lo, hi, out=synthetic)
     elif method == "resample":
         d = data.shape[1]
         # Rank correlation via normal scores (van der Waerden), robust to
         # the heavy-tailed marginals.
         ranks = np.argsort(np.argsort(data, axis=0), axis=0)
         u = (ranks + 0.5) / data.shape[0]
-        from repro.data.distributions import _erfinv  # internal, stable
-
         scores = np.sqrt(2.0) * _erfinv(2.0 * u - 1.0)
         corr = np.corrcoef(scores, rowvar=False) if d > 1 else np.ones((1, 1))
-        uniforms = gaussian_copula_uniforms(extra, corr, rng)
-        synthetic = np.column_stack(
-            [empirical_quantile(data[:, j])(uniforms[:, j]) for j in range(d)]
-        )
+        # One column at a time: Φ and the empirical quantile of each normal
+        # column, the same bits as mapping the whole copula matrix at once.
+        z = correlated_normals(extra, corr, rng)
+        for j in range(d):
+            synthetic[:, j] = empirical_quantile(data[:, j])(normal_cdf(z[:, j]))
     else:
         raise ValueError(f"unknown method {method!r}; use 'resample' or 'jitter'")
 
-    return ServiceDataset(
-        raw=np.vstack([data, quantize_raw(synthetic)]),
-        schema=base.schema,
-        name=f"{base.name}-x{n}",
-    )
+    _quantize_in_place(synthetic)
+    return ServiceDataset(raw=out, schema=base.schema, name=f"{base.name}-x{n}")

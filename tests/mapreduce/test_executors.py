@@ -204,6 +204,16 @@ class TestExecutorPrimitives:
         fut = ex.submit(lambda: 1 / 0)
         assert isinstance(fut.exception(), ZeroDivisionError)
 
+    def test_serial_futures_are_done_at_submit(self):
+        ex = SerialExecutor()
+        ok = ex.submit(_square, 2)
+        failed = ex.submit(lambda: 1 / 0)
+        assert ok.done() and failed.done()
+        assert not ex.cancel(ok) and not ex.cancel(failed)
+        assert ok.result() == 4
+        with pytest.raises(ZeroDivisionError):
+            failed.result()
+
     @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
     def test_pools_lazily_recreate_after_shutdown(self, cls):
         ex = cls(num_workers=1)

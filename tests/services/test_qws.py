@@ -1,6 +1,9 @@
 """Tests for the synthetic QWS workload generator and extension procedure."""
 
 import hashlib
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from repro.core.sfs import sfs_skyline
 from repro.services.qws import (
     QWS_SCHEMA,
     ServiceDataset,
+    _marginals,
     extend_dataset,
     generate_qws,
     quantize_raw,
@@ -197,3 +201,78 @@ class TestExtension:
         for row in synth[:50]:
             close = (np.abs(base.raw - row) <= spread).all(axis=1)
             assert close.any()
+
+
+class TestMarginals:
+    def test_special_functions_match_the_stats_ppfs_bit_for_bit(self):
+        # The generator evaluates its marginals with scipy.special; these
+        # are the scipy.stats distributions it stands for, in schema order.
+        from scipy import stats
+
+        reference = [
+            lambda u: stats.lognorm.ppf(u, s=0.75, scale=300.0),
+            lambda u: 100.0 * stats.beta.ppf(u, 7.0, 1.4),
+            lambda u: 50.0 * stats.beta.ppf(u, 1.6, 8.0),
+            lambda u: 100.0 * stats.beta.ppf(u, 7.0, 1.2),
+            lambda u: 100.0 * stats.beta.ppf(u, 6.0, 2.2),
+            lambda u: 100.0 * stats.beta.ppf(u, 8.0, 2.2),
+            lambda u: 100.0 * stats.beta.ppf(u, 5.0, 2.2),
+            lambda u: stats.lognorm.ppf(u, s=0.9, scale=50.0),
+            lambda u: 100.0 * stats.beta.ppf(u, 1.6, 3.0),
+            lambda u: stats.lognorm.ppf(u, s=0.8, scale=5.0),
+        ]
+        # The copula clips its uniforms to [1e-12, 1 - 1e-12].
+        u = np.concatenate(
+            [
+                [1e-12, 1.0 - 1e-12],
+                np.linspace(1e-12, 1.0 - 1e-12, 1001),
+                np.random.default_rng(7).random(20_000),
+            ]
+        )
+        marginals = _marginals()
+        assert len(marginals) == len(reference) == len(QWS_SCHEMA)
+        for j, (fn, ref) in enumerate(zip(marginals, reference)):
+            got, want = fn(u), ref(u)
+            assert got.tobytes() == want.tobytes(), QWS_SCHEMA.names[j]
+
+
+def test_generation_stays_off_scipy_stats_and_within_memory():
+    # A fresh interpreter: the test process has imported scipy.stats
+    # itself.  Builds the benchmark's QWS 100,000 x 8 and serves a
+    # generated register, then reports the peak-RSS growth over the
+    # import baseline (the full-matrix generator grew 134 MB here, with
+    # scipy.stats loaded).
+    code = """
+import json, resource, sys
+from repro.serving.protocol import handle_request
+from repro.serving.service import SkylineService
+from repro.services.qws import extend_dataset, generate_qws
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+baseline = peak_mb()
+ext = extend_dataset(generate_qws(10_000, seed=2012), 100_000, seed=2013)
+matrix = ext.qos_matrix(8)
+response = handle_request(
+    SkylineService(),
+    {"op": "register", "dataset": "g", "generate": {"n": 1000, "d": 4, "seed": 3}},
+)
+print(json.dumps({
+    "ok": response["ok"],
+    "shape": list(matrix.shape),
+    "stats_loaded": "scipy.stats" in sys.modules,
+    "growth_mb": peak_mb() - baseline,
+}))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["ok"] and report["shape"] == [100_000, 8]
+    assert not report["stats_loaded"]
+    assert report["growth_mb"] < 80, report
