@@ -1,8 +1,8 @@
 """Benchmark harness: experiment drivers, dataset cache, reporting.
 
-``python -m repro.cli <experiment>`` is the command-line front end; the
-pytest-benchmark suites under ``benchmarks/`` call the same drivers with
-scaled-down parameters.
+``python -m repro.cli <experiment>`` is the command-line front end;
+``python -m repro.cli verify`` runs the same drivers under the reproduction
+gate (:mod:`repro.bench.expectations`).
 """
 
 from typing import Any

@@ -5,8 +5,7 @@ EXPERIMENTS.md narrates paper-vs-measured; this module makes the key claims
 from a freshly generated figure table and reports pass/fail, so a code
 change that silently breaks the reproduction (say, a partitioner regression
 that flips the Figure-5 ordering) is caught by ``python -m repro.cli
-verify`` or the ``benchmarks/`` suite rather than by a human rereading
-tables.
+verify`` rather than by a human rereading tables.
 
 Checks intentionally assert *shapes* — orderings, monotonicity, factor
 floors — never absolute seconds (see DESIGN.md §5 on calibration).
@@ -14,6 +13,7 @@ floors — never absolute seconds (see DESIGN.md §5 on calibration).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -107,6 +107,33 @@ def _fig7_ordering_at_top_dim(table: Table) -> str:
     return ""
 
 
+def _fig7_dim_lowest(table: Table) -> str:
+    dim = table.column("MR-Dim")
+    for other in ("MR-Grid", "MR-Angle"):
+        for d, o, m in zip(table.column("dimension"), table.column(other), dim):
+            if o < m:
+                return f"{other} optimality below MR-Dim at d={d}: {o:.3f} vs {m:.3f}"
+    return ""
+
+
+def _fig7_angle_rises(table: Table) -> str:
+    angle = table.column("MR-Angle")
+    if angle[-1] <= angle[0]:
+        return (
+            f"MR-Angle optimality does not rise with dimension: "
+            f"{angle[0]:.3f} -> {angle[-1]:.3f}"
+        )
+    return ""
+
+
+def _fig7_eq_width_beats_grid(table: Table) -> str:
+    eq = table.column("MR-Angle(eq-width)")[-1]
+    grid = table.column("MR-Grid")[-1]
+    if eq <= grid:
+        return f"equal-width optimality {eq:.3f} <= MR-Grid {grid:.3f} at the top dimension"
+    return ""
+
+
 def _fig7_eq_width_magnitude(table: Table) -> str:
     eq = max(table.column("MR-Angle(eq-width)"))
     if not 0.45 <= eq <= 0.9:
@@ -134,7 +161,8 @@ def reproduction_checks(
     """The gate's check suite.
 
     ``quick`` shrinks cardinalities ~10× (useful in CI); the claims are the
-    same.
+    same.  Each table is built once per suite, on first use, so checks that
+    read one table judge the same run.
     """
     cache = cache or default_cache()
     small = 1_000
@@ -146,11 +174,13 @@ def reproduction_checks(
     # overhead (noisy on loaded CI runners).
     executor = "serial"
 
+    @functools.cache
     def fig5b() -> Table:
         return figure5(
             large, dims=dims, cluster=cluster, cache=cache, executor=executor
         )
 
+    @functools.cache
     def fig6() -> Table:
         return figure6(
             n=large,
@@ -162,16 +192,19 @@ def reproduction_checks(
             executor=executor,
         )
 
+    @functools.cache
     def fig7a() -> Table:
         return figure7(
             small, dims=dims, cluster=cluster, cache=cache, executor=executor
         )
 
+    @functools.cache
     def fig7b() -> Table:
         return figure7(
             large, dims=dims, cluster=cluster, cache=cache, executor=executor
         )
 
+    @functools.cache
     def thy() -> Table:
         return theory(mc_samples=50_000 if quick else 200_000)
 
@@ -205,6 +238,24 @@ def reproduction_checks(
             claim="equal-width sectors reach the paper's ~0.6 optimality",
             predicate=_fig7_eq_width_magnitude,
             table_fn=fig7a,
+        ),
+        ShapeCheck(
+            name="fig7a-dim-lowest",
+            claim="MR-Dim has the lowest optimality at every dimension (N small)",
+            predicate=_fig7_dim_lowest,
+            table_fn=fig7a,
+        ),
+        ShapeCheck(
+            name="fig7b-angle-rises",
+            claim="MR-Angle optimality is higher at the top dimension than at the lowest",
+            predicate=_fig7_angle_rises,
+            table_fn=fig7b,
+        ),
+        ShapeCheck(
+            name="fig7b-eq-width-beats-grid",
+            claim="equal-width MR-Angle beats MR-Grid on optimality at the top dimension",
+            predicate=_fig7_eq_width_beats_grid,
+            table_fn=fig7b,
         ),
         ShapeCheck(
             name="theory-eq3-eq4",

@@ -391,10 +391,7 @@ def stragglers(
     the MR-Angle pipeline's simulated times degrade under deterministic
     straggler injection and how much speculation recovers.
     """
-    from repro.mapreduce.simulation import (
-        StragglerSpec,
-        simulate_job_with_stragglers,
-    )
+    from repro.mapreduce.simulation import StragglerSpec, simulate_pipeline
 
     cache = cache or default_cache()
     matrix = cache.matrix(n, d)
@@ -410,10 +407,7 @@ def stragglers(
         ],
         precision=2,
     )
-    clean = sum(
-        simulate_job_with_stragglers(r, cluster, StragglerSpec(probability=0.0)).total_s
-        for r in result.chain.results
-    )
+    clean = result.simulate(cluster).total_s
     for prob in (0.0, 0.1, 0.3):
         for speculative in (False, True):
             if prob == 0.0 and speculative:
@@ -421,10 +415,7 @@ def stragglers(
             spec = StragglerSpec(
                 probability=prob, slowdown=8.0, speculative=speculative, seed=13
             )
-            total = sum(
-                simulate_job_with_stragglers(r, cluster, spec).total_s
-                for r in result.chain.results
-            )
+            total = simulate_pipeline(result.chain.results, cluster, spec).total_s
             table.add_row(prob, 8.0, speculative, total, total / clean)
     table.add_note("slowdown x8 per straggling task; backup at 1.5x median")
     return table

@@ -8,9 +8,9 @@ operations behind the :class:`DominanceKernel` seam — the dominance
 analogue of the PR-2 executor seam — with two backends:
 
 * :class:`ScalarKernel` (``"scalar"``) — the **reference**: point-at-a-time
-  processing exactly as the algorithms have always done it (one candidate
-  against the window per step).  Ground truth for the parity suite and the
-  counting semantics behind every BENCH_* record so far.
+  processing, one candidate against the window per step, as the paper's
+  algorithms are written.  Ground truth for the parity suite, and the
+  dominance-test counts of the paper-literal pipeline.
 * :class:`BlockKernel` (``"block"``) — columnar batches: candidates flow
   through in chunks that grow from ``FIRST_CHUNK`` to ``BLOCK_CHUNK`` rows,
   each chunk is filtered against the accumulated skyline with two
@@ -111,9 +111,9 @@ def default_kernel_name(fallback: str = "scalar") -> str:
 
     Resolution order: :func:`set_default_kernel` (CLI ``--kernel``), then
     ``$REPRO_KERNEL``, then ``fallback`` — ``"scalar"``, the reference
-    path, keeping measurements comparable with every earlier BENCH record
-    unless a run opts in to the block backend.  ``repro serve`` passes
-    ``"block"``: served answers are identical, only faster.
+    path, so the experiments run the paper-literal pipeline unless a run
+    opts in to the block backend.  ``repro serve`` passes ``"block"``:
+    served answers are identical, only faster.
     """
     if _DEFAULT_KERNEL is not None:
         return _DEFAULT_KERNEL

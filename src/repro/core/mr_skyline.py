@@ -405,8 +405,8 @@ def run_mr_skyline(
         Size of the Ciaccia–Martinenghi filter set broadcast to map tasks
         (0 disables pruning).  ``None`` picks a kernel-dependent default:
         :data:`~repro.core.filtering.DEFAULT_FILTER_K` under a batch
-        kernel, 0 under the scalar reference — so scalar runs stay
-        bit-comparable with every earlier BENCH record.
+        kernel, 0 under the scalar reference, which runs the paper-literal
+        pipeline (Algorithm 1 has no filter stage).
 
     Returns
     -------
@@ -415,9 +415,9 @@ def run_mr_skyline(
     pts = validate_points(points)
     knl = get_kernel(kernel)
     if prune_filter_k is None:
-        # Kernel-dependent default: the scalar reference stays exactly the
-        # historical pipeline (no pruning stage at all); batch kernels get
-        # the full Ciaccia–Martinenghi treatment out of the box.
+        # Kernel-dependent default: the scalar reference runs the
+        # paper-literal pipeline (no pruning stage at all); batch kernels
+        # get the full Ciaccia–Martinenghi treatment out of the box.
         prune_filter_k = DEFAULT_FILTER_K if knl.batch else 0
     if num_partitions is None:
         num_partitions = default_partition_count(num_workers)

@@ -2,12 +2,8 @@
 
 This is the heart of the cluster timing model.  Hadoop 0.20 ran each task in
 a slot (a fixed number per TaskTracker node); a phase's duration is the
-*makespan* of its tasks over the available slots.  We implement the greedy
-list-scheduling policies Hadoop effectively used:
-
-* ``fifo`` — tasks start in submission order (Hadoop's default queue), and
-* ``lpt``  — longest-processing-time-first, the classic 4/3-approximation,
-  useful as a best-case bound in ablations.
+*makespan* of its tasks over the available slots.  Tasks start in submission
+order (Hadoop's default FIFO queue), each on the slot that frees first.
 
 The scheduler is deterministic: ties break on slot index, then task index.
 """
@@ -16,9 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Literal, Sequence
-
-Policy = Literal["fifo", "lpt"]
+from typing import List, Sequence
 
 
 @dataclass(slots=True)
@@ -58,11 +52,6 @@ class Schedule:
             return 1.0
         return self.busy_s / (span * self.num_slots)
 
-    def slot_timeline(self, slot: int) -> List[ScheduledTask]:
-        return sorted(
-            (t for t in self.tasks if t.slot == slot), key=lambda t: t.start_s
-        )
-
     def observe(self, registry, prefix: str) -> None:
         """Record this schedule's shape as gauges under ``prefix.``.
 
@@ -82,10 +71,9 @@ def schedule_tasks(
     durations: Sequence[float],
     num_slots: int,
     *,
-    policy: Policy = "fifo",
     per_task_overhead_s: float = 0.0,
 ) -> Schedule:
-    """Greedy list scheduling of ``durations`` onto ``num_slots`` slots.
+    """FIFO list scheduling of ``durations`` onto ``num_slots`` slots.
 
     Each task occupies its slot for ``duration + per_task_overhead_s`` (the
     overhead models task launch — Hadoop's JVM spin-up).  Returns the full
@@ -99,22 +87,15 @@ def schedule_tasks(
     if per_task_overhead_s < 0:
         raise ValueError(f"per_task_overhead_s must be >= 0, got {per_task_overhead_s}")
 
-    order = list(range(len(durations)))
-    if policy == "lpt":
-        order.sort(key=lambda i: (-durations[i], i))
-    elif policy != "fifo":
-        raise ValueError(f"unknown policy {policy!r}")
-
     # Min-heap of (free_time, slot_index).
     slots = [(0.0, s) for s in range(num_slots)]
     heapq.heapify(slots)
     schedule = Schedule(num_slots=num_slots)
-    for task_index in order:
+    for task_index, duration in enumerate(durations):
         start, slot = heapq.heappop(slots)
-        end = start + durations[task_index] + per_task_overhead_s
+        end = start + duration + per_task_overhead_s
         schedule.tasks.append(
             ScheduledTask(task_index=task_index, slot=slot, start_s=start, end_s=end)
         )
         heapq.heappush(slots, (end, slot))
-    schedule.tasks.sort(key=lambda t: t.task_index)
     return schedule

@@ -14,7 +14,9 @@ simulator computes phase makespans:
   shuffle).
 
 Chained jobs add one ``job_overhead_s`` each, so the simulated total for the
-skyline pipelines is ``overheads + Σ(job phases)``.
+skyline pipelines is ``overheads + Σ(job phases)``.  An optional
+:class:`StragglerSpec` perturbs each phase's task durations before they are
+scheduled; it is the only difference between a clean and a straggler replay.
 """
 
 from __future__ import annotations
@@ -76,27 +78,37 @@ class SimulatedPipeline:
 
 
 def _phase_schedule(
-    tasks: Sequence[TaskStats], slots: int, cluster: ClusterSpec
+    tasks: Sequence[TaskStats],
+    slots: int,
+    cluster: ClusterSpec,
+    stragglers: StragglerSpec | None,
 ) -> Schedule:
     durations = [t.duration_s * cluster.speed_factor for t in tasks]
+    if stragglers is not None:
+        durations = stragglers.perturb(durations, cluster.task_launch_s)
     return schedule_tasks(
-        durations,
-        slots,
-        policy=cluster.scheduling_policy,
-        per_task_overhead_s=cluster.task_launch_s,
+        durations, slots, per_task_overhead_s=cluster.task_launch_s
     )
 
 
-def simulate_job(result: JobResult, cluster: ClusterSpec) -> SimulatedJob:
-    """Replay one measured job on ``cluster``."""
+def simulate_job(
+    result: JobResult,
+    cluster: ClusterSpec,
+    stragglers: StragglerSpec | None = None,
+) -> SimulatedJob:
+    """Replay one measured job on ``cluster``.
+
+    With ``stragglers``, each phase's task durations are perturbed by the
+    straggler model before they are scheduled.
+    """
     with get_tracer().span(
         f"simulate:{result.job_name}", kind="simulate", num_nodes=cluster.num_nodes
     ) as span:
         map_schedule = _phase_schedule(
-            result.map_stats.tasks, cluster.map_slots, cluster
+            result.map_stats.tasks, cluster.map_slots, cluster, stragglers
         )
         reduce_schedule = _phase_schedule(
-            result.reduce_stats.tasks, cluster.reduce_slots, cluster
+            result.reduce_stats.tasks, cluster.reduce_slots, cluster, stragglers
         )
         shuffle_s = 0.0
         if result.shuffle_stats.bytes > 0:
@@ -125,14 +137,18 @@ def simulate_job(result: JobResult, cluster: ClusterSpec) -> SimulatedJob:
 
 
 def simulate_pipeline(
-    results: Sequence[JobResult], cluster: ClusterSpec
+    results: Sequence[JobResult],
+    cluster: ClusterSpec,
+    stragglers: StragglerSpec | None = None,
 ) -> SimulatedPipeline:
     """Replay a chain of measured jobs on ``cluster``.
 
     Hadoop's sequential semantics: each job starts after the previous one
     fully finishes.
     """
-    return SimulatedPipeline(jobs=tuple(simulate_job(r, cluster) for r in results))
+    return SimulatedPipeline(
+        jobs=tuple(simulate_job(r, cluster, stragglers) for r in results)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,55 +205,3 @@ class StragglerSpec:
                 slowed = min(slowed, backup_done)
             out.append(slowed)
         return out
-
-
-def simulate_job_with_stragglers(
-    result: JobResult, cluster: ClusterSpec, stragglers: StragglerSpec
-) -> SimulatedJob:
-    """Replay one job with straggler-perturbed task durations."""
-    def perturbed_schedule(tasks: Sequence[TaskStats], slots: int) -> Schedule:
-        nominal = [t.duration_s * cluster.speed_factor for t in tasks]
-        effective = stragglers.perturb(nominal, cluster.task_launch_s)
-        return schedule_tasks(
-            effective,
-            slots,
-            policy=cluster.scheduling_policy,
-            per_task_overhead_s=cluster.task_launch_s,
-        )
-
-    map_schedule = perturbed_schedule(result.map_stats.tasks, cluster.map_slots)
-    reduce_schedule = perturbed_schedule(
-        result.reduce_stats.tasks, cluster.reduce_slots
-    )
-    shuffle_s = 0.0
-    if result.shuffle_stats.bytes > 0:
-        shuffle_s = (
-            result.shuffle_stats.bytes / cluster.aggregate_shuffle_bytes_per_s
-            + cluster.shuffle_latency_s
-        )
-    return SimulatedJob(
-        job_name=result.job_name,
-        num_nodes=cluster.num_nodes,
-        map_makespan_s=map_schedule.makespan_s,
-        shuffle_s=shuffle_s,
-        reduce_makespan_s=reduce_schedule.makespan_s,
-        job_overhead_s=cluster.job_overhead_s,
-    )
-
-
-def server_sweep(
-    results: Sequence[JobResult],
-    node_counts: Sequence[int],
-    base_cluster: ClusterSpec,
-) -> list[SimulatedPipeline]:
-    """Simulate the same measured pipeline at several cluster sizes.
-
-    Note: this keeps the *task decomposition* fixed; experiments that follow
-    the paper's "partitions = 2 × nodes" rule should instead re-run the
-    pipeline per node count (see ``repro.bench.experiments.figure6``) so the
-    task structure scales too, and use :func:`simulate_pipeline` per point.
-    """
-    return [
-        simulate_pipeline(results, base_cluster.scaled(num_nodes=n))
-        for n in node_counts
-    ]

@@ -159,9 +159,12 @@ def _handle_shard_query(
     spec = parse_query_spec(request)
     deadline = request.get("deadline_s")
     filters = request.get("filters")
+    rows = np.asarray(filters, dtype=np.float64) if filters else None
+    if rows is not None and rows.ndim != 2:
+        raise ValueError(f"filters must be a list of rows, got {filters!r}")
     payload = service.shard_candidates(
         spec,
-        filters=np.asarray(filters, dtype=np.float64) if filters else None,
+        filters=rows,
         deadline_s=float(deadline) if deadline is not None else None,
     )
     return {"ok": True, "dataset": spec.dataset, "kind": spec.kind, **payload}
@@ -277,5 +280,6 @@ def handle_request(
         # the argument itself is the message.
         message = str(exc.args[0]) if exc.args else str(exc)
         return {"ok": False, "status": "error", "error": message}
-    except (TypeError, ValueError) as exc:
+    # OverflowError: JSON ``Infinity`` where the op needs a whole number.
+    except (TypeError, ValueError, OverflowError) as exc:
         return {"ok": False, "status": "error", "error": str(exc)}

@@ -8,6 +8,9 @@ from repro.bench.expectations import (
     _angle_fastest,
     _angle_gap_grows,
     _fig6_declines_and_saturates,
+    _fig7_angle_rises,
+    _fig7_dim_lowest,
+    _fig7_eq_width_beats_grid,
     _fig7_eq_width_magnitude,
     _fig7_ordering_at_top_dim,
     _theory_bound_holds,
@@ -76,6 +79,26 @@ class TestPredicates:
         bad.add_row(10, 0.1, 0.5, 0.4)
         assert "broken" in _fig7_ordering_at_top_dim(bad)
 
+    def test_fig7_dim_lowest(self):
+        t = _fig5_table([0.1, 0.1, 0.1], [0.2, 0.3, 0.3], [0.3, 0.4, 0.5])
+        assert _fig7_dim_lowest(t) == ""
+        bad = _fig5_table([0.1, 0.1, 0.1], [0.2, 0.05, 0.3], [0.3, 0.4, 0.5])
+        assert "MR-Grid optimality below MR-Dim at d=6" in _fig7_dim_lowest(bad)
+
+    def test_fig7_angle_rises(self):
+        t = _fig5_table([0.1, 0.1, 0.1], [0.2, 0.3, 0.3], [0.1, 0.4, 0.3])
+        assert _fig7_angle_rises(t) == ""
+        flat = _fig5_table([0.1, 0.1, 0.1], [0.2, 0.3, 0.3], [0.3, 0.4, 0.3])
+        assert "does not rise" in _fig7_angle_rises(flat)
+
+    def test_fig7_eq_width_beats_grid(self):
+        t = Table(title="t", columns=["dimension", "MR-Grid", "MR-Angle(eq-width)"])
+        t.add_row(2, 0.5, 0.1)
+        t.add_row(10, 0.3, 0.45)
+        assert _fig7_eq_width_beats_grid(t) == ""
+        t.add_row(12, 0.3, 0.3)
+        assert "<= MR-Grid" in _fig7_eq_width_beats_grid(t)
+
     def test_eq_width_band(self):
         t = Table(title="t", columns=["dimension", "MR-Angle(eq-width)"])
         t.add_row(10, 0.65)
@@ -124,9 +147,41 @@ class TestShapeCheck:
         assert result.detail == "broken"
 
     def test_suite_declares_six_checks(self):
-        checks = reproduction_checks(quick=True)
-        assert len(checks) == 6
-        assert len({c.name for c in checks}) == 6
+        # The six original paper-shape checks, plus three optimality
+        # orderings read from the Figure-7 tables.
+        names = [c.name for c in reproduction_checks(quick=True)]
+        assert {
+            "fig5b-angle-fastest",
+            "fig5b-gap-grows",
+            "fig6-saturating-speedup",
+            "fig7b-ordering",
+            "fig7a-eq-width-magnitude",
+            "theory-eq3-eq4",
+        } <= set(names)
+        assert len(names) == 9
+        assert len(set(names)) == 9
+
+    def test_each_table_is_built_once_per_suite(self, monkeypatch):
+        import repro.bench.expectations as expectations
+
+        calls = []
+
+        def fake_figure5(*args, **kwargs):
+            calls.append(args)
+            return _fig5_table([10, 40, 90], [11, 44, 99], [5, 10, 15])
+
+        monkeypatch.setattr(expectations, "figure5", fake_figure5)
+        checks = [
+            c for c in reproduction_checks(quick=True) if c.name.startswith("fig5b")
+        ]
+        assert len(checks) == 2
+        assert all(c.run().passed for c in checks)
+        assert len(calls) == 1
+        # A second suite builds its own table.
+        for check in reproduction_checks(quick=True):
+            if check.name.startswith("fig5b"):
+                check.run()
+        assert len(calls) == 2
 
 
 class TestCliVerify:
@@ -137,4 +192,4 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "reproduction gate" in out
         assert rc == 0
-        assert "6/6 shape checks passed" in out
+        assert "9/9 shape checks passed" in out

@@ -98,6 +98,11 @@ class TestHeadline:
         assert speedups["MR-Angle"] == pytest.approx(1.0)
         assert all(s > 0 for s in speedups.values())
 
+    def test_angle_does_least_dominance_work(self, cache):
+        t = headline(n=2_000, d=4, cluster=QUICK, cache=cache)
+        tests = dict(zip(t.column("method"), t.column("dominance_tests")))
+        assert tests["MR-Angle"] == min(tests.values())
+
 
 class TestTheory:
     def test_bound_always_holds(self):
@@ -116,19 +121,35 @@ class TestTheory:
 
 
 class TestAblations:
-    def test_all_variants_present(self, cache):
-        t = ablations(n=400, d=3, cluster=QUICK, cache=cache)
-        variants = t.column("variant")
+    @pytest.fixture(scope="class")
+    def table(self, cache):
+        return ablations(n=400, d=3, cluster=QUICK, cache=cache)
+
+    def test_all_variants_present(self, table):
+        variants = table.column("variant")
         assert "angle (2x workers, quantile)" in variants
         assert "grid (with pruning)" in variants
         assert "random baseline" in variants
         assert len(variants) >= 8
 
-    def test_metrics_sane(self, cache):
-        t = ablations(n=400, d=3, cluster=QUICK, cache=cache)
-        assert all(v > 0 for v in t.column("sim_total_s"))
-        assert all(0 <= v <= 1 for v in t.column("optimality"))
-        assert all(v >= 1.0 or v == 0.0 for v in t.column("imbalance"))
+    def test_metrics_sane(self, table):
+        assert all(v > 0 for v in table.column("sim_total_s"))
+        assert all(0 <= v <= 1 for v in table.column("optimality"))
+        assert all(v >= 1.0 or v == 0.0 for v in table.column("imbalance"))
+
+    def test_angular_trade_offs(self, table):
+        rows = {row[0]: row for row in table.rows}
+        opt = table.columns.index("optimality")
+        imb = table.columns.index("imbalance")
+        quantile = rows["angle (2x workers, quantile)"]
+        equal_width = rows["angle equal-width bins"]
+        # Quantile sectors balance load; equal-width sectors trade that
+        # balance for optimality.
+        assert quantile[imb] < 1.2
+        assert equal_width[opt] > quantile[opt]
+        assert equal_width[imb] > quantile[imb]
+        # Fewer partitions fragment the skyline less.
+        assert rows["angle 1x workers"][opt] >= rows["angle 4x workers"][opt]
 
 
 class TestStragglers:

@@ -85,6 +85,7 @@ class TestDistanceBased:
         sky = set(skyline_numpy(cloud).tolist())
         result = distance_representatives(cloud, 5)
         assert set(result.indices.tolist()) <= sky
+        assert len(result) == 5
 
     def test_radius_decreases_with_k(self, cloud):
         radii = [distance_representatives(cloud, k).score for k in (1, 3, 8)]

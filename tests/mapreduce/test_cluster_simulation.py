@@ -4,12 +4,16 @@ import pytest
 
 from repro.mapreduce import Job, JobConf, Mapper, Reducer, run_job
 from repro.mapreduce.cluster import ClusterSpec
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import JobResult
+from repro.mapreduce.shuffle import ShuffleStats
 from repro.mapreduce.simulation import (
     SimulatedJob,
+    StragglerSpec,
     simulate_job,
     simulate_pipeline,
-    server_sweep,
 )
+from repro.mapreduce.types import PhaseStats, TaskKind, TaskStats
 
 
 class TokenMapper(Mapper):
@@ -129,7 +133,70 @@ class TestPipelineAndSweep:
 
     def test_server_sweep_shapes(self, measured_job):
         base = ClusterSpec(num_nodes=1)
-        sweep = server_sweep([measured_job], [1, 2, 4], base)
+        sweep = [
+            simulate_pipeline([measured_job], base.scaled(num_nodes=n))
+            for n in (1, 2, 4)
+        ]
         assert [p.jobs[0].num_nodes for p in sweep] == [1, 2, 4]
         totals = [p.total_s for p in sweep]
         assert totals == sorted(totals, reverse=True)
+
+
+def _fixed_job() -> JobResult:
+    """A job whose task durations are hand-set, not measured."""
+    map_s = (0.013, 0.021, 0.008, 0.034, 0.017, 0.011, 0.026)
+    reduce_s = (0.042, 0.019, 0.031)
+    return JobResult(
+        job_name="fixed",
+        outputs=[],
+        counters=Counters(),
+        map_stats=PhaseStats(
+            TaskKind.MAP,
+            [TaskStats(f"map-{i}", TaskKind.MAP, d) for i, d in enumerate(map_s)],
+        ),
+        reduce_stats=PhaseStats(
+            TaskKind.REDUCE,
+            [
+                TaskStats(f"reduce-{i}", TaskKind.REDUCE, d, partition=i)
+                for i, d in enumerate(reduce_s)
+            ],
+        ),
+        shuffle_stats=ShuffleStats(records=100, bytes=3_456_789, segments=21),
+    )
+
+
+class TestPinnedTotals:
+    """Exact replay totals for fixed task stats, clean and with stragglers:
+    any change to the cost model shows up here as a changed number."""
+
+    CLUSTER = ClusterSpec(num_nodes=2, speed_factor=100.0)
+
+    def test_job(self):
+        sim = simulate_job(_fixed_job(), self.CLUSTER)
+        assert sim.map_makespan_s == 6.7
+        assert sim.shuffle_s == 0.5432098625
+        assert sim.reduce_makespan_s == 5.2
+        assert sim.total_s == 17.443209862499998
+
+    def test_pipeline(self):
+        pipe = simulate_pipeline([_fixed_job(), _fixed_job()], self.CLUSTER)
+        assert pipe.map_time_s == 23.4
+        assert pipe.reduce_time_s == 11.486419725000001
+        assert pipe.total_s == 34.886419724999996
+
+    @pytest.mark.parametrize(
+        "speculative, map_s, reduce_s, total_s",
+        [
+            (False, 28.4, 34.6, 68.54320986249999),
+            (True, 13.0, 10.850000000000001, 29.3932098625),
+        ],
+    )
+    def test_stragglers(self, speculative, map_s, reduce_s, total_s):
+        spec = StragglerSpec(
+            probability=0.5, slowdown=8.0, speculative=speculative, seed=2
+        )
+        sim = simulate_job(_fixed_job(), self.CLUSTER, spec)
+        assert sim.map_makespan_s == map_s
+        assert sim.shuffle_s == 0.5432098625
+        assert sim.reduce_makespan_s == reduce_s
+        assert sim.total_s == total_s

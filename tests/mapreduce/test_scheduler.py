@@ -21,7 +21,7 @@ class TestBasics:
 
     def test_two_slots_fifo(self):
         # FIFO: t0->slot0, t1->slot1, t2-> earliest free (slot0 at 3.0)
-        s = schedule_tasks([3.0, 1.0, 2.0], 2, policy="fifo")
+        s = schedule_tasks([3.0, 1.0, 2.0], 2)
         assert s.makespan_s == pytest.approx(3.0 + 0.0) or s.makespan_s == pytest.approx(3.0)
         t2 = next(t for t in s.tasks if t.task_index == 2)
         assert t2.start_s == pytest.approx(1.0)  # slot1 frees first
@@ -40,22 +40,15 @@ class TestBasics:
         s = schedule_tasks([0.0, 0.0, 0.0], 2)
         assert s.makespan_s == 0.0
 
-    def test_lpt_beats_or_equals_fifo_on_adversarial_order(self):
-        durations = [1, 1, 1, 1, 8]  # FIFO puts the 8 last -> makespan 9
-        fifo = schedule_tasks(durations, 2, policy="fifo")
-        lpt = schedule_tasks(durations, 2, policy="lpt")
-        assert lpt.makespan_s <= fifo.makespan_s
-        assert lpt.makespan_s == pytest.approx(8.0)
-
     def test_task_indices_preserved(self):
-        s = schedule_tasks([2.0, 1.0], 1, policy="lpt")
+        s = schedule_tasks([2.0, 1.0], 1)
         assert [t.task_index for t in s.tasks] == [0, 1]
 
     def test_slot_timeline_sorted(self):
+        # FIFO: each slot runs its tasks in submission order.
         s = schedule_tasks([1.0, 1.0, 1.0, 1.0], 2)
         for slot in range(2):
-            timeline = s.slot_timeline(slot)
-            starts = [t.start_s for t in timeline]
+            starts = [t.start_s for t in s.tasks if t.slot == slot]
             assert starts == sorted(starts)
 
 
@@ -72,20 +65,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             schedule_tasks([1.0], 1, per_task_overhead_s=-1)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_tasks([1.0], 1, policy="random")  # type: ignore[arg-type]
-
 
 class TestProperties:
     @given(
         durations=st.lists(st.floats(0, 100, allow_nan=False), max_size=30),
         slots=st.integers(1, 8),
-        policy=st.sampled_from(["fifo", "lpt"]),
     )
     @settings(max_examples=80)
-    def test_makespan_bounds(self, durations, slots, policy):
-        s = schedule_tasks(durations, slots, policy=policy)
+    def test_makespan_bounds(self, durations, slots):
+        s = schedule_tasks(durations, slots)
         total = sum(durations)
         longest = max(durations, default=0.0)
         # Classic bounds: max(longest, total/slots) <= makespan <= total
@@ -101,7 +89,9 @@ class TestProperties:
     def test_no_slot_overlap(self, durations, slots):
         s = schedule_tasks(durations, slots)
         for slot in range(slots):
-            timeline = s.slot_timeline(slot)
+            timeline = sorted(
+                (t for t in s.tasks if t.slot == slot), key=lambda t: t.start_s
+            )
             for a, b in zip(timeline, timeline[1:]):
                 assert a.end_s <= b.start_s + 1e-9
 

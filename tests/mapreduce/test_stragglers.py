@@ -4,11 +4,7 @@ import pytest
 
 from repro.mapreduce import Job, JobConf, Mapper, Reducer, run_job
 from repro.mapreduce.cluster import ClusterSpec
-from repro.mapreduce.simulation import (
-    StragglerSpec,
-    simulate_job,
-    simulate_job_with_stragglers,
-)
+from repro.mapreduce.simulation import StragglerSpec, simulate_job
 
 
 class TokenMapper(Mapper):
@@ -91,18 +87,18 @@ class TestPerturb:
 class TestSimulation:
     def test_stragglers_never_speed_up(self, measured):
         base = simulate_job(measured, CLUSTER)
-        perturbed = simulate_job_with_stragglers(
+        perturbed = simulate_job(
             measured, CLUSTER, StragglerSpec(probability=0.3, slowdown=8.0, seed=1)
         )
         assert perturbed.total_s >= base.total_s - 1e-9
 
     def test_speculation_recovers_time(self, measured):
-        no_spec = simulate_job_with_stragglers(
+        no_spec = simulate_job(
             measured,
             CLUSTER,
             StragglerSpec(probability=0.5, slowdown=20.0, speculative=False, seed=2),
         )
-        with_spec = simulate_job_with_stragglers(
+        with_spec = simulate_job(
             measured,
             CLUSTER,
             StragglerSpec(probability=0.5, slowdown=20.0, speculative=True, seed=2),
@@ -111,7 +107,7 @@ class TestSimulation:
 
     def test_zero_probability_matches_baseline(self, measured):
         base = simulate_job(measured, CLUSTER)
-        same = simulate_job_with_stragglers(
+        same = simulate_job(
             measured, CLUSTER, StragglerSpec(probability=0.0)
         )
         assert same.total_s == pytest.approx(base.total_s)

@@ -79,20 +79,22 @@ class TestServeCluster:
         assert client.returncode == 0
 
     def test_handler_exception_does_not_drop_pipelined_requests(self):
+        def handler(service, request):
+            if request.get("op") == "explode":
+                raise RuntimeError("boom")
+            return handle_request(service, request)
+
         with LocalCluster(2) as fleet:
             with SkylineService(backend=ShardedBackend(fleet.addresses())) as coordinator:
                 coordinator.register("qws", _points(), shard_fn="angle")
-                with tcp_server(coordinator) as (host, port):
+                with tcp_server(coordinator, handler) as (host, port):
                     with socket.create_connection((host, port), 10) as sock:
-                        sock.sendall(
-                            b'{"op": "remove", "dataset": "qws",'
-                            b' "id": Infinity}\n{"op": "ping"}\n'
-                        )
+                        sock.sendall(b'{"op": "explode"}\n{"op": "ping"}\n')
                         with sock.makefile("rb") as replies:
                             failed = json.loads(replies.readline())
                             pong = json.loads(replies.readline())
         assert failed["ok"] is False and failed["status"] == "internal"
-        assert failed["error"].startswith("OverflowError: "), failed
+        assert failed["error"] == "RuntimeError: boom", failed
         assert pong["pong"] is True and pong["shards"] == 2, pong
 
     def test_cluster_size_validated(self):

@@ -66,11 +66,15 @@ def spawn_server(*serve_args: str, **popen_kwargs: Any) -> ServingClient:
 
 
 @contextmanager
-def tcp_server(service: Any) -> Iterator[Tuple[str, int]]:
-    """A serving TCP server on a free loopback port, torn down on exit."""
+def tcp_server(service: Any, handler: Any = None) -> Iterator[Tuple[str, int]]:
+    """A serving TCP server on a free loopback port, torn down on exit.
+
+    ``handler`` replaces the server's request dispatcher when given."""
     from repro.serving.server import make_tcp_server
 
     server = make_tcp_server(service)
+    if handler is not None:
+        server.handler = handler
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

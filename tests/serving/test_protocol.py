@@ -15,9 +15,9 @@ from repro.serving.server import serve_lines
 from repro.serving.service import ServeConfig, SkylineService
 
 
-#: Requests that raise past ``handle_request``'s typed error mapping
-#: (JSON ``Infinity`` decodes to ``inf``; ``filters`` must be a matrix).
-INTERNAL_FAILURES = [
+#: Requests with malformed numbers (JSON ``Infinity`` decodes to ``inf``,
+#: which no whole-number parameter accepts; ``filters`` must be a matrix).
+MALFORMED_NUMBERS = [
     pytest.param(
         '{"op": "remove", "dataset": "qws", "id": Infinity}',
         id="remove-infinite-id",
@@ -26,6 +26,12 @@ INTERNAL_FAILURES = [
         '{"op": "query", "dataset": "qws", "kind": "skyband", "k": Infinity}',
         id="skyband-infinite-k",
     ),
+    pytest.param(
+        '{"op": "register", "dataset": "e", "points": [[1, 2], [2, 1]],'
+        ' "partitions": Infinity}',
+        id="register-infinite-partitions",
+    ),
+    pytest.param('{"op": "events", "n": Infinity}', id="events-infinite-n"),
     pytest.param(
         '{"op": "shard_query", "dataset": "qws", "filters": 5}',
         id="shard-query-scalar-filters",
@@ -197,22 +203,37 @@ class TestServeLines:
         assert bad["ok"] is False and bad["status"] == "error"
         assert pong["pong"] is True
 
-    @pytest.mark.parametrize("bad", INTERNAL_FAILURES)
-    def test_handler_exception_is_an_internal_response(self, bad):
-        from repro.observability.events import get_events
-
+    @pytest.mark.parametrize("bad", MALFORMED_NUMBERS)
+    def test_malformed_numbers_are_error_responses(self, bad):
         service = _service()
-        before = service.stats()["datasets"]["qws"]
+        before = service.stats()["datasets"]
         out = io.StringIO()
         assert serve_lines(service, [bad, '{"op": "ping"}'], out) is False
         failed, pong = (json.loads(r) for r in out.getvalue().splitlines())
-        assert failed["ok"] is False and failed["status"] == "internal"
-        assert failed["error"].startswith(("OverflowError: ", "IndexError: "))
+        assert failed["ok"] is False and failed["status"] == "error", failed
         assert pong["pong"] is True
-        after = service.stats()["datasets"]["qws"]
-        assert (after["size"], after["generation"]) == (
-            before["size"], before["generation"],
+        after = service.stats()["datasets"]
+        assert after.keys() == before.keys()
+        assert (after["qws"]["size"], after["qws"]["generation"]) == (
+            before["qws"]["size"], before["qws"]["generation"],
         )
+
+    def test_handler_exception_is_an_internal_response(self):
+        from repro.observability.events import get_events
+
+        def handler(service, request):
+            if request.get("op") == "explode":
+                raise RuntimeError("boom")
+            return handle_request(service, request)
+
+        out = io.StringIO()
+        lines = ['{"op": "explode"}', '{"op": "ping"}']
+        assert serve_lines(_service(), lines, out, handler=handler) is False
+        failed, pong = (json.loads(r) for r in out.getvalue().splitlines())
+        assert failed == {
+            "ok": False, "status": "internal", "error": "RuntimeError: boom",
+        }
+        assert pong["pong"] is True
         internal = get_events().tail(kinds=["server.internal"])
         assert [e.attrs["error"] for e in internal] == [failed["error"]]
         assert failed["error"] in internal[0].attrs["traceback"]
