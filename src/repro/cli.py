@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import os
 import signal
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence
@@ -342,8 +343,6 @@ def _run_lint(argv: List[str]) -> int:
     rule_ids = None
     if args.rules:
         rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
-    import os
-
     paths = list(args.paths)
     if args.changed_only:
         try:
@@ -865,10 +864,12 @@ def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # Opt-in runtime lock-order sanitizer (REPRO_SANITIZE=locks) must be
-    # installed before any command constructs serving/executor state.
-    from repro.observability.sanitizer import install_from_env
+    # installed before any command constructs serving/executor state; a
+    # run without the variable does not load it.
+    if os.environ.get("REPRO_SANITIZE"):
+        from repro.observability.sanitizer import install_from_env
 
-    install_from_env()
+        install_from_env()
     # 'trace', 'lint', 'serve', 'coordinator' and 'top' are not
     # experiments, so they take their own options and dispatch before the
     # experiment parser.
@@ -958,7 +959,5 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests
     try:
         sys.exit(main())
     except BrokenPipeError:  # e.g. `repro trace f | head`
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)

@@ -24,14 +24,16 @@ membership.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.bnl import bnl_skyline
 from repro.core.dominance import validate_points
 from repro.core.kernels import DominanceKernel, get_kernel
-from repro.core.partitioning.base import SpacePartitioner
+
+if TYPE_CHECKING:
+    from repro.core.partitioning.base import SpacePartitioner
 
 __all__ = ["IncrementalSkyline"]
 

@@ -13,7 +13,6 @@ points unseen at fit time — properties a plain RNG draw would not have.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +36,8 @@ class RandomPartitioner(SpacePartitioner):
         return None
 
     def _assign(self, points: np.ndarray) -> np.ndarray:
+        import hashlib
+
         salt = self.seed.to_bytes(8, "little", signed=True)
         ids = np.empty(points.shape[0], dtype=np.int64)
         for i, row in enumerate(np.ascontiguousarray(points)):

@@ -58,7 +58,11 @@ def gaussian_copula_uniforms(
 
 
 def correlated_normals(
-    n: int, correlation: np.ndarray, rng: np.random.Generator
+    n: int,
+    correlation: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The copula's ``(n, d)`` standard normals, before Φ.
 
@@ -66,10 +70,14 @@ def correlated_normals(
     the QWS extension) take ``normal_cdf(z[:, j])`` per column: Φ is
     elementwise, so each column gets the bits of
     :func:`gaussian_copula_uniforms` without its full-matrix temporaries.
+
+    ``out``, a C-contiguous ``(n, d)`` float64 array, receives the
+    Cholesky product instead of a new array: the same single matmul,
+    written into the caller's buffer, so the bits do not change.
     """
     corr = nearest_correlation(correlation)
     chol = np.linalg.cholesky(corr)
-    return rng.standard_normal((n, corr.shape[0])) @ chol.T
+    return np.matmul(rng.standard_normal((n, corr.shape[0])), chol.T, out=out)
 
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ default plan (:func:`set_default_fault_plan`) reaches every runner the way
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -71,7 +70,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "MonotonicClock",
     "apply_fault",
     "get_default_fault_plan",
     "set_default_fault_plan",
@@ -102,6 +100,8 @@ def stable_rng(seed: int, *parts: Any) -> random.Random:
     instead.  Identical inputs produce identical streams on every
     interpreter, platform, and run.
     """
+    import hashlib
+
     digest = hashlib.blake2b(
         repr((seed,) + parts).encode("utf-8"), digest_size=8
     ).digest()
@@ -407,23 +407,6 @@ def apply_fault(
             time.sleep(extra)
         return result
     raise ValueError(f"unknown fault action {decision.action!r}")
-
-
-class MonotonicClock:
-    """The runner's default clock: real monotonic time, real sleeps.
-
-    Tests substitute a fake with the same two-method surface to assert
-    backoff spacing without waiting for it.
-    """
-
-    __slots__ = ()
-
-    def monotonic(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
 
 
 # -- process-global default plan -------------------------------------------------

@@ -44,6 +44,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple, cast
 
+from repro._clock import MonotonicClock
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.errors import (
     JobConfigError,
@@ -57,7 +58,6 @@ from repro.mapreduce.faults import (
     FaultDecision,
     FaultInjector,
     FaultPlan,
-    MonotonicClock,
     apply_fault,
     get_default_fault_plan,
 )

@@ -10,7 +10,6 @@ executed task — and is the raw material for the cluster timing simulation
 from __future__ import annotations
 
 import enum
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Hashable, NamedTuple
@@ -221,6 +220,8 @@ def stable_backoff_rng(seed: int, task_id: str, attempt: int) -> random.Random:
     BLAKE2 over the repr of the key tuple gives the same stream on every
     interpreter and platform — the property the determinism tests pin.
     """
+    import hashlib
+
     digest = hashlib.blake2b(
         repr((seed, task_id, attempt)).encode("utf-8"), digest_size=8
     ).digest()

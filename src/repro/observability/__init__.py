@@ -26,52 +26,54 @@ then ``repro-skyline trace run.jsonl``.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
-from repro.observability.events import (
-    Event,
-    EventLog,
-    get_events,
-    set_events,
-)
-from repro.observability.export import (
-    DeltaSnapshotter,
-    json_snapshot,
-    render_prometheus,
-    sanitize_metric_name,
-    snapshot_delta,
-)
-from repro.observability.metrics import (
-    DEFAULT_DURATION_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ThresholdWatch,
-    get_metrics,
-    observe_partition_skew,
-    set_metrics,
-)
-from repro.observability.slo import (
-    SLObjective,
-    SLOTracker,
-    default_objectives,
-)
-from repro.observability.report import (
-    TraceError,
-    load_trace,
-    render_summary,
-    render_tree,
-    summarize_spans,
-)
-from repro.observability.tracing import (
-    NULL_TRACER,
-    JsonLinesExporter,
-    Span,
-    Tracer,
-    get_tracer,
-    now_ns,
-    read_trace,
-    set_tracer,
-)
+from typing import TYPE_CHECKING, Any
+
+from repro._lazy import lazy_export
+
+if TYPE_CHECKING:
+    from repro.observability.tracing import Tracer
+
+# Public names by home module, imported on first use (PEP 562): a server
+# loads the metrics and events it serves, not the trace reader.
+_EXPORTS = {
+    "repro.observability.events": ("Event", "EventLog", "get_events", "set_events"),
+    "repro.observability.export": (
+        "DeltaSnapshotter",
+        "json_snapshot",
+        "render_prometheus",
+        "sanitize_metric_name",
+        "snapshot_delta",
+    ),
+    "repro.observability.metrics": (
+        "DEFAULT_DURATION_BUCKETS_S",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "ThresholdWatch",
+        "get_metrics",
+        "observe_partition_skew",
+        "set_metrics",
+    ),
+    "repro.observability.slo": ("SLObjective", "SLOTracker", "default_objectives"),
+    "repro.observability.report": (
+        "TraceError",
+        "load_trace",
+        "render_summary",
+        "render_tree",
+        "summarize_spans",
+    ),
+    "repro.observability.tracing": (
+        "NULL_TRACER",
+        "JsonLinesExporter",
+        "Span",
+        "Tracer",
+        "get_tracer",
+        "now_ns",
+        "read_trace",
+        "set_tracer",
+    ),
+}
 
 __all__ = [
     "Counter",
@@ -113,6 +115,10 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str) -> Any:
+    return lazy_export(__name__, _EXPORTS, name)
+
+
 def enable_tracing(path: str | None = None, *, keep_spans: bool = False) -> Tracer:
     """Install an enabled process-wide tracer.
 
@@ -120,6 +126,8 @@ def enable_tracing(path: str | None = None, *, keep_spans: bool = False) -> Trac
     to that file; ``keep_spans`` additionally retains spans in memory
     (``tracer.finished``) for programmatic summaries.
     """
+    from repro.observability.tracing import JsonLinesExporter, Tracer, set_tracer
+
     exporter = JsonLinesExporter(path) if path is not None else None
     return set_tracer(Tracer(exporter, enabled=True, keep_spans=keep_spans))
 
@@ -131,6 +139,9 @@ def disable_tracing(*, write_metrics: bool = False) -> None:
     appended to the outgoing tracer's export stream first, so the trace
     file carries the final counter/gauge/histogram state.
     """
+    from repro.observability.metrics import get_metrics
+    from repro.observability.tracing import get_tracer, set_tracer
+
     tracer = get_tracer()
     if tracer.exporter is not None:
         if write_metrics:

@@ -5,8 +5,8 @@ serving layer — availability (the request was answered) or latency (the
 answer arrived under a threshold) — and what fraction of requests must be
 good (``target``).  An :class:`SLOTracker` records every request into
 time-bucketed good/total tallies on an injectable monotonic clock (the
-same :class:`~repro.mapreduce.faults.MonotonicClock` surface the fault
-layer uses, so tests drive it with a fake and assert exact burn numbers).
+same :class:`~repro._clock.MonotonicClock` surface the MapReduce
+runner uses, so tests drive it with a fake and assert exact burn numbers).
 
 **Burn rate** over a window is ``error_rate / error_budget`` where the
 budget is ``1 - target``: burning at 1.0 exhausts the budget exactly at
@@ -33,6 +33,8 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
+
+from repro._clock import MonotonicClock
 
 __all__ = [
     "SLObjective",
@@ -136,8 +138,6 @@ class SLOTracker:
         windows_s: Dict[str, float] | None = None,
     ):
         if clock is None:
-            from repro.mapreduce.faults import MonotonicClock
-
             clock = MonotonicClock()
         if bucket_s <= 0:
             raise ValueError(f"bucket_s must be > 0, got {bucket_s}")

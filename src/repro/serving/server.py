@@ -112,7 +112,19 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         server: "ServingTCPServer" = self.server  # type: ignore[assignment]
         reader = (raw.decode("utf-8", "replace") for raw in self.rfile)
         out = _TextOut(self.wfile)
-        if serve_lines(server.service, reader, out, handler=server.handler):
+        try:
+            stop = serve_lines(server.service, reader, out, handler=server.handler)
+        except (ConnectionResetError, BrokenPipeError) as exc:
+            # The client reset the connection mid-session: its session is
+            # over, not the server's, and the event says so instead of a
+            # socketserver traceback on stderr.
+            get_events().emit(
+                "server.session_reset",
+                client=f"{self.client_address[0]}:{self.client_address[1]}",
+                error=type(exc).__name__,
+            )
+            return
+        if stop:
             # A successful shutdown op stops the whole server, not just
             # this session; shutdown() must come from another thread
             # (stop() joins the other sessions and skips this one).

@@ -30,8 +30,8 @@ The serve path of every request is::
 * **Cache.**  A :class:`~repro.serving.cache.ResultCache` keyed by the
   backend's generation vector (a single node's is one element); only
   answers the backend marks exact at their vector are cached.
-* **Deadlines.**  Per-query deadlines run on the fault-tolerance clock
-  (:class:`~repro.mapreduce.faults.MonotonicClock`; tests inject a fake),
+* **Deadlines.**  Per-query deadlines run on the monotonic clock
+  (:class:`~repro._clock.MonotonicClock`; tests inject a fake),
   and bound queue wait, coalesced waits and the backend's fan-out legs.
 * **Observability.**  Spans, counters and the latency histogram are named
   per plane (``serve.*`` on a single node, ``serve.cluster.*`` on a
@@ -46,6 +46,7 @@ Thread-safety: the flight table and queue depth mutate only under
 
 from __future__ import annotations
 
+import resource
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -61,6 +62,7 @@ from typing import (
 
 import numpy as np
 
+from repro._clock import MonotonicClock
 from repro.core.kernels import KERNEL_NAMES, get_kernel
 from repro.observability.events import get_events
 from repro.observability.metrics import Histogram, get_metrics
@@ -529,8 +531,6 @@ class SkylineService:
         self.backend: Backend = backend if backend is not None else LocalBackend()
         self.backend.bind(self.config)
         if clock is None:
-            from repro.mapreduce.faults import MonotonicClock
-
             clock = MonotonicClock()
         self.clock = clock
         self._lock = threading.RLock()
@@ -904,12 +904,13 @@ class SkylineService:
     def stats(self) -> Dict[str, Any]:
         """JSON-ready operational snapshot (the protocol's ``stats`` op).
 
-        Everything ``repro top`` renders in one poll: the backend's
-        datasets (and, sharded, its shard table), cache and admission
-        state, the ``serve.*`` counters, the ``serve.*``/``partition.*``
-        gauges (partition-skew above all), and this plane's latency
-        histogram summary.  Counters are cumulative; pollers rate them
-        with :func:`repro.observability.export.snapshot_delta`.
+        Everything ``repro top`` renders in one poll: uptime, the
+        process's peak RSS, the backend's datasets (and, sharded, its
+        shard table), cache and admission state, the ``serve.*``
+        counters, the ``serve.*``/``partition.*`` gauges (partition-skew
+        above all), and this plane's latency histogram summary.
+        Counters are cumulative; pollers rate them with
+        :func:`repro.observability.export.snapshot_delta`.
         """
         snapshot = get_metrics().snapshot()
         latency = f"{self.backend.plane}.latency_s"
@@ -918,6 +919,10 @@ class SkylineService:
             inflight = len(self._flights)
         return {
             "uptime_s": round(self.uptime_s(), 6),
+            # ru_maxrss is in KiB on Linux: the VmHWM of /proc/self/status.
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3
+            ),
             "kernel": get_kernel(self.config.kernel).name,
             **self.backend.describe(),
             "cache": self._cache.stats(),

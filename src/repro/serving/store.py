@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.dominance import validate_points
 from repro.core.incremental import IncrementalSkyline
 from repro.core.kernels import DominanceKernel, get_kernel
-from repro.core.partitioning import make_partitioner
 from repro.observability.events import get_events
 from repro.observability.metrics import get_metrics, observe_partition_skew
 
@@ -227,6 +226,8 @@ class SkylineStore:
                     f"{self._generation}); recovery must target a fresh store"
                 )
             if len(ids) > 0:
+                from repro.core.partitioning import make_partitioner
+
                 partitioner = make_partitioner(self.scheme, self.num_partitions)
                 self._sky = IncrementalSkyline.from_members(
                     partitioner,
@@ -343,6 +344,10 @@ class SkylineStore:
         """
         with self._lock:
             if self._sky is None:
+                # The partitioners load with the first dataset, not at
+                # server start.
+                from repro.core.partitioning import make_partitioner
+
                 partitioner = make_partitioner(self.scheme, self.num_partitions)
                 partitioner.fit(first_batch)
                 self._sky = IncrementalSkyline(

@@ -106,6 +106,8 @@ def render_frame(
     lines: List[str] = []
     head = f"repro top — {target or 'server'}   [{tag}]"
     head += f"   up {float(stats.get('uptime_s', 0.0)):.0f}s"
+    if "peak_rss_mb" in stats:
+        head += f"   peak rss {float(stats['peak_rss_mb']):.1f} MB"
     kernel = stats.get("kernel")
     if kernel:
         head += f"   kernel {kernel}"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ class TestExtension:
         assert hashlib.sha256(ext.raw.tobytes()).hexdigest() == (
             "1de2427b0c0c939e7a57d520e587447855189de23c6f21f9831835171c36d9de"
         )
+
+    def test_extension_writes_the_copula_product_in_place(self):
+        # The Cholesky product goes straight into the output's synthetic
+        # rows; only the raw normals sit beside the output.  With a
+        # second (extra, d) product the traced peak is 3.1x the output.
+        base = generate_qws(2_000, seed=2012)
+        tracemalloc.start()
+        try:
+            ext = extend_dataset(base, 20_000, seed=2013)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * ext.raw.nbytes, peak / ext.raw.nbytes
 
     def test_jitter_stays_near_parents(self, base):
         ext = extend_dataset(base, 3500, seed=3, method="jitter", narrow_range=0.01)

@@ -35,6 +35,24 @@ class TestStats:
         assert response["uptime_s"] >= 0.0
         assert "store.generation" in response["events"]
 
+    def test_peak_rss_is_the_process_high_water_mark(self):
+        def vmhwm_kib():
+            with open("/proc/self/status") as fh:
+                for line in fh:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1])
+            raise AssertionError("no VmHWM line")
+
+        service = _service()
+        before = vmhwm_kib()
+        peak_mb = handle_request(service, {"op": "stats"})["peak_rss_mb"]
+        after = vmhwm_kib()
+        # Both read the process's RSS high-water mark, which only rises.
+        # The kernel keeps RSS in per-CPU counters that getrusage reads
+        # without summing, so ru_maxrss may trail VmHWM by a few hundred
+        # KiB; 1 MB covers that and nothing else.
+        assert before / 1024 - 1.0 <= peak_mb <= after / 1024 + 0.001
+
     def test_gauges_include_partition_skew(self):
         service = _service()
         gauges = handle_request(service, {"op": "stats"})["gauges"]

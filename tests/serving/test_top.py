@@ -17,6 +17,7 @@ def _sample(polled_at=100.0, requests=40, shed=2):
     return Sample(
         stats={
             "uptime_s": 12.5,
+            "peak_rss_mb": 38.96,
             "datasets": {"qws": {"size": 300, "generation": 3}},
             "cache": {
                 "hits": 9, "misses": 3, "entries": 3,
@@ -73,6 +74,7 @@ class TestRenderFrame:
     def test_single_frame_shows_every_section(self):
         frame = render_frame(_sample(), target="127.0.0.1:9999")
         assert "[WARN]" in frame  # degraded health tag
+        assert "peak rss 39.0 MB" in frame
         assert "requests 40" in frame
         assert "shed 2" in frame
         assert "cache 75.0% hit" in frame
@@ -129,6 +131,7 @@ class TestLiveTop:
         assert rc == 0
         frame = out.getvalue()
         assert "repro top" in frame and "[OK]" in frame
+        assert "peak rss " in frame and " MB" in frame
         assert "qws" in frame
 
     def test_cli_top_once(self, capsys):

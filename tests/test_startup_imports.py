@@ -10,8 +10,11 @@ import importlib
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
+
+from tests.serving.harness import subprocess_env
 
 #: What `repro serve` (single node, --cluster and --data-dir) imports
 #: before printing its banner.
@@ -29,13 +32,25 @@ NOT_AT_STARTUP = [
     "repro.analysis",
     "repro.services",
     "repro.core.mr_skyline",
+    "repro.core.partitioning",
     "repro.mapreduce.runner",
     "scipy",
+]
+
+#: What `repro serve --tcp` must not load before its banner, in either
+#: mode: libcrypto (the blake2b helpers import hashlib when called), the
+#: lock sanitizer without REPRO_SANITIZE, and the trace reader/exporters.
+NOT_BEFORE_BANNER = [
+    "_hashlib",
+    "repro.observability.sanitizer",
+    "repro.observability.report",
+    "repro.observability.export",
 ]
 
 LAZY_PACKAGES = [
     "repro",
     "repro.core",
+    "repro.observability",
     "repro.serving",
     "repro.mapreduce",
     "repro.services",
@@ -65,9 +80,56 @@ def test_serve_path_skips_engine_bench_and_services():
     )
     unexpected = [m for m in NOT_AT_STARTUP if m in loaded]
     assert not unexpected, f"serve path imported {unexpected}"
-    # The measured serve path loads 37 repro modules; a regression that
+    # The measured serve path loads 27 repro modules; a regression that
     # re-couples a package shows up here first.
-    assert len([m for m in loaded if m.startswith("repro")]) <= 40
+    assert len([m for m in loaded if m.startswith("repro")]) <= 27
+
+
+def _imported_before_banner(*serve_args: str) -> list:
+    """Modules ``python -X importtime -m repro.cli serve --tcp`` imports
+    before it prints its banner, read from its stderr."""
+    env = subprocess_env()
+    env.pop("REPRO_SANITIZE", None)  # a sanitized CI run must not count
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", "serve",
+         "--tcp", "127.0.0.1:0", *serve_args],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    modules, banner = [], None
+    try:
+        for line in proc.stderr:
+            if line.startswith("import time:"):
+                modules.append(line.rsplit("|", 1)[-1].strip())
+            elif " on 127.0.0.1:" in line:
+                banner = line
+                break
+    finally:
+        watchdog.cancel()
+        proc.terminate()
+        try:
+            proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+    assert banner is not None, "the server printed no banner"
+    return modules
+
+
+@pytest.mark.parametrize("serve_args", [(), ("--cluster", "2")], ids=["single", "cluster"])
+def test_serve_entry_point_loads_no_libcrypto_or_trace_reader(serve_args):
+    modules = _imported_before_banner(*serve_args)
+    assert "repro.serving.server" in modules
+    unexpected = [m for m in NOT_BEFORE_BANNER if m in modules]
+    assert not unexpected, f"serve {' '.join(serve_args)} imported {unexpected}"
+    if not serve_args:
+        engine = [m for m in modules if m.startswith("repro.mapreduce")]
+        assert not engine, f"a single-node server imported {engine}"
 
 
 def test_star_import_and_quickstart_names():
