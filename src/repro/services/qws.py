@@ -110,6 +110,27 @@ def _quantize_in_place(block: np.ndarray) -> None:
         np.round(col, dec, out=col)
 
 
+#: The ten marginals in schema order, as ``(family, *params)``:
+#: ``("lognormal", sigma, scale)`` is ``exp(sigma * Φ⁻¹(u)) * scale`` and
+#: ``("beta", scale, a, b)`` is ``scale`` times the Beta(a, b) quantile.
+_MARGINAL_SPECS = (
+    ("lognormal", 0.75, 300.0),  # response_time ms
+    ("beta", 100.0, 7.0, 1.4),  # availability
+    ("beta", 50.0, 1.6, 8.0),  # throughput (invokes/s, right-skewed)
+    ("beta", 100.0, 7.0, 1.2),  # successability
+    ("beta", 100.0, 6.0, 2.2),  # reliability
+    ("beta", 100.0, 8.0, 2.2),  # compliance
+    ("beta", 100.0, 5.0, 2.2),  # best_practices
+    ("lognormal", 0.9, 50.0),  # latency ms
+    ("beta", 100.0, 1.6, 3.0),  # documentation
+    ("lognormal", 0.8, 5.0),  # price $
+)
+
+#: Half-width of the band around each cut of a quantised beta column in
+#: which a value is inverted exactly instead of read from the cut table.
+_CUT_BAND = 1e-9
+
+
 def _marginals():
     """Quantile functions approximating the published QWS v2 marginals.
 
@@ -129,23 +150,51 @@ def _marginals():
     def lognormal(sigma: float, scale: float):
         return lambda u: np.exp(sigma * special.ndtri(u)) * scale
 
-    def pct_beta(a: float, b: float):
-        return lambda u: 100.0 * special.betaincinv(a, b, u)
-
-    def scaled_beta(scale: float, a: float, b: float):
+    def beta(scale: float, a: float, b: float):
         return lambda u: scale * special.betaincinv(a, b, u)
 
+    families = {"lognormal": lognormal, "beta": beta}
+    return [families[family](*params) for family, *params in _MARGINAL_SPECS]
+
+
+def _quantized_marginals():
+    """The marginals of :func:`_marginals` rounded to QWS resolution.
+
+    Column ``j`` returns the bits of ``np.round(_marginals()[j](u), dec)``.
+    A rounded beta column is a non-decreasing step function of ``u``
+    with ``K = scale · 10^dec`` steps, so it is read from a cut table:
+    output ``k`` covers the ``u`` between the cuts
+    ``betainc(a, b, (k ∓ ½)·10^-dec / scale)``.  A ``u`` within
+    :data:`_CUT_BAND` of a cut — a tie, or a value whose side of the cut
+    the table cannot vouch for — is inverted exactly instead.
+    """
+    from scipy import special
+
+    exact = _marginals()
+
+    def rounded(fn, dec: int):
+        return lambda u: np.round(fn(u), dec)
+
+    def cut_table(fn, dec: int, scale: float, a: float, b: float):
+        step = 10.0**-dec
+        steps = round(scale / step)
+        grid = np.round(np.arange(steps + 1) * step, dec)
+        cuts = special.betainc(a, b, (np.arange(steps) + 0.5) * step / scale)
+        bounds = np.concatenate(([-np.inf], cuts, [np.inf]))
+
+        def quantile(u: np.ndarray) -> np.ndarray:
+            k = np.searchsorted(cuts, u)
+            out = grid[k]
+            near = (u - bounds[k] <= _CUT_BAND) | (bounds[k + 1] - u <= _CUT_BAND)
+            if near.any():
+                out[near] = np.round(fn(u[near]), dec)
+            return out
+
+        return quantile
+
     return [
-        lognormal(0.75, 300.0),  # response_time ms
-        pct_beta(7.0, 1.4),  # availability
-        scaled_beta(50.0, 1.6, 8.0),  # throughput (invokes/s, right-skewed)
-        pct_beta(7.0, 1.2),  # successability
-        pct_beta(6.0, 2.2),  # reliability
-        pct_beta(8.0, 2.2),  # compliance
-        pct_beta(5.0, 2.2),  # best_practices
-        lognormal(0.9, 50.0),  # latency ms
-        pct_beta(1.6, 3.0),  # documentation
-        lognormal(0.8, 5.0),  # price $
+        cut_table(fn, dec, *params) if family == "beta" else rounded(fn, dec)
+        for fn, dec, (family, *params) in zip(exact, _QUANT_DECIMALS, _MARGINAL_SPECS)
     ]
 
 
@@ -178,7 +227,8 @@ class ServiceDataset:
         This is what feeds the skyline pipeline: the paper evaluates at
         d ∈ {2, 4, 6, 8, 10} by taking attribute prefixes.
         """
-        dims = dims or self.num_attributes
+        if dims is None:
+            dims = self.num_attributes
         sub = self.schema.subset(dims)
         return sub.to_minimization(self.raw[:, :dims])
 
@@ -198,8 +248,7 @@ def generate_qws(n: int = 10_000, *, seed: int = 0) -> ServiceDataset:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    raw = sample_with_marginals(n, _marginals(), _CORR, rng)
-    _quantize_in_place(raw)
+    raw = sample_with_marginals(n, _quantized_marginals(), _CORR, rng)
     return ServiceDataset(raw=raw, schema=QWS_SCHEMA)
 
 
@@ -208,7 +257,11 @@ def _rank_correlation(data: np.ndarray) -> np.ndarray:
     heavy-tailed marginals."""
     if data.shape[1] == 1:
         return np.ones((1, 1))
-    ranks = np.argsort(np.argsort(data, axis=0), axis=0)
+    # The ranks are the inverse permutation of one argsort: a scatter
+    # gives the integers argsort(argsort(data)) would, without a second sort.
+    order = np.argsort(data, axis=0)
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(data.shape[0])[:, None], axis=0)
     u = (ranks + 0.5) / data.shape[0]
     scores = np.sqrt(2.0) * _erfinv(2.0 * u - 1.0)
     return np.corrcoef(scores, rowvar=False)

@@ -19,8 +19,9 @@ table in ``stats``.  The ops:
 ``query``
     ``{"op": "query", "dataset": "qws", "kind": "skyline"}`` plus the
     kind-specific parameters (``k`` / ``lower`` + ``upper`` / ``dims``)
-    and an optional ``deadline_s``.  Response carries ``ids``,
-    ``generation``, ``cache_hit``, ``coalesced``, ``degraded``, ``status``.
+    and an optional ``deadline_s`` (a finite number > 0).  Response
+    carries ``ids``, ``generation``, ``cache_hit``, ``coalesced``,
+    ``degraded``, ``status``.
 ``shard_query``
     The cluster fan-out leg (``docs/cluster.md``): like ``query`` but the
     response carries candidate ``rows`` alongside ``ids`` plus traffic
@@ -52,6 +53,7 @@ with nothing stale cached, gets ``{"ok": false, "status":
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 import numpy as np
@@ -71,18 +73,43 @@ PROTOCOL_VERSION = 1
 
 
 def parse_query_spec(request: Dict[str, Any]) -> QuerySpec:
-    """Build (and validate) the :class:`QuerySpec` of a ``query`` request."""
+    """Build (and validate) the :class:`QuerySpec` of a ``query`` request.
+
+    ``k`` and each element of ``dims`` follow :func:`_whole_number`, and
+    ``dims`` must be a list: ``"k": "3"`` or ``"dims": "01"`` is an error,
+    not a coerced query.
+    """
+    k = request.get("k")
     lower = request.get("lower")
     upper = request.get("upper")
     dims = request.get("dims")
+    if dims is not None and not isinstance(dims, list):
+        raise ValueError(f"dims must be a list of whole numbers, got {dims!r}")
     return QuerySpec(
         dataset=str(request.get("dataset", "")),
         kind=str(request.get("kind", "skyline")),
-        k=request.get("k"),
+        k=_whole_number(k, "k") if k is not None else None,
         lower=tuple(lower) if lower is not None else None,
         upper=tuple(upper) if upper is not None else None,
-        dims=tuple(dims) if dims is not None else None,
+        dims=(
+            tuple(_whole_number(d, "dims") for d in dims) if dims is not None else None
+        ),
     )
+
+
+def _deadline(request: Dict[str, Any]) -> float | None:
+    """A request's ``deadline_s``: absent, or a finite number > 0 (the rule
+    ``ServeConfig.validate`` applies to the server's default)."""
+    value = request.get("deadline_s")
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ValueError(f"deadline_s must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _points_of(request: Dict[str, Any]) -> np.ndarray | None:
@@ -95,21 +122,20 @@ def _points_of(request: Dict[str, Any]) -> np.ndarray | None:
 
         if not isinstance(generate, dict):
             raise ValueError("generate must be an object with n, d and seed")
-        n = _whole_number(generate, "n", 1000)
-        d = _whole_number(generate, "d", 4)
-        seed = _whole_number(generate, "seed", 0)
+        n = _whole_number(generate.get("n", 1000), "generate.n")
+        d = _whole_number(generate.get("d", 4), "generate.d")
+        seed = _whole_number(generate.get("seed", 0), "generate.seed")
         return generate_qws(n, seed=seed).qos_matrix(d)
     return None
 
 
-def _whole_number(params: Dict[str, Any], name: str, default: int) -> int:
-    """``params[name]`` as an int; a non-numeric or fractional value is a
-    ``ValueError``, which the dispatcher turns into an error response."""
-    value = params.get(name, default)
+def _whole_number(value: Any, name: str) -> int:
+    """``value`` as an int; a bool, a non-numeric or a fractional value is
+    a ``ValueError``, which the dispatcher turns into an error response."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"generate.{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"generate.{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -139,10 +165,7 @@ def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[s
 
 def _handle_query(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
     spec = parse_query_spec(request)
-    deadline = request.get("deadline_s")
-    response = service.query(
-        spec, deadline_s=float(deadline) if deadline is not None else None
-    )
+    response = service.query(spec, deadline_s=_deadline(request))
     return {"ok": True, **response.to_dict()}
 
 
@@ -157,7 +180,7 @@ def _handle_shard_query(
     they dominate never cross the wire.
     """
     spec = parse_query_spec(request)
-    deadline = request.get("deadline_s")
+    deadline = _deadline(request)
     filters = request.get("filters")
     rows = np.asarray(filters, dtype=np.float64) if filters else None
     if rows is not None and rows.ndim != 2:
@@ -165,7 +188,7 @@ def _handle_shard_query(
     payload = service.shard_candidates(
         spec,
         filters=rows,
-        deadline_s=float(deadline) if deadline is not None else None,
+        deadline_s=deadline,
     )
     return {"ok": True, "dataset": spec.dataset, "kind": spec.kind, **payload}
 

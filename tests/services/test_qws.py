@@ -10,14 +10,25 @@ import numpy as np
 import pytest
 
 from repro.core.sfs import sfs_skyline
+from repro.data.distributions import sample_with_marginals
 from repro.services.qws import (
+    _CORR,
+    _CUT_BAND,
+    _MARGINAL_SPECS,
+    _QUANT_DECIMALS,
     QWS_SCHEMA,
     ServiceDataset,
     _marginals,
+    _quantized_marginals,
     extend_dataset,
     generate_qws,
     quantize_raw,
 )
+
+#: The beta columns, as (column, scale, a, b).
+BETA_COLUMNS = [
+    (j, *params) for j, (family, *params) in enumerate(_MARGINAL_SPECS) if family == "beta"
+]
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +113,12 @@ class TestDatasetContainer:
 
     def test_qos_matrix_default_all_dims(self, base):
         assert base.qos_matrix().shape == (3000, 10)
+
+    @pytest.mark.parametrize("dims", [0, -2, 11])
+    def test_qos_matrix_rejects_dims_outside_the_schema(self, base, dims):
+        # Only None means "all attributes"; 0 is out of range like -2 and 11.
+        with pytest.raises(ValueError, match=r"dims must be in \[1, 10\]"):
+            base.qos_matrix(dims)
 
     def test_subset_sampling(self, base):
         sub = base.subset(100, seed=1)
@@ -248,6 +265,63 @@ class TestMarginals:
         for j, (fn, ref) in enumerate(zip(marginals, reference)):
             got, want = fn(u), ref(u)
             assert got.tobytes() == want.tobytes(), QWS_SCHEMA.names[j]
+
+
+class TestCutTable:
+    """The quantised beta columns read a cut table; their bits must be the
+    per-value ``np.round(scale * betaincinv(a, b, u), dec)``."""
+
+    @staticmethod
+    def _adversarial_u(scale, a, b, dec):
+        from scipy import special
+
+        step = 10.0**-dec
+        cuts = special.betainc(a, b, (np.arange(round(scale / step)) + 0.5) * step / scale)
+        near = [cuts, cuts + _CUT_BAND, cuts - _CUT_BAND]
+        up = down = cuts
+        for _ in range(3):
+            up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+            near += [up, down]
+        u = np.concatenate(
+            near + [[1e-12, 1.0 - 1e-12], np.random.default_rng(11).random(200_000)]
+        )
+        # The copula clips its uniforms to [1e-12, 1 - 1e-12].
+        return np.clip(u, 1e-12, 1.0 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "column", BETA_COLUMNS, ids=[QWS_SCHEMA.names[c[0]] for c in BETA_COLUMNS]
+    )
+    def test_each_beta_column_matches_the_rounded_inverse(self, column):
+        j, scale, a, b = column
+        dec = _QUANT_DECIMALS[j]
+        u = self._adversarial_u(scale, a, b, dec)
+        got = _quantized_marginals()[j](u)
+        want = np.round(_marginals()[j](u), dec)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 2_000])
+    def test_generate_matches_the_per_value_reference(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            want = quantize_raw(sample_with_marginals(n, _marginals(), _CORR, rng))
+            got = generate_qws(n, seed=seed).raw
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_generate_inverts_almost_no_values(self, monkeypatch):
+        # The cost guard without a clock: each betaincinv value is one
+        # per-value inversion the cut table did not answer.
+        from scipy import special
+
+        inverted = []
+        real = special.betaincinv
+
+        def spy(a, b, u):
+            inverted.append(np.size(u))
+            return real(a, b, u)
+
+        monkeypatch.setattr(special, "betaincinv", spy)
+        generate_qws(10_000, seed=2012)
+        assert sum(inverted) <= 0.01 * 10_000 * len(BETA_COLUMNS), inverted
 
 
 def test_generation_stays_off_scipy_stats_and_within_memory():

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.serving.cluster import LocalCluster, ShardedBackend
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     handle_request,
     parse_query_spec,
 )
+from repro.serving.queries import QuerySpec
 from repro.serving.server import serve_lines
 from repro.serving.service import ServeConfig, SkylineService
 
@@ -36,6 +38,27 @@ MALFORMED_NUMBERS = [
         '{"op": "shard_query", "dataset": "qws", "filters": 5}',
         id="shard-query-scalar-filters",
     ),
+]
+
+
+#: Query parameters of the wrong wire type: a bool, a string or a fraction
+#: is not a whole number, ``dims`` is a list, and ``deadline_s`` is a
+#: finite number > 0.
+BAD_QUERY_PARAMS = [
+    pytest.param({"kind": "skyband", "k": True}, id="k-bool"),
+    pytest.param({"kind": "skyband", "k": "3"}, id="k-string"),
+    pytest.param({"kind": "skyband", "k": 2.5}, id="k-fraction"),
+    pytest.param({"kind": "subspace", "dims": "01"}, id="dims-string"),
+    pytest.param({"kind": "subspace", "dims": 1}, id="dims-scalar"),
+    pytest.param({"kind": "subspace", "dims": [0, "1"]}, id="dims-string-element"),
+    pytest.param({"kind": "subspace", "dims": [0, True]}, id="dims-bool-element"),
+    pytest.param({"kind": "subspace", "dims": [0, 1.5]}, id="dims-fraction-element"),
+    pytest.param({"deadline_s": -1}, id="deadline-negative"),
+    pytest.param({"deadline_s": 0}, id="deadline-zero"),
+    pytest.param({"deadline_s": float("inf")}, id="deadline-infinite"),
+    pytest.param({"deadline_s": float("nan")}, id="deadline-nan"),
+    pytest.param({"deadline_s": "1"}, id="deadline-string"),
+    pytest.param({"deadline_s": True}, id="deadline-bool"),
 ]
 
 
@@ -171,6 +194,61 @@ class TestDispatch:
         assert response["ok"] is False
         assert response["status"] == "rejected"
         assert response["reason"] == "overload"
+
+    def test_generated_register_rejects_zero_dims(self):
+        service = SkylineService()
+        response = handle_request(service, {
+            "op": "register", "dataset": "g", "generate": {"n": 50, "d": 0},
+        })
+        assert response == {
+            "ok": False, "status": "error", "error": "dims must be in [1, 10], got 0",
+        }
+        assert service.stats()["datasets"] == {}
+
+    def test_whole_float_query_params_are_accepted(self):
+        service = _service()
+        band = handle_request(service, {
+            "op": "query", "dataset": "qws", "kind": "skyband", "k": 2.0,
+        })
+        sub = handle_request(service, {
+            "op": "query", "dataset": "qws", "kind": "subspace",
+            "dims": [2.0, 0], "deadline_s": 5,
+        })
+        assert band["ok"] and sub["ok"], (band, sub)
+        assert band["ids"] == service.query(QuerySpec("qws", "skyband", k=2)).ids
+        assert sub["ids"] == service.query(QuerySpec("qws", "subspace", dims=(0, 2))).ids
+
+    @pytest.mark.parametrize("op", ["query", "shard_query"])
+    @pytest.mark.parametrize("params", BAD_QUERY_PARAMS)
+    def test_mistyped_query_params_are_error_responses(self, op, params):
+        response = handle_request(_service(), {"op": op, "dataset": "qws", **params})
+        assert response["ok"] is False and response["status"] == "error", response
+
+
+class TestCoordinatorWireTypes:
+    @pytest.fixture(scope="class")
+    def coordinator(self):
+        with LocalCluster(2) as fleet:
+            with SkylineService(backend=ShardedBackend(fleet.addresses())) as service:
+                service.register("qws", np.random.default_rng(0).random((50, 3)) + 0.01)
+                yield service
+
+    @pytest.mark.parametrize("params", BAD_QUERY_PARAMS)
+    def test_mistyped_query_params_are_error_responses(self, coordinator, params):
+        before = coordinator.stats()["datasets"]["qws"]
+        response = handle_request(
+            coordinator, {"op": "query", "dataset": "qws", **params}
+        )
+        assert response["ok"] is False and response["status"] == "error", response
+        assert coordinator.stats()["datasets"]["qws"] == before
+
+    def test_generated_register_rejects_zero_dims(self, coordinator):
+        response = handle_request(coordinator, {
+            "op": "register", "dataset": "g", "generate": {"n": 50, "d": 0},
+        })
+        assert response["ok"] is False and response["status"] == "error"
+        assert "dims must be in [1, 10]" in response["error"]
+        assert "g" not in coordinator.stats()["datasets"]
 
 
 class TestServeLines:
