@@ -50,9 +50,7 @@ _EXPORTS = {
         "run_mr_skyline",
         "sfs_skyline",
         "skyline",
-        "skyline_points",
         "to_hyperspherical",
-        "update_mr_skyline",
     ),
     "repro.services": (
         "QWS_SCHEMA",
@@ -88,7 +86,5 @@ __all__ = [
     "select_services",
     "sfs_skyline",
     "skyline",
-    "skyline_points",
     "to_hyperspherical",
-    "update_mr_skyline",
 ]

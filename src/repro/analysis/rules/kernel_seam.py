@@ -9,8 +9,8 @@ the per-stage ``dominance_tests`` accounting the kernels thread through
 :class:`~repro.core.dominance.DominanceCounter`, and the differential
 parity suite cannot exercise it under both backends.
 
-Flagged: any call to ``dominates`` / ``incomparable`` / ``dominates_any``
-/ ``dominated_by_any`` / ``dominance_matrix`` / ``dominated_mask`` whose
+Flagged: any call to ``dominates`` / ``dominates_any`` /
+``dominated_by_any`` / ``dominance_matrix`` / ``dominated_mask`` whose
 name is imported from ``repro.core.dominance`` (directly or via the
 module object).  Importing the names is fine — re-exports and type
 references don't compare anything — only call sites are findings.
@@ -36,7 +36,6 @@ from repro.analysis.project import Module, Project
 _PRIMITIVES = frozenset(
     {
         "dominates",
-        "incomparable",
         "dominates_any",
         "dominated_by_any",
         "dominance_matrix",

@@ -3,7 +3,6 @@
 Layout:
 
 * :mod:`repro.core.dominance` — Pareto-dominance primitives (minimisation)
-* :mod:`repro.core.blocks` — columnar :class:`PointBlock` batches
 * :mod:`repro.core.kernels` — pluggable dominance backends
   (``scalar`` reference / ``block`` columnar)
 * :mod:`repro.core.filtering` — Ciaccia–Martinenghi filter-point selection
@@ -30,7 +29,6 @@ from repro.core.skyline import skyline
 
 # Public names by home module, imported on first use (PEP 562).
 _EXPORTS = {
-    "repro.core.blocks": ("PointBlock", "concat_blocks"),
     "repro.core.bnl": ("BNLResult", "bnl_merge", "bnl_skyline"),
     "repro.core.dominance": (
         "DominanceCounter",
@@ -38,7 +36,6 @@ _EXPORTS = {
         "dominated_mask",
         "dominates",
         "dominates_any",
-        "incomparable",
         "validate_points",
     ),
     "repro.core.dominance_ability": (
@@ -50,7 +47,6 @@ _EXPORTS = {
     ),
     "repro.core.hyperspherical": (
         "MAX_ANGLE",
-        "angular_coordinates",
         "from_hyperspherical",
         "to_hyperspherical",
     ),
@@ -74,7 +70,6 @@ _EXPORTS = {
         "MRSkylineResult",
         "default_partition_count",
         "run_mr_skyline",
-        "update_mr_skyline",
     ),
     "repro.core.optimality": (
         "OptimalityReport",
@@ -98,8 +93,8 @@ _EXPORTS = {
         "max_dominance_representatives",
     ),
     "repro.core.sfs": ("SFSResult", "monotone_score", "sfs_skyline"),
-    "repro.core.skyband": ("dominator_counts", "k_skyband", "top_k_dominating"),
-    "repro.core.skyline": ("is_skyline", "skyline_numpy", "skyline_points"),
+    "repro.core.skyband": ("dominator_counts", "k_skyband"),
+    "repro.core.skyline": ("skyline_numpy",),
 }
 
 
@@ -119,7 +114,6 @@ __all__ = [
     "GridPartitioner",
     "IncrementalSkyline",
     "KERNEL_NAMES",
-    "PointBlock",
     "ScalarKernel",
     "MAX_ANGLE",
     "MRSkylineResult",
@@ -128,11 +122,9 @@ __all__ = [
     "RepresentativeResult",
     "SFSResult",
     "SpacePartitioner",
-    "angular_coordinates",
     "bnl_merge",
     "bnl_skyline",
     "compute_filter_points",
-    "concat_blocks",
     "default_kernel_name",
     "default_partition_count",
     "delta_dominance",
@@ -148,8 +140,6 @@ __all__ = [
     "empirical_dominance_ability",
     "from_hyperspherical",
     "get_kernel",
-    "incomparable",
-    "is_skyline",
     "k_skyband",
     "load_imbalance",
     "local_skyline_optimality",
@@ -165,9 +155,6 @@ __all__ = [
     "skyline",
     "sort_first_order",
     "skyline_numpy",
-    "skyline_points",
     "to_hyperspherical",
-    "top_k_dominating",
-    "update_mr_skyline",
     "validate_points",
 ]

@@ -22,12 +22,13 @@ The inner comparison is vectorised: one broadcast test of the candidate
 against the whole window (see :mod:`repro.core.dominance`), which is what
 makes 100 k-point runs tractable in Python.
 
-Dominance work routes through the :mod:`repro.core.kernels` seam: under the
-``block`` kernel an *unbounded-window* run takes the columnar sort-first
-sweep (identical result — the skyline is unique — with passes pinned at 1,
-which is also what an unbounded window guarantees here); the bounded-window
-ablation and the ``scalar`` kernel keep the classic candidate-at-a-time
-loop below, which is itself the scalar reference semantics.
+Dominance work routes through the :mod:`repro.core.kernels` seam: an
+*unbounded-window* run is the kernel's skyline op — the classic
+candidate-at-a-time loop under the ``scalar`` kernel, the columnar
+sort-first sweep under ``block`` (identical result, since the skyline is
+unique, in one pass).  Only the bounded-window ablation runs the multi-pass
+loop below; with a window of at least ``n`` rows it never spills and
+matches the scalar kernel test for test.
 """
 
 from __future__ import annotations
@@ -75,21 +76,19 @@ def bnl_skyline(
         across stages (the paper's "redundant computation" metric).
     kernel:
         Dominance backend name or instance; ``None`` resolves the process
-        default (``--kernel`` / ``$REPRO_KERNEL``, else ``scalar``).  The
-        ``block`` kernel vectorises the unbounded-window case; results are
-        identical either way.
+        default (``--kernel`` / ``$REPRO_KERNEL``, else ``scalar``).  It
+        runs the unbounded-window case; the bounded loop is
+        kernel-independent.  Results are identical either way.
 
     Returns
     -------
     :class:`BNLResult` with ascending input indices of the skyline.
     """
     knl = get_kernel(kernel)
-    if window_size is None and knl.batch:
-        # Columnar fast path: sort-first sweep over whole chunks.  The
-        # skyline is unique, so indices match the loop below exactly; an
-        # unbounded window means one pass in both worlds.  The kernel
-        # validates the points, once; a non-empty input always has a
-        # non-empty skyline, so the indices tell whether a pass ran.
+    if window_size is None:
+        # One pass over an unbounded window is the kernel's skyline op.
+        # The kernel validates the points, once; a non-empty input always
+        # has a non-empty skyline, so the indices tell whether a pass ran.
         local = DominanceCounter()
         indices = knl.skyline(points, counter=local, stage=stage)
         if counter is not None:
@@ -100,7 +99,7 @@ def bnl_skyline(
         )
     pts = validate_points(points)
     n = pts.shape[0]
-    if window_size is not None and window_size < 1:
+    if window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
 
     tests = 0
@@ -118,7 +117,7 @@ def bnl_skyline(
         passes += 1
         window: list[int] = []  # input indices currently in the window
         # Capacity-doubling buffer: rows [0:len(window)] mirror `window`.
-        capacity = 64 if window_size is None else min(window_size, 64)
+        capacity = min(window_size, 64)
         window_buf = np.empty((capacity, d))
         overflow: list[int] = []
         window_entry: dict[int, int] = {}  # index -> timestamp at window entry
@@ -144,7 +143,7 @@ def bnl_skyline(
                     window = [wi for wi, k in zip(window, keep) if k]
                     w = len(window)
                     window_buf[:w] = view[keep]
-            if window_size is None or w < window_size:
+            if w < window_size:
                 if w == window_buf.shape[0]:
                     grown = np.empty((window_buf.shape[0] * 2, d))
                     grown[:w] = window_buf[:w]

@@ -24,7 +24,6 @@ __all__ = [
     "dominates_any",
     "dominated_by_any",
     "dominated_mask",
-    "incomparable",
     "point_matrix",
     "validate_points",
 ]
@@ -82,11 +81,6 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"expected equal-length vectors, got {a.shape} vs {b.shape}")
     return bool(np.all(a <= b) and np.any(a < b))
-
-
-def incomparable(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff neither point dominates the other."""
-    return not dominates(a, b) and not dominates(b, a)
 
 
 def dominates_any(window: np.ndarray, point: np.ndarray) -> bool:

@@ -39,7 +39,6 @@ from repro.core.dominance import validate_points
 __all__ = [
     "to_hyperspherical",
     "from_hyperspherical",
-    "angular_coordinates",
     "angle_columns",
     "MAX_ANGLE",
 ]
@@ -162,11 +161,6 @@ def to_hyperspherical(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     suffix = norms[1:].T  # (n, d-1)
     angles = np.arctan2(suffix, _unsigned_zeros(pts[:, : d - 1]))
     return r, angles
-
-
-def angular_coordinates(points: np.ndarray) -> np.ndarray:
-    """Just the angles (the partitioning only needs those)."""
-    return to_hyperspherical(points)[1]
 
 
 def angle_columns(points: np.ndarray, axes: Sequence[int]) -> np.ndarray:

@@ -210,12 +210,6 @@ class IncrementalSkyline:
                 self._global_cache = self._ids[candidates[result.indices]]
         return self._global_cache.tolist()
 
-    def global_skyline_points(self) -> np.ndarray:
-        ids = self.global_skyline()
-        if not ids:
-            return np.empty((0, self._rows.shape[1] if self._live else 0))
-        return self._rows[np.searchsorted(self._ids[: self._size], ids)]
-
     def members(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, rows)`` of every current member, ids ascending.
 

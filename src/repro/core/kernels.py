@@ -254,27 +254,6 @@ class DominanceKernel:
                 counter.add(n * chunk.shape[0], stage)
         return counts
 
-    def dominated_counts(
-        self,
-        rows: np.ndarray,
-        *,
-        block: int = 2048,
-        counter: DominanceCounter | None = None,
-        stage: str = "top-k-dominating",
-    ) -> np.ndarray:
-        """Per row: how many other rows it dominates (the ranking flavour)."""
-        pts = validate_points(rows)
-        n = pts.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
-        for start in range(0, n, block):
-            chunk = pts[start : start + block]
-            le = (chunk[:, None, :] <= pts[None, :, :]).all(axis=2)
-            lt = (chunk[:, None, :] < pts[None, :, :]).any(axis=2)
-            counts[start : start + chunk.shape[0]] = (le & lt).sum(axis=1)
-            if counter is not None:
-                counter.add(n * chunk.shape[0], stage)
-        return counts
-
     # -- batch ops (backend-specific) ------------------------------------------
 
     def filter_survivors(
@@ -416,8 +395,8 @@ class ScalarKernel(DominanceKernel):
         counter: DominanceCounter | None = None,
         stage: str = "skyline",
     ) -> np.ndarray:
-        # The classic unbounded-window BNL loop, one candidate per step —
-        # identical tests and identical result to bnl_skyline(points).
+        # The classic unbounded-window BNL loop, one candidate per step;
+        # bnl_skyline(points) runs it under this kernel.
         pts = validate_points(rows)
         n, d = pts.shape
         window: list[int] = []

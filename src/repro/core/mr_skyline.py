@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.blocks import PointBlock
 from repro.core.bnl import bnl_skyline
 from repro.core.dominance import DominanceCounter, validate_points
 from repro.core.filtering import DEFAULT_FILTER_K, compute_filter_points
@@ -64,7 +63,6 @@ from repro.observability.tracing import get_tracer
 __all__ = [
     "MRSkylineResult",
     "run_mr_skyline",
-    "update_mr_skyline",
     "default_partition_count",
     "PartitionAssignMapper",
     "LocalSkylineReducer",
@@ -117,27 +115,31 @@ class PartitionAssignMapper(Mapper):
     """
 
     def map(self, key: Any, value: Block, ctx: MapContext) -> None:
-        block = PointBlock.from_tuple(value)
+        # The payload is a slice of the matrix the driver validated; the
+        # filter kernel's scan is the only one it gets here.
+        indices, rows = value
         partitioner: SpacePartitioner = self.params["partitioner"]
         pruned: frozenset = self.params.get("pruned", frozenset())
         filters = self.params.get("filters")
-        ctx.increment(COUNTER_GROUP, "points_mapped", len(block))
-        if filters is not None and filters.shape[0] and len(block):
+        ctx.increment(COUNTER_GROUP, "points_mapped", len(indices))
+        if filters is not None and filters.shape[0] and len(indices):
             knl = get_kernel(self.params.get("kernel"))
             local = DominanceCounter()
             alive = knl.filter_survivors(
-                filters, block.rows, counter=local, stage="prune"
+                filters, rows, counter=local, stage="prune"
             )
             ctx.increment(PRUNE_GROUP, "filter_tests", local.tests)
             dead = int(alive.size) - int(alive.sum())
             if dead:
                 ctx.increment(COUNTER_GROUP, "points_pruned", dead)
                 ctx.increment(PRUNE_GROUP, "points_pruned", dead)
-                block = block.take(alive)
-        ids = partitioner.assign_block(block)
+                indices, rows = indices[alive], rows[alive]
+        ids = partitioner.assign_block(rows)
         # One stable gather groups the rows by partition, input order kept
-        # within each; every payload is then a contiguous slice of it.
-        routed = block.take(np.argsort(ids, kind="stable"))
+        # within each (and C-contiguous, whatever the input's layout);
+        # every payload is then a contiguous slice of it.
+        order = np.argsort(ids, kind="stable")
+        indices, rows = indices[order], rows[order]
         sizes = np.bincount(ids, minlength=partitioner.num_partitions)
         stop = 0
         for pid, size in enumerate(sizes.tolist()):
@@ -147,7 +149,7 @@ class PartitionAssignMapper(Mapper):
             if pid in pruned:
                 ctx.increment(COUNTER_GROUP, "points_pruned", size)
                 continue
-            ctx.emit(pid, routed.slice(start, stop).to_tuple())
+            ctx.emit(pid, (indices[start:stop], rows[start:stop]))
 
 
 def _concat_payloads(values: Sequence[Block]) -> Block:
@@ -290,9 +292,6 @@ class MRSkylineResult:
     @property
     def reduce_busy_s(self) -> float:
         return self.chain.phase_stats(TaskKind.REDUCE).busy_s
-
-    def global_points(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64)[self.global_indices]
 
     def simulate(self, cluster: ClusterSpec) -> SimulatedPipeline:
         """Replay the measured chain on a simulated cluster (Figure 6)."""
@@ -584,165 +583,13 @@ def run_mr_skyline(
     )
 
 
-def update_mr_skyline(
-    previous: MRSkylineResult,
-    points: np.ndarray,
-    new_points: np.ndarray,
-    *,
-    runner: Runner | None = None,
-    window_size: int | None = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    kernel: str | DominanceKernel | None = None,
-) -> MRSkylineResult:
-    """Absorb a batch of new services without recomputing from scratch (§II).
-
-    "Given a new service which is added into UDDI, traditional approach has
-    to compute the global skyline again.  With the MapReduce approach, the
-    new service is first mapped into a group and added into the local
-    skyline computation.  Then all local skylines are integrated into the
-    global skyline at the Reduce stage."
-
-    Only the partitions that receive new points re-run their local-skyline
-    BNL — and only over their *previous local skyline* plus the arrivals
-    (sound because a point dominated before the insertions stays dominated).
-    Untouched partitions reuse their local skylines verbatim; the global
-    merge then runs as usual.
-
-    Parameters
-    ----------
-    previous:
-        Result of :func:`run_mr_skyline` (or a prior update) over ``points``.
-    points:
-        The point set ``previous`` was computed over, shape ``(n, d)``.
-    new_points:
-        Arrivals, shape ``(m, d)``.
-
-    Returns
-    -------
-    :class:`MRSkylineResult` whose indices refer to
-    ``np.vstack([points, new_points])``.  Removals are out of scope here —
-    they need full partition membership, which is what
-    :class:`repro.core.incremental.IncrementalSkyline` keeps.
-
-    The default runner resolves its executor from ``$REPRO_EXECUTOR``
-    (serial when unset), like :func:`run_mr_skyline`.  ``kernel`` defaults
-    to the backend ``previous`` ran with, keeping an update chain on one
-    backend unless explicitly switched.
-    """
-    pts = validate_points(points)
-    fresh = validate_points(new_points)
-    if fresh.shape[1] != pts.shape[1]:
-        raise ValueError(
-            f"new points have {fresh.shape[1]} dims, expected {pts.shape[1]}"
-        )
-    if previous.partitioner is None:
-        raise ValueError("previous result carries no partitioner")
-    if previous.partition_ids.shape[0] != pts.shape[0]:
-        raise ValueError(
-            f"previous result covers {previous.partition_ids.shape[0]} points, "
-            f"got {pts.shape[0]}"
-        )
-    runner = runner or Runner()
-    partitioner = previous.partitioner
-    knl = get_kernel(kernel if kernel is not None else previous.kernel)
-    offset = pts.shape[0]
-
-    new_ids = partitioner.assign(fresh)
-    pruned: frozenset = frozenset()
-    if isinstance(partitioner, GridPartitioner):
-        # Fit-time occupancy only grows, so the original pruned set stays
-        # sound for arrivals (it may merely miss new pruning opportunities).
-        pruned = frozenset(int(c) for c in partitioner.pruned_cells())
-
-    counters = Counters()
-    affected = sorted(
-        int(p) for p in np.unique(new_ids) if int(p) not in pruned
-    )
-    n_pruned = int(sum(1 for p in new_ids if int(p) in pruned))
-    if n_pruned:
-        counters.increment(COUNTER_GROUP, "points_pruned", n_pruned)
-
-    # Build the affected partitions' update records: previous local skyline
-    # blocks plus the new arrivals, keyed by partition id.
-    records: List[Tuple[int, Block]] = []
-    for pid in affected:
-        old_sky = previous.local_skylines.get(pid, np.empty(0, dtype=np.intp))
-        if old_sky.size:
-            records.append((pid, (old_sky, pts[old_sky])))
-        mask = new_ids == pid
-        idx = np.flatnonzero(mask) + offset
-        for start in range(0, idx.size, block_rows):
-            chunk = idx[start : start + block_rows]
-            records.append((pid, (chunk.astype(np.intp), fresh[chunk - offset])))
-
-    results = []
-    local_skylines: Dict[int, np.ndarray] = dict(previous.local_skylines)
-    if records:
-        update_job = Job(
-            name=f"mr-{partitioner.scheme}-update",
-            mapper=IdentityBlockMapper,
-            reducer=LocalSkylineReducer,
-            conf=JobConf(
-                num_reducers=max(affected) + 1,
-                num_map_tasks=max(1, min(previous.num_workers, len(records))),
-                partitioner=KeyFieldPartitioner(),
-                params={"window_size": window_size, "kernel": knl.name},
-            ),
-        )
-        update_result = runner.run(update_job, records=records)
-        results.append(update_result)
-        counters.merge(update_result.counters)
-        for pid, block in update_result.output_pairs():
-            local_skylines[int(pid)] = np.asarray(block[0], dtype=np.intp)
-
-    # Global merge over every local skyline (updated + untouched).
-    combined = np.vstack([pts, fresh])
-    merge_records = [
-        (pid, (sky, combined[sky])) for pid, sky in sorted(local_skylines.items())
-        if sky.size
-    ]
-    merge_job = Job(
-        name=f"mr-{partitioner.scheme}-merge",
-        mapper=GlobalMergeMapper,
-        reducer=GlobalMergeReducer,
-        conf=JobConf(
-            num_reducers=1,
-            num_map_tasks=max(1, min(previous.num_workers, max(len(merge_records), 1))),
-            partitioner=SingleReducerPartitioner(),
-            params={"window_size": window_size, "kernel": knl.name},
-        ),
-    )
-    merge_result = runner.run(merge_job, records=merge_records)
-    results.append(merge_result)
-    counters.merge(merge_result.counters)
-
-    merged_blocks = list(merge_result.output_values())
-    if merged_blocks:
-        global_indices = np.sort(
-            np.concatenate([b[0] for b in merged_blocks]).astype(np.intp)
-        )
-    else:
-        global_indices = np.empty(0, dtype=np.intp)
-
-    return MRSkylineResult(
-        method=partitioner.scheme,
-        global_indices=global_indices,
-        local_skylines=local_skylines,
-        partition_ids=np.concatenate([previous.partition_ids, new_ids]),
-        chain=ChainResult(results=results),
-        counters=counters,
-        num_partitions=previous.num_partitions,
-        num_workers=previous.num_workers,
-        points_pruned=previous.points_pruned + n_pruned,
-        partitioner=partitioner,
-        executor=merge_result.executor,
-        kernel=knl.name,
-        filter_points=previous.filter_points,
-    )
-
-
 class IdentityBlockMapper(Mapper):
-    """Passes pre-keyed point blocks through unchanged (update pipeline)."""
+    """Passes pre-keyed point blocks through unchanged.
+
+    No pipeline here runs it; it stays because the repository benchmark's
+    traced runs (``perfbench/tracing.py``) wrap it by name, and a name
+    they wrap must resolve.
+    """
 
     def map(self, key: Any, value: Block, ctx: MapContext) -> None:
         ctx.emit(int(key), value)

@@ -21,7 +21,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.blocks import PointBlock
 from repro.core.dominance import validate_points
 from repro.observability.tracing import get_tracer
 
@@ -89,18 +88,18 @@ class SpacePartitioner:
         pts = validate_points(points)
         return self._checked(self._assign(pts), pts.shape[0])
 
-    def assign_block(self, block: PointBlock) -> np.ndarray:
-        """Partition id per :class:`~repro.core.blocks.PointBlock` row.
+    def assign_block(self, rows: np.ndarray) -> np.ndarray:
+        """Partition id per row of an already validated ``(n, d)`` matrix.
 
-        The columnar entry point: a block's row matrix is already a
-        contiguous float64 ``(n, d)`` array, so assignment is one
-        vectorised pass with no copy or re-validation of the rows.
+        The map tasks' entry point: their rows are cut from the matrix the
+        driver validated, so assignment is one vectorised pass with no
+        copy or re-validation of the rows.
         """
         if not self._fitted:
             raise NotFittedError(
                 f"{type(self).__name__}.assign_block() called before fit()"
             )
-        return self._checked(self._assign(block.rows), len(block))
+        return self._checked(self._assign(rows), rows.shape[0])
 
     def fit_assign(self, points: np.ndarray) -> np.ndarray:
         """Fit on ``points`` and return their partition ids.

@@ -9,8 +9,8 @@ MR-Grid's advantage over MR-Dim is *dominated-cell pruning*: a cell whose
 lower corner is dominated by some non-empty cell's upper corner cannot
 contain any skyline point, so its local skyline need not be computed at all
 ("the bottom-left partition dominates the up-right partition").
-:meth:`GridPartitioner.pruned_cells` returns those cells, and
-:meth:`prunable_mask` flags the points that may be dropped at Map time.
+:meth:`GridPartitioner.pruned_cells` returns those cells; the map tasks
+drop the points that fall in them.
 """
 
 from __future__ import annotations
@@ -194,13 +194,6 @@ class GridPartitioner(SpacePartitioner):
         # dominated[b] = any occupied cell a with a + 1 <= b in all axes
         dom = (occupied_coords[:, None, :] + 1 <= all_coords[None, :, :]).all(axis=2)
         return np.flatnonzero(dom.any(axis=0)).astype(np.int64)
-
-    def prunable_mask(self, points: np.ndarray) -> np.ndarray:
-        """True for points falling in pruned cells (safe to drop at Map time)."""
-        ids = self.assign(points)
-        pruned = np.zeros(self.num_partitions, dtype=bool)
-        pruned[self.pruned_cells()] = True
-        return pruned[ids]
 
     def _detail(self) -> Mapping[str, object]:
         return {

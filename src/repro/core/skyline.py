@@ -23,7 +23,7 @@ from repro.core.bnl import bnl_skyline
 from repro.core.dominance import DominanceCounter, dominated_mask, validate_points
 from repro.core.sfs import sfs_skyline
 
-__all__ = ["Algorithm", "skyline", "skyline_points", "skyline_numpy", "is_skyline"]
+__all__ = ["Algorithm", "skyline", "skyline_numpy"]
 
 Algorithm = Literal["bnl", "sfs"]
 
@@ -59,22 +59,3 @@ def skyline(
     if algorithm == "sfs":
         return sfs_skyline(points, counter=counter, **kwargs).indices
     raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ALGORITHMS}")
-
-
-def skyline_points(
-    points: np.ndarray, *, algorithm: Algorithm = "bnl", **kwargs
-) -> np.ndarray:
-    """The skyline rows themselves (convenience wrapper)."""
-    pts = validate_points(points)
-    return pts[skyline(pts, algorithm=algorithm, **kwargs)]
-
-
-def is_skyline(points: np.ndarray, candidate_indices: np.ndarray) -> bool:
-    """Check that ``candidate_indices`` is exactly the skyline of ``points``.
-
-    Used by tests and by the examples to validate distributed results
-    against the single-machine reference.
-    """
-    expected = skyline_numpy(points)
-    got = np.sort(np.asarray(candidate_indices, dtype=np.intp))
-    return bool(expected.shape == got.shape and np.all(expected == got))

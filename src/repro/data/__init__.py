@@ -1,32 +1,22 @@
-"""Synthetic data generation and persistence.
+"""Synthetic data generation.
 
 * :mod:`repro.data.generators` — the Börzsönyi benchmark workloads + clustered
 * :mod:`repro.data.distributions` — copula/marginal sampling machinery
-* :mod:`repro.data.io` — CSV / NPZ dataset round-trips
 """
 
 from repro.data.distributions import (
     empirical_quantile,
-    gaussian_copula_uniforms,
     nearest_correlation,
     sample_with_marginals,
-    truncated_normal,
 )
 from repro.data.generators import anticorrelated, correlated, generate, independent
-from repro.data.io import load_csv, load_npz, save_csv, save_npz
 
 __all__ = [
     "anticorrelated",
     "correlated",
     "empirical_quantile",
-    "gaussian_copula_uniforms",
     "generate",
     "independent",
-    "load_csv",
-    "load_npz",
     "nearest_correlation",
     "sample_with_marginals",
-    "save_csv",
-    "save_npz",
-    "truncated_normal",
 ]

@@ -3,9 +3,9 @@
 Provides the Gaussian-copula machinery behind the QWS-like generator
 (:mod:`repro.services.qws`): sample correlated uniforms from a target
 correlation matrix, then push them through arbitrary marginal quantile
-functions.  Also small helpers (truncated normal, empirical quantile
-resampling) used by both the QWS generator and the paper's dataset
-extension procedure.
+functions.  Also small helpers (the inverse error function, empirical
+quantile resampling) used by both the QWS generator and the paper's
+dataset extension procedure.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import numpy as np
 
 __all__ = [
     "correlated_normals",
-    "gaussian_copula_uniforms",
     "nearest_correlation",
     "normal_cdf",
     "sample_with_marginals",
-    "truncated_normal",
     "empirical_quantile",
 ]
 
@@ -46,17 +44,6 @@ def nearest_correlation(matrix: np.ndarray, *, eps: float = 1e-8) -> np.ndarray:
     return fixed
 
 
-def gaussian_copula_uniforms(
-    n: int, correlation: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``(n, d)`` uniforms whose rank-correlation follows ``correlation``.
-
-    Standard Gaussian copula: draw correlated normals via the Cholesky
-    factor of the (projected) correlation matrix, then map through Φ.
-    """
-    return normal_cdf(correlated_normals(n, correlation, rng))
-
-
 def correlated_normals(
     n: int,
     correlation: np.ndarray,
@@ -66,10 +53,12 @@ def correlated_normals(
 ) -> np.ndarray:
     """The copula's ``(n, d)`` standard normals, before Φ.
 
-    Callers that map one column at a time (:func:`sample_with_marginals`,
-    the QWS extension) take ``normal_cdf(z[:, j])`` per column: Φ is
-    elementwise, so each column gets the bits of
-    :func:`gaussian_copula_uniforms` without its full-matrix temporaries.
+    This is the standard Gaussian copula: draw correlated normals via the
+    Cholesky factor of the (projected) correlation matrix; Φ of each column
+    gives uniforms whose rank correlation follows ``correlation``.  Callers
+    map one column at a time (:func:`sample_with_marginals`, the QWS
+    extension), taking ``normal_cdf(z[:, j])`` per column, so no full-matrix
+    uniform temporaries exist.
 
     ``out``, a C-contiguous ``(n, d)`` float64 array, receives the
     Cholesky product instead of a new array: the same single matmul,
@@ -124,16 +113,6 @@ def sample_with_marginals(
         u = np.clip(normal_cdf(z[:, j]), 1e-12, 1.0 - 1e-12)
         z[:, j] = fn(u)
     return z
-
-
-def truncated_normal(
-    u: np.ndarray, mean: float, std: float, lo: float, hi: float
-) -> np.ndarray:
-    """Quantile function of a clipped normal (clip, not renormalised —
-    mass piles at the bounds, which matches percentage-like QoS data where
-    many services sit at exactly 100 %)."""
-    z = np.sqrt(2.0) * _erfinv(2.0 * np.asarray(u) - 1.0)
-    return np.clip(mean + std * z, lo, hi)
 
 
 def _erfinv(y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ is the substitute substrate: a small but complete MapReduce engine with
 
 Quick example::
 
-    from repro.mapreduce import Job, JobConf, Mapper, Reducer, run_job
+    from repro.mapreduce import Job, JobConf, Mapper, Reducer, Runner
 
     class TokenMapper(Mapper):
         def map(self, key, value, ctx):
@@ -30,7 +30,7 @@ Quick example::
 
     job = Job(name="wordcount", mapper=TokenMapper, reducer=SumReducer,
               conf=JobConf(num_reducers=2))
-    result = run_job(job, records=[(None, "a b a"), (None, "b b c")])
+    result = Runner().run(job, records=[(None, "a b a"), (None, "b b c")])
     dict(result.output_pairs())   # {'a': 2, 'b': 3, 'c': 1}
 """
 
@@ -45,7 +45,6 @@ _EXPORTS = {
         "EngineError",
         "JobConfigError",
         "JobFailedError",
-        "PartitionLostError",
         "TaskError",
         "TaskTimeoutError",
     ),
@@ -72,10 +71,9 @@ _EXPORTS = {
         "HashPartitioner",
         "KeyFieldPartitioner",
         "Partitioner",
-        "RangePartitioner",
         "SingleReducerPartitioner",
     ),
-    "repro.mapreduce.runner": ("Runner", "run_job"),
+    "repro.mapreduce.runner": ("Runner",),
     "repro.mapreduce.tasks": (
         "Combiner",
         "MapContext",
@@ -83,7 +81,7 @@ _EXPORTS = {
         "ReduceContext",
         "Reducer",
     ),
-    "repro.mapreduce.types": ("KeyValue", "RetryPolicy", "TaskKind", "TaskStats"),
+    "repro.mapreduce.types": ("RetryPolicy", "TaskKind", "TaskStats"),
 }
 
 
@@ -110,13 +108,10 @@ __all__ = [
     "JobFailedError",
     "JobResult",
     "KeyFieldPartitioner",
-    "KeyValue",
     "MapContext",
     "Mapper",
     "Partitioner",
-    "PartitionLostError",
     "ProcessExecutor",
-    "RangePartitioner",
     "ReduceContext",
     "Reducer",
     "RetryPolicy",
@@ -132,6 +127,5 @@ __all__ = [
     "get_default_fault_plan",
     "make_executor",
     "make_splits",
-    "run_job",
     "set_default_fault_plan",
 ]

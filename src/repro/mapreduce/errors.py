@@ -78,21 +78,6 @@ class TaskTimeoutError(TaskError):
         return (type(self), (self.task_id, self.timeout_s))
 
 
-class PartitionLostError(EngineError):
-    """A partition's task was terminally lost (retries exhausted).
-
-    Surfaces from :meth:`repro.mapreduce.job.JobResult.require_complete`
-    when a caller demands a complete result from a degraded-mode run.
-    """
-
-    def __init__(self, job_name: str, lost: list[str]):
-        self.job_name = job_name
-        self.lost = list(lost)
-        super().__init__(
-            f"job {job_name!r} lost partitions: {', '.join(self.lost)}"
-        )
-
-
 class JobFailedError(EngineError):
     """A job could not complete because one or more tasks failed terminally.
 

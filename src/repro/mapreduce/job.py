@@ -115,19 +115,6 @@ class JobResult:
         """Total measured wall-clock across the three phases."""
         return self.map_wall_s + self.shuffle_wall_s + self.reduce_wall_s
 
-    def require_complete(self) -> "JobResult":
-        """Return ``self`` unless this result is partial.
-
-        Degraded mode trades a raise at run time for a flag on the result;
-        callers that cannot tolerate a partial skyline call this to get the
-        raise back (:class:`~repro.mapreduce.errors.PartitionLostError`).
-        """
-        if self.partial:
-            from repro.mapreduce.errors import PartitionLostError
-
-            raise PartitionLostError(self.job_name, self.lost_partitions)
-        return self
-
     def output_pairs(self) -> Iterator[Pair]:
         """All output pairs across reduce partitions, partition order."""
         for part in self.outputs:

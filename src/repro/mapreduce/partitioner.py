@@ -10,8 +10,7 @@ partition ``i`` of the data space lands on reducer ``i % R``.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable
 
 from repro.mapreduce.errors import JobConfigError
 
@@ -61,28 +60,6 @@ class KeyFieldPartitioner(Partitioner):
                 f"KeyFieldPartitioner needs an integer-convertible key field, "
                 f"got {value!r}"
             ) from exc
-
-
-class RangePartitioner(Partitioner):
-    """Routes by sorted boundary list: key ≤ boundaries[i] → partition i.
-
-    ``boundaries`` must be sorted ascending and have length ``R - 1``; the
-    final partition catches everything greater than the last boundary.
-    """
-
-    def __init__(self, boundaries: Sequence[Any]):
-        bounds = list(boundaries)
-        if any(bounds[i] > bounds[i + 1] for i in range(len(bounds) - 1)):
-            raise JobConfigError(f"boundaries not sorted: {bounds!r}")
-        self._boundaries = bounds
-
-    def partition(self, key: Hashable, num_partitions: int) -> int:
-        if len(self._boundaries) != num_partitions - 1:
-            raise JobConfigError(
-                f"RangePartitioner has {len(self._boundaries)} boundaries but "
-                f"the job has {num_partitions} partitions (need R-1)"
-            )
-        return bisect_left(self._boundaries, key)
 
 
 class SingleReducerPartitioner(Partitioner):

@@ -855,19 +855,3 @@ def _ingest_into(
         return (None, task_counters, stats)
 
     return _ingest
-
-
-def run_job(
-    job: Job,
-    *,
-    records: Sequence[Pair] | None = None,
-    runner: Runner | None = None,
-) -> JobResult:
-    """One-call convenience: run ``job`` with the given or default runner.
-
-    The default runner picks its executor from ``$REPRO_EXECUTOR`` (serial
-    when unset), which is how the CI executor matrix exercises every
-    backend without per-test plumbing.
-    """
-    runner = runner or Runner()
-    return runner.run(job, records=records)

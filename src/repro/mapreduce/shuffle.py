@@ -287,10 +287,6 @@ class StreamingShuffle:
             merged = [pair for stream in streams for pair in stream]
         return group_sorted(merged)
 
-    def finalize_all(self) -> List[Grouped]:
-        """Merge + group every partition, in partition order."""
-        return [self.finalize(part) for part in range(self.num_partitions)]
-
     def close(self) -> None:
         """Release buffered segments."""
         with self._lock:

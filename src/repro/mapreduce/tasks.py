@@ -57,21 +57,6 @@ class Reducer(_TaskBase):
         raise NotImplementedError
 
 
-class IdentityMapper(Mapper):
-    """Passes records through unchanged."""
-
-    def map(self, key: Hashable, value: Any, ctx: "MapContext") -> None:
-        ctx.emit(key, value)
-
-
-class IdentityReducer(Reducer):
-    """Emits every value under its key unchanged."""
-
-    def reduce(self, key: Hashable, values: Iterable[Any], ctx: "ReduceContext") -> None:
-        for value in values:
-            ctx.emit(key, value)
-
-
 #: A combiner has the reducer interface; the alias documents intent.
 Combiner = Reducer
 

@@ -12,14 +12,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Hashable, NamedTuple
-
-
-class KeyValue(NamedTuple):
-    """A single key/value record flowing through the engine."""
-
-    key: Hashable
-    value: Any
 
 
 class TaskKind(enum.Enum):
@@ -62,23 +54,6 @@ class TaskStats:
     bytes_out: int = 0
     partition: int = -1
     attempt: int = 1
-
-    def merged_with(self, other: "TaskStats") -> "TaskStats":
-        """Combine two attempts/stat fragments of the same logical task."""
-        if other.task_id != self.task_id:
-            raise ValueError(
-                f"cannot merge stats of {self.task_id} with {other.task_id}"
-            )
-        return TaskStats(
-            task_id=self.task_id,
-            kind=self.kind,
-            duration_s=self.duration_s + other.duration_s,
-            records_in=self.records_in + other.records_in,
-            records_out=self.records_out + other.records_out,
-            bytes_out=self.bytes_out + other.bytes_out,
-            partition=self.partition,
-            attempt=max(self.attempt, other.attempt),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,9 +207,7 @@ def stable_backoff_rng(seed: int, task_id: str, attempt: int) -> random.Random:
 class PhaseStats:
     """Aggregated statistics for one phase (all map tasks or all reduce tasks).
 
-    ``busy_s`` is the *sum* of task durations (total work); ``critical_s`` is
-    the longest single task (a lower bound on the phase's parallel makespan
-    with unlimited slots).
+    ``busy_s`` is the *sum* of task durations (total work).
     """
 
     kind: TaskKind
@@ -243,10 +216,6 @@ class PhaseStats:
     @property
     def busy_s(self) -> float:
         return sum(t.duration_s for t in self.tasks)
-
-    @property
-    def critical_s(self) -> float:
-        return max((t.duration_s for t in self.tasks), default=0.0)
 
     @property
     def records_in(self) -> int:

@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 _EXPORTS = {
     "repro.observability.events": ("Event", "EventLog", "get_events", "set_events"),
     "repro.observability.export": (
-        "DeltaSnapshotter",
         "json_snapshot",
         "render_prometheus",
         "sanitize_metric_name",
@@ -78,7 +77,6 @@ _EXPORTS = {
 __all__ = [
     "Counter",
     "DEFAULT_DURATION_BUCKETS_S",
-    "DeltaSnapshotter",
     "Event",
     "EventLog",
     "Gauge",

@@ -10,11 +10,11 @@ Three complementary views of one :class:`~repro.observability.metrics.MetricsReg
   the property the exposition-parity tests pin down.
 * :func:`json_snapshot` — the registry's own snapshot, guaranteed
   JSON-strict (no ``Infinity`` tokens) and round-trippable.
-* :func:`snapshot_delta` / :class:`DeltaSnapshotter` — monotonic deltas
-  between two snapshots, so pollers (``repro top``, the CI smoke job)
-  compute rates without scraping twice per series.  A counter that moved
-  *backwards* (a registry reset between polls) clamps to a zero delta
-  instead of going negative — rates never spike negative across restarts.
+* :func:`snapshot_delta` — monotonic deltas between two snapshots, so
+  pollers (``repro top``, the CI smoke job) compute rates without scraping
+  twice per series.  A counter that moved *backwards* (a registry reset
+  between polls) clamps to a zero delta instead of going negative — rates
+  never spike negative across restarts.
 
 The serving layer surfaces these through the read-only ``metrics`` verb
 (:mod:`repro.serving.protocol`); batch runs keep writing the same snapshot
@@ -35,7 +35,6 @@ __all__ = [
     "render_prometheus",
     "json_snapshot",
     "snapshot_delta",
-    "DeltaSnapshotter",
 ]
 
 #: Characters legal in a Prometheus metric name body.
@@ -135,24 +134,3 @@ def snapshot_delta(
         "gauges": dict(current.get("gauges", {})),
         "histograms": histograms,
     }
-
-
-class DeltaSnapshotter:
-    """Stateful poller: each :meth:`delta` call diffs against the previous.
-
-    Single-consumer by design (each poller owns one); the serving layer's
-    ``stats`` verb stays stateless and leaves rate computation to clients,
-    but in-process consumers (the bench suite, tests) use this directly.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self._registry = registry
-        self._previous: Dict[str, Any] | None = None
-
-    def delta(self) -> Dict[str, Any]:
-        current = (
-            self._registry if self._registry is not None else get_metrics()
-        ).snapshot()
-        result = snapshot_delta(self._previous, current)
-        self._previous = current
-        return result

@@ -27,7 +27,6 @@ The serialized form is one JSON object per line; see
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from contextlib import contextmanager
@@ -479,11 +478,3 @@ def metrics_of(records: List[Dict[str, Any]]) -> Dict[str, Any] | None:
         if record.get("type") == METRICS_RECORD:
             snapshot = record.get("snapshot")
     return snapshot
-
-
-def dumps_spans(spans: List[Span]) -> str:
-    """Serialize spans to a JSON-lines string (round-trip helper)."""
-    out = io.StringIO()
-    for span in spans:
-        out.write(json.dumps(span.to_dict(), default=str) + "\n")
-    return out.getvalue()

@@ -41,7 +41,6 @@ __all__ = [
     "ServiceDataset",
     "generate_qws",
     "extend_dataset",
-    "quantize_raw",
 ]
 
 
@@ -94,13 +93,6 @@ _CORR = np.array(
 #: has almost-surely-distinct coordinates and therefore unrealistically
 #: large skylines at d = 10.
 _QUANT_DECIMALS = (0, 0, 1, 0, 0, 0, 0, 0, 0, 2)
-
-
-def quantize_raw(raw: np.ndarray) -> np.ndarray:
-    """Round raw attribute values to QWS measurement resolution."""
-    out = np.array(raw, dtype=np.float64)
-    _quantize_in_place(out)
-    return out
 
 
 def _quantize_in_place(block: np.ndarray) -> None:

@@ -20,7 +20,7 @@ import json
 import socket
 import subprocess
 import sys
-from typing import IO, Any, Dict, List, Sequence
+from typing import IO, Any, Dict, Sequence
 
 __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
@@ -242,7 +242,3 @@ class ServingClient:
     def shutdown(self) -> Dict[str, Any]:
         response = self.call(op="shutdown")
         return response
-
-    def session_ids(self, response: Dict[str, Any]) -> List[int]:
-        """The result ids of a query response (empty on failure)."""
-        return list(response.get("ids", []))

@@ -153,7 +153,7 @@ def _handle_register(service: SkylineService, request: Dict[str, Any]) -> Dict[s
         dataset,
         _points_of(request),
         scheme=str(request.get("scheme", "angle")),
-        num_partitions=int(request.get("partitions", 8)),
+        num_partitions=_whole_number(request.get("partitions", 8), "partitions"),
         shard_fn=str(shard_fn) if shard_fn is not None else None,
     )
     if service.backend.sharded:
@@ -202,7 +202,7 @@ def _handle_insert(service: SkylineService, request: Dict[str, Any]) -> Dict[str
 
 def _handle_remove(service: SkylineService, request: Dict[str, Any]) -> Dict[str, Any]:
     label = service.remove(
-        str(request.get("dataset", "")), int(request["id"])
+        str(request.get("dataset", "")), _whole_number(request["id"], "id")
     )
     return {"ok": True, **_generation(service, label)}
 
@@ -217,9 +217,11 @@ def _handle_events(service: SkylineService, request: Dict[str, Any]) -> Dict[str
     ):
         raise ValueError(f"kinds must be a list of glob strings, got {kinds!r}")
     events = service.events_tail(
-        int(n) if n is not None else None,
+        _whole_number(n, "n") if n is not None else None,
         kinds=kinds,
-        since_seq=int(since_seq) if since_seq is not None else None,
+        since_seq=(
+            _whole_number(since_seq, "since_seq") if since_seq is not None else None
+        ),
     )
     return {"ok": True, "events": events, "count": len(events)}
 

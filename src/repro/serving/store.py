@@ -250,12 +250,6 @@ class SkylineStore:
             self._durability.checkpoint(self._durable_state_locked())
             return True
 
-    def sync_durability(self) -> None:
-        """Flush the WAL to stable storage (signal-exit / shutdown path)."""
-        with self._lock:
-            if self._durability is not None:
-                self._durability.sync()
-
     def store_config(self) -> Dict[str, Any]:
         """Construction parameters, as persisted in register records and
         snapshots so a recovered store is built like the original."""

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.bnl import bnl_merge, bnl_skyline
 from repro.core.dominance import DominanceCounter
+from repro.core.kernels import KERNEL_NAMES
 from repro.core.skyline import skyline_numpy
 
 clouds = arrays(
@@ -112,6 +113,32 @@ class TestBoundedWindow:
             bnl_skyline(pts, window_size=window).indices,
             skyline_numpy(pts),
         )
+
+
+class TestWindowAtLeastN:
+    """A window that never fills is one pass of bnl.py's loop, which must
+    agree with the kernel path of an unbounded window."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 60), st.integers(1, 4)),
+            elements=st.integers(0, 6).map(float),
+        ),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_the_kernel_path(self, kernel, pts, slack):
+        n = pts.shape[0]
+        loop = bnl_skyline(pts, window_size=n + slack + 1, kernel=kernel)
+        unbounded = bnl_skyline(pts, kernel=kernel)
+        assert np.array_equal(loop.indices, unbounded.indices)
+        assert loop.passes == unbounded.passes == (1 if n else 0)
+        # The loop is kernel-independent and counts like the scalar kernel;
+        # the block sweep counts its own, chunked tests.
+        scalar = bnl_skyline(pts, kernel="scalar")
+        assert loop.dominance_tests == scalar.dominance_tests
 
 
 class TestPropertyCorrectness:

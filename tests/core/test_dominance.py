@@ -13,7 +13,6 @@ from repro.core.dominance import (
     dominated_mask,
     dominates,
     dominates_any,
-    incomparable,
     validate_points,
 )
 
@@ -37,7 +36,6 @@ class TestScalarPredicates:
 
     def test_incomparable_pair(self):
         a, b = np.array([1.0, 3.0]), np.array([3.0, 1.0])
-        assert incomparable(a, b)
         assert not dominates(a, b)
         assert not dominates(b, a)
 

@@ -10,7 +10,6 @@ from repro.core.hyperspherical import (
     MAX_ANGLE,
     _suffix_square_sums,
     angle_columns,
-    angular_coordinates,
     from_hyperspherical,
     to_hyperspherical,
 )
@@ -75,11 +74,6 @@ class TestForward:
     def test_1d_rejected(self):
         with pytest.raises(ValueError, match="2 dimensions"):
             to_hyperspherical(np.array([[1.0]]))
-
-    def test_angular_coordinates_shortcut(self):
-        pts = np.random.default_rng(0).random((10, 4))
-        _, angles = to_hyperspherical(pts)
-        assert np.array_equal(angular_coordinates(pts), angles)
 
     @given(nonneg_points)
     @settings(max_examples=80)

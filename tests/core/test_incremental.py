@@ -61,12 +61,6 @@ class TestInsert:
             sky.insert(row)
         assert sky.global_skyline() == skyline_numpy(pts).tolist()
 
-    def test_global_points_rows(self):
-        sky = IncrementalSkyline(_fitted_partitioner())
-        sky.insert([1.0, 3.0])
-        sky.insert([3.0, 1.0])
-        assert sky.global_skyline_points().shape == (2, 2)
-
     @given(st.lists(st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)), max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_property_matches_batch(self, rows):

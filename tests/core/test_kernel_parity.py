@@ -23,7 +23,7 @@ from repro.core.kernels import FIRST_CHUNK, KERNEL_NAMES, get_kernel, sort_first
 from repro.core.mr_skyline import run_mr_skyline
 from repro.core.partitioning import make_partitioner
 from repro.core.sfs import sfs_skyline
-from repro.core.skyband import k_skyband, top_k_dominating
+from repro.core.skyband import k_skyband
 from repro.core.skyline import skyline_numpy
 
 DIMS = (2, 4, 10)
@@ -78,11 +78,6 @@ class TestSingleMachineParity:
                     for kernel in KERNEL_NAMES
                 }
                 assert np.array_equal(bands["scalar"], bands["block"]), name
-            tops = {
-                kernel: top_k_dominating(pts, 5, kernel=kernel)
-                for kernel in KERNEL_NAMES
-            }
-            assert np.array_equal(tops["scalar"], tops["block"]), name
 
     @pytest.mark.parametrize("scheme", ("dim", "grid", "angle", "random"))
     def test_incremental_inserts_and_removals(self, scheme):

@@ -293,9 +293,6 @@ class TestBackendParity:
         assert np.array_equal(
             scalar.dominator_counts(pts), block.dominator_counts(pts)
         )
-        assert np.array_equal(
-            scalar.dominated_counts(pts), block.dominated_counts(pts)
-        )
 
     def test_dominance_tests_counted(self):
         pts = _rng(5).random((256, 4))

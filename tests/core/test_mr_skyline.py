@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.blocks import PointBlock
-from repro.core.kernels import get_kernel
 from repro.core.mr_skyline import (
     COUNTER_GROUP,
     PartitionAssignMapper,
     default_partition_count,
     run_mr_skyline,
-    update_mr_skyline,
 )
 from repro.core.partitioning import AngularPartitioner, GridPartitioner, make_partitioner
 from repro.core.skyline import skyline_numpy
@@ -186,11 +183,6 @@ class TestResultMetadata:
         assert sim.total_s > 0
         assert len(sim.jobs) == 2
 
-    def test_global_points_rows(self, cloud):
-        result = run_mr_skyline(cloud, method="angle")
-        rows = result.global_points(cloud)
-        assert rows.shape == (result.global_indices.size, cloud.shape[1])
-
     def test_map_reduce_busy_positive(self, cloud):
         result = run_mr_skyline(cloud, method="angle")
         assert result.map_busy_s > 0
@@ -211,25 +203,59 @@ class _CaptureContext:
         self.counts[group, name] = self.counts.get((group, name), 0) + amount
 
 
-def _masked_routing(block, params):
-    """The map routing as first written: filter, then np.unique of the
-    partition ids and one boolean mask (and gather) per partition."""
+def _masked_routing(indices, rows, params):
+    """The map routing as first written, on plain arrays: a brute-force
+    filter, then np.unique of the partition ids and one boolean mask (and
+    gather) per partition."""
     ctx = _CaptureContext()
-    ctx.increment(COUNTER_GROUP, "points_mapped", len(block))
+    ctx.increment(COUNTER_GROUP, "points_mapped", len(indices))
     filters = params.get("filters")
-    if filters is not None:
-        alive = get_kernel("block").filter_survivors(filters, block.rows)
+    if filters is not None and len(indices):
+        le = (filters[:, None, :] <= rows[None, :, :]).all(axis=2)
+        lt = (filters[:, None, :] < rows[None, :, :]).any(axis=2)
+        alive = ~(le & lt).any(axis=0)
         if not alive.all():
             ctx.increment(COUNTER_GROUP, "points_pruned", int((~alive).sum()))
-            block = block.take(alive)
-    ids = params["partitioner"].assign_block(block)
+            indices, rows = indices[alive], rows[alive]
+    ids = params["partitioner"].assign(rows)
     for pid in np.unique(ids):
         mask = ids == pid
         if int(pid) in params["pruned"]:
             ctx.increment(COUNTER_GROUP, "points_pruned", int(mask.sum()))
             continue
-        ctx.emit(int(pid), block.take(mask).to_tuple())
+        ctx.emit(int(pid), (indices[mask], rows[mask]))
     return ctx
+
+
+def _routing_partitioner(scheme, pts):
+    if scheme == "grid":  # two slabs per axis: a top corner is often pruned
+        return GridPartitioner(2 ** pts.shape[1], cells_per_dim=[2] * pts.shape[1]).fit(pts)
+    return make_partitioner(scheme, 8).fit(pts)
+
+
+#: Coordinates drawn from a few integers as often as from a range, so rows
+#: tie and repeat.
+_coordinates = st.one_of(
+    st.integers(0, 3).map(float), st.floats(0, 10, allow_nan=False, width=32)
+)
+
+
+@st.composite
+def _routing_cases(draw):
+    d = draw(st.integers(2, 4))
+    base = draw(arrays(np.float64, (draw(st.integers(1, 40)), d), elements=_coordinates))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=10))
+    pts = np.vstack([base, base[repeats]])
+    if draw(st.booleans()):
+        pts = np.asfortranarray(pts)
+    step = draw(st.integers(1, len(pts) + 1))
+    cuts = list(range(0, len(pts), step)) + [len(pts)]
+    records = [(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    # An empty record, as the driver sends for an empty input.
+    records.append((len(pts), len(pts)))
+    filters = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6))
+    kernel = draw(st.sampled_from(["scalar", "block"]))
+    return pts, records, filters, kernel
 
 
 class TestMapRouting:
@@ -238,35 +264,30 @@ class TestMapRouting:
 
     @pytest.mark.parametrize("scheme", ["angle", "grid", "random", "dim"])
     @pytest.mark.parametrize("filtered", [False, True])
-    def test_payloads_equal_the_masked_routing(self, scheme, filtered):
-        rng = np.random.default_rng(7)
-        pts = np.vstack([rng.random((3000, 4)), rng.integers(0, 3, (500, 4))])
-        if scheme == "grid":  # two slabs per axis: the top corner is pruned
-            partitioner = GridPartitioner(16, cells_per_dim=[2, 2, 2, 2]).fit(pts)
-        else:
-            partitioner = make_partitioner(scheme, 8).fit(pts)
+    @given(case=_routing_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_payloads_equal_the_masked_routing(self, scheme, filtered, case):
+        pts, records, filter_rows, kernel = case
+        partitioner = _routing_partitioner(scheme, pts)
         pruned = frozenset()
         if isinstance(partitioner, GridPartitioner):
             pruned = frozenset(int(c) for c in partitioner.pruned_cells())
-            assert pruned
         params = {
             "partitioner": partitioner,
             "pruned": pruned,
-            "kernel": "block",
-            "filters": pts[rng.choice(len(pts), 6, replace=False)] if filtered else None,
+            "kernel": kernel,
+            "filters": np.ascontiguousarray(pts[filter_rows]) if filtered else None,
         }
         mapper = PartitionAssignMapper()
         mapper.setup(params)
-        for start in range(0, len(pts), 1000):
-            block = PointBlock.from_rows(
-                pts[start : start + 1000], np.arange(start, min(start + 1000, len(pts)))
-            )
+        for start, stop in records:
+            indices = np.arange(start, stop, dtype=np.intp)
             ctx = _CaptureContext()
-            mapper.map(start, block.to_tuple(), ctx)
-            want = _masked_routing(block, params)
+            mapper.map(start, (indices, pts[start:stop]), ctx)
+            want = _masked_routing(indices, pts[start:stop], params)
             assert [k for k, _ in ctx.pairs] == [k for k, _ in want.pairs]
             for (_, (ids, rows)), (_, (want_ids, want_rows)) in zip(ctx.pairs, want.pairs):
-                assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+                assert ids.dtype == np.intp and np.array_equal(ids, want_ids)
                 assert rows.flags["C_CONTIGUOUS"] and np.array_equal(rows, want_rows)
             for name in ("points_mapped", "points_pruned"):
                 assert ctx.counts.get((COUNTER_GROUP, name)) == want.counts.get(
@@ -337,18 +358,3 @@ class TestSinglePassPartitionIds:
             result = run_mr_skyline(rng.random((n, 4)), method="angle", kernel="block")
             sizes.append(len(pickle.dumps(result.partitioner)))
         assert abs(sizes[1] - sizes[0]) < 64, sizes
-
-    def test_update_still_chains(self, cloud):
-        base, arrivals = cloud[:2000], cloud[2000:]
-        result = run_mr_skyline(base, method="angle", kernel="block")
-        for start in (0, 500):
-            batch = arrivals[start : start + 500]
-            points = cloud[: 2000 + start]
-            result = update_mr_skyline(result, points, batch)
-            seen = cloud[: 2000 + start + 500]
-            assert np.array_equal(
-                result.partition_ids, result.partitioner.assign(seen)
-            )
-            assert np.array_equal(
-                np.sort(result.global_indices), skyline_numpy(seen)
-            )

@@ -219,7 +219,7 @@ class TestGrid:
         rng = np.random.default_rng(3)
         pts = rng.random((400, 2))
         p = GridPartitioner(4, cells_per_dim=[2, 2]).fit(pts)
-        mask = p.prunable_mask(pts)
+        mask = np.isin(p.assign(pts), p.pruned_cells())
         sky = set(skyline_numpy(pts).tolist())
         assert not (set(np.flatnonzero(mask).tolist()) & sky)
 
@@ -297,7 +297,7 @@ class TestGrid:
         rng = np.random.default_rng(7)
         pts = rng.random((400, 2))
         p = GridPartitioner(9, cells_per_dim=[3, 3], bins="quantile").fit(pts)
-        mask = p.prunable_mask(pts)
+        mask = np.isin(p.assign(pts), p.pruned_cells())
         sky = set(skyline_numpy(pts).tolist())
         assert not (set(np.flatnonzero(mask).tolist()) & sky)
 

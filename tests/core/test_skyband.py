@@ -1,4 +1,4 @@
-"""Tests for k-skyband and top-k dominating queries."""
+"""Tests for k-skyband queries."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.dominance import DominanceCounter, dominates
 from repro.core.kernels import BLOCK_CHUNK, get_kernel, sort_first_order, _sweep_chunks
-from repro.core.skyband import dominator_counts, k_skyband, top_k_dominating
+from repro.core.skyband import dominator_counts, k_skyband
 from repro.core.skyline import skyline, skyline_numpy
 
 clouds = arrays(
@@ -194,40 +194,3 @@ class TestBlockBandSweep:
             with pytest.raises(ValueError, match="k must be"):
                 get_kernel(name).sweep_sorted(np.ones((3, 2)), k=0)
 
-
-class TestTopKDominating:
-    def test_best_dominator_first(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 0.1]])
-        top = top_k_dominating(pts, 2)
-        assert top[0] == 0  # dominates 2 points (and [5,.1]? no) -> most
-
-    def test_top1_is_skyline_member(self):
-        pts = np.random.default_rng(5).random((300, 3))
-        top = top_k_dominating(pts, 1)
-        assert top[0] in set(skyline_numpy(pts).tolist())
-
-    def test_k_capped_at_n(self):
-        pts = np.ones((3, 2))
-        assert top_k_dominating(pts, 10).size == 3
-
-    def test_stable_ties(self):
-        pts = np.ones((5, 2))  # nobody dominates anybody
-        assert top_k_dominating(pts, 3).tolist() == [0, 1, 2]
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            top_k_dominating(np.ones((2, 2)), 0)
-
-    @given(clouds)
-    @settings(max_examples=40)
-    def test_property_ordering(self, pts):
-        n = pts.shape[0]
-        top = top_k_dominating(pts, n)
-
-        def coverage(i):
-            le = (pts[i] <= pts).all(axis=1)
-            lt = (pts[i] < pts).any(axis=1)
-            return int((le & lt).sum())
-
-        covers = [coverage(i) for i in top]
-        assert covers == sorted(covers, reverse=True)

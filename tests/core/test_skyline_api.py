@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.skyline import is_skyline, skyline, skyline_numpy, skyline_points
+from repro.core.skyline import skyline, skyline_numpy
 
 ALGOS = ("bnl", "sfs")
 
@@ -45,34 +45,8 @@ class TestDispatch:
         with pytest.raises(TypeError):
             skyline(np.ones((2, 2)), algorithm="sfs", window_size=3)
 
-    def test_skyline_points_returns_rows(self):
-        pts = np.array([[5.0, 5.0], [1.0, 1.0]])
-        assert np.array_equal(skyline_points(pts), [[1.0, 1.0]])
-
     @given(clouds, st.sampled_from(ALGOS))
     @settings(max_examples=60, deadline=None)
     def test_property_cross_algorithm_agreement(self, pts, algo):
         assert np.array_equal(skyline(pts, algorithm=algo), skyline_numpy(pts))
 
-
-class TestIsSkyline:
-    def test_accepts_correct(self):
-        rng = np.random.default_rng(2)
-        pts = rng.random((50, 3))
-        assert is_skyline(pts, skyline_numpy(pts))
-
-    def test_rejects_missing_point(self):
-        rng = np.random.default_rng(3)
-        pts = rng.random((50, 3))
-        idx = skyline_numpy(pts)
-        assert not is_skyline(pts, idx[:-1])
-
-    def test_rejects_extra_point(self):
-        pts = np.array([[1.0, 1.0], [2.0, 2.0]])
-        assert not is_skyline(pts, np.array([0, 1]))
-
-    def test_order_insensitive(self):
-        rng = np.random.default_rng(4)
-        pts = rng.random((50, 3))
-        idx = skyline_numpy(pts)
-        assert is_skyline(pts, idx[::-1])

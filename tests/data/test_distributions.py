@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from repro.data.distributions import (
     _erf,
     _erfinv,
+    correlated_normals,
     empirical_quantile,
-    gaussian_copula_uniforms,
     nearest_correlation,
+    normal_cdf,
     sample_with_marginals,
-    truncated_normal,
 )
+
+
+def gaussian_copula_uniforms(n, correlation, rng):
+    """The copula's uniforms: Φ of its correlated normals."""
+    return normal_cdf(correlated_normals(n, correlation, rng))
 
 
 class TestErf:
@@ -115,22 +120,6 @@ class TestSampleWithMarginals:
         sample_with_marginals(50_000, [probe], np.eye(1), rng)
         assert captured["u"].min() > 0.0
         assert captured["u"].max() < 1.0
-
-
-class TestTruncatedNormal:
-    def test_within_bounds(self):
-        u = np.linspace(0.001, 0.999, 500)
-        out = truncated_normal(u, 50, 20, 0, 100)
-        assert out.min() >= 0 and out.max() <= 100
-
-    def test_monotone_in_u(self):
-        u = np.linspace(0.01, 0.99, 100)
-        out = truncated_normal(u, 0, 1, -10, 10)
-        assert np.all(np.diff(out) >= 0)
-
-    def test_median_at_mean(self):
-        out = truncated_normal(np.array([0.5]), 7.0, 3.0, -100, 100)
-        assert out[0] == pytest.approx(7.0, abs=1e-6)
 
 
 class TestEmpiricalQuantile:

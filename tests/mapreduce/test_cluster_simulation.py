@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mapreduce import Job, JobConf, Mapper, Reducer, run_job
+from repro.mapreduce import Job, JobConf, Mapper, Reducer, Runner
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult
@@ -36,7 +36,7 @@ def measured_job():
         conf=JobConf(num_reducers=4, num_map_tasks=6),
     )
     records = [(None, f"w{i % 5} w{i % 3}") for i in range(200)]
-    return run_job(job, records=records)
+    return Runner().run(job, records=records)
 
 
 class TestClusterSpec:

@@ -30,7 +30,6 @@ from repro.mapreduce import (
     ThreadExecutor,
     default_executor_name,
     make_executor,
-    run_job,
 )
 
 POOL_WORKERS = 2
@@ -241,7 +240,7 @@ class TestExecutorPrimitives:
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", " Threads ")
         assert default_executor_name() == "threads"
-        result = run_job(_wordcount_job(), records=WORDS)
+        result = Runner().run(_wordcount_job(), records=WORDS)
         assert result.executor == "threads"
         assert dict(result.output_pairs()) == EXPECTED
 

@@ -8,7 +8,6 @@ from repro.mapreduce.errors import JobConfigError
 from repro.mapreduce.partitioner import (
     HashPartitioner,
     KeyFieldPartitioner,
-    RangePartitioner,
     SingleReducerPartitioner,
 )
 
@@ -55,34 +54,6 @@ class TestKeyFieldPartitioner:
 
     def test_numeric_string_ok(self):
         assert KeyFieldPartitioner().partition("7", 4) == 3
-
-
-class TestRangePartitioner:
-    def test_routing(self):
-        p = RangePartitioner([10, 20])
-        assert p.partition(5, 3) == 0
-        assert p.partition(10, 3) == 0  # boundary belongs to the left
-        assert p.partition(15, 3) == 1
-        assert p.partition(99, 3) == 2
-
-    def test_boundary_count_mismatch(self):
-        p = RangePartitioner([10])
-        with pytest.raises(JobConfigError):
-            p.partition(5, 3)
-
-    def test_unsorted_boundaries_rejected(self):
-        with pytest.raises(JobConfigError):
-            RangePartitioner([5, 2])
-
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(-60, 60))
-    def test_property_monotone(self, bounds, key):
-        bounds = sorted(bounds)
-        p = RangePartitioner(bounds)
-        idx = p.partition(key, len(bounds) + 1)
-        assert 0 <= idx <= len(bounds)
-        # Every boundary left of the bucket is < key is consistent with order
-        if idx > 0:
-            assert bounds[idx - 1] < key or bounds[idx - 1] <= key
 
 
 class TestSingleReducerPartitioner:

@@ -16,7 +16,6 @@ from repro.mapreduce import (
     RetryPolicy,
     Runner,
     SingleReducerPartitioner,
-    run_job,
 )
 from repro.mapreduce.types import TaskKind
 
@@ -86,16 +85,16 @@ EXPECTED = {"a": 3, "b": 3, "c": 2, "d": 1}
 
 class TestSerialRunner:
     def test_wordcount(self):
-        result = run_job(_wordcount_job(), records=WORDS)
+        result = Runner().run(_wordcount_job(), records=WORDS)
         assert dict(result.output_pairs()) == EXPECTED
 
     def test_counters_merged(self):
-        result = run_job(_wordcount_job(), records=WORDS)
+        result = Runner().run(_wordcount_job(), records=WORDS)
         assert result.counters.value("app", "tokens") == 9
         assert result.counters.value("framework", "map_input_records") == 3
 
     def test_task_stats_populated(self):
-        result = run_job(_wordcount_job(maps=3), records=WORDS)
+        result = Runner().run(_wordcount_job(maps=3), records=WORDS)
         assert len(result.map_stats) == 3
         assert len(result.reduce_stats) == 2
         assert result.map_stats.kind is TaskKind.MAP
@@ -104,8 +103,8 @@ class TestSerialRunner:
         assert result.wall_s > 0
 
     def test_combiner_does_not_change_result(self):
-        plain = run_job(_wordcount_job(), records=WORDS)
-        combined = run_job(_wordcount_job(combiner=SumReducer), records=WORDS)
+        plain = Runner().run(_wordcount_job(), records=WORDS)
+        combined = Runner().run(_wordcount_job(combiner=SumReducer), records=WORDS)
         assert dict(plain.output_pairs()) == dict(combined.output_pairs())
         assert (
             combined.shuffle_stats.records < plain.shuffle_stats.records
@@ -120,15 +119,15 @@ class TestSerialRunner:
                 num_reducers=3, partitioner=SingleReducerPartitioner()
             ),
         )
-        result = run_job(job, records=WORDS)
+        result = Runner().run(job, records=WORDS)
         assert [len(p) for p in result.outputs] == [4, 0, 0]
 
     def test_requires_exactly_one_input(self):
         with pytest.raises(JobConfigError):
-            run_job(_wordcount_job())
+            Runner().run(_wordcount_job())
 
     def test_file_input(self):
-        result = run_job(_wordcount_job(maps=3), records=WORDS)
+        result = Runner().run(_wordcount_job(maps=3), records=WORDS)
         assert len(result.map_stats) > 1
         assert dict(result.output_pairs()) == EXPECTED
 
@@ -140,16 +139,16 @@ class TestSerialRunner:
             conf=JobConf(num_reducers=1),
         )
         with pytest.raises(JobFailedError) as info:
-            run_job(job, records=[(None, "ok"), (None, "x")])
+            Runner().run(job, records=[(None, "ok"), (None, "x")])
         assert "crash" in str(info.value)
 
     def test_validation_rejects_non_mapper(self):
         job = Job(name="bad", mapper=SumReducer, reducer=SumReducer)  # type: ignore[arg-type]
         with pytest.raises(JobConfigError):
-            run_job(job, records=WORDS)
+            Runner().run(job, records=WORDS)
 
     def test_empty_input(self):
-        result = run_job(_wordcount_job(), records=[])
+        result = Runner().run(_wordcount_job(), records=[])
         assert list(result.output_pairs()) == []
 
     def test_numpy_values_flow_through(self):
@@ -159,7 +158,7 @@ class TestSerialRunner:
             reducer=StackReducer,
             conf=JobConf(num_reducers=1),
         )
-        result = run_job(job, records=[(0, [1.0, 2.0]), (1, [3.0, 4.0])])
+        result = Runner().run(job, records=[(0, [1.0, 2.0]), (1, [3.0, 4.0])])
         assert list(result.output_values()) == [10.0]
 
 
@@ -256,7 +255,7 @@ class TestJobChain:
 
 class TestMultiprocessRunner:
     def test_matches_serial(self):
-        serial = run_job(_wordcount_job(maps=3), records=WORDS)
+        serial = Runner().run(_wordcount_job(maps=3), records=WORDS)
         mp = Runner("processes", num_workers=2).run(
             _wordcount_job(maps=3), records=WORDS
         )

@@ -24,7 +24,6 @@ from repro.mapreduce import (
     JobConfigError,
     JobFailedError,
     Mapper,
-    PartitionLostError,
     Reducer,
     RetryPolicy,
     Runner,
@@ -232,9 +231,6 @@ class TestDegradedMode:
         survived = dict(result.output_pairs())
         assert survived
         assert all(EXPECTED[word] == n for word, n in survived.items())
-        with pytest.raises(PartitionLostError) as info:
-            result.require_complete()
-        assert "reduce-0" in str(info.value)
 
     def test_poisoned_map_degrades_without_wedging_the_shuffle(self):
         """A lost map commits empty buffers so the streaming shuffle's

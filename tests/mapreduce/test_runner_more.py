@@ -9,7 +9,6 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
     Runner,
-    run_job,
 )
 
 
@@ -92,7 +91,7 @@ class TestMultiprocessMore:
             reducer=SumReducer,
             conf=JobConf(num_reducers=2, num_map_tasks=3),
         )
-        serial = run_job(job, records=WORDS)
+        serial = Runner().run(job, records=WORDS)
         mp = Runner("processes", num_workers=2).run(job, records=WORDS)
         assert len(mp.map_stats) > 1
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
@@ -107,7 +106,7 @@ class TestMultiprocessMore:
             reducer=StackReducer,
             conf=JobConf(num_reducers=2, num_map_tasks=3),
         )
-        serial = run_job(job, records=records)
+        serial = Runner().run(job, records=records)
         mp = Runner("processes", num_workers=2).run(job, records=records)
         assert dict(mp.output_pairs()) == dict(serial.output_pairs())
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mapreduce import Job, JobConf, Mapper, Reducer, run_job
+from repro.mapreduce import Job, JobConf, Mapper, Reducer, Runner
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.simulation import StragglerSpec, simulate_job
 
@@ -27,7 +27,7 @@ def measured():
         conf=JobConf(num_reducers=4, num_map_tasks=8),
     )
     records = [(None, "alpha beta gamma delta " * 10) for _ in range(400)]
-    return run_job(job, records=records)
+    return Runner().run(job, records=records)
 
 
 CLUSTER = ClusterSpec(num_nodes=2, speed_factor=1000.0)

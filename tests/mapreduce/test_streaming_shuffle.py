@@ -30,7 +30,7 @@ def _stream(map_outputs, num_partitions, order):
     with ss:
         for map_index in order:
             ss.ingest(map_index, map_outputs[map_index])
-        return ss.finalize_all(), ss.stats
+        return [ss.finalize(part) for part in range(num_partitions)], ss.stats
 
 
 # One strategy shared by all the parity properties: pairs with lots of key
@@ -77,7 +77,7 @@ class TestStreamingContract:
     def test_zero_map_tasks_is_immediately_complete(self):
         ss = StreamingShuffle(0, 3)
         assert ss.complete
-        assert ss.finalize_all() == [[], [], []]
+        assert [ss.finalize(part) for part in range(3)] == [[], [], []]
 
     def test_same_type_incomparable_keys_match_batch(self):
         # The _sort_token repr fallback must agree between the batch sort

@@ -5,8 +5,6 @@ import pytest
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.errors import TaskError
 from repro.mapreduce.tasks import (
-    IdentityMapper,
-    IdentityReducer,
     MapContext,
     Mapper,
     ReduceContext,
@@ -14,6 +12,17 @@ from repro.mapreduce.tasks import (
     run_map_task,
     run_reduce_task,
 )
+
+
+class IdentityMapper(Mapper):
+    def map(self, key, value, ctx):
+        ctx.emit(key, value)
+
+
+class IdentityReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        for value in values:
+            ctx.emit(key, value)
 
 
 class TokenMapper(Mapper):

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.observability.export import (
-    DeltaSnapshotter,
     json_snapshot,
     render_prometheus,
     sanitize_metric_name,
@@ -129,11 +128,10 @@ class TestDelta:
 
     def test_counter_monotonicity_across_polls(self):
         reg = _loaded_registry()
-        poller = DeltaSnapshotter(reg)
-        poller.delta()  # baseline
+        baseline = reg.snapshot()
         reg.counter("serve.requests").inc(3)
         reg.histogram("serve.latency_s").observe(0.02)
-        delta = poller.delta()
+        delta = snapshot_delta(baseline, reg.snapshot())
         assert delta["counters"]["serve.requests"] == 3
         assert delta["counters"]["task.map.retries"] == 0
         assert delta["histograms"]["serve.latency_s"]["count"] == 1
@@ -141,11 +139,10 @@ class TestDelta:
 
     def test_reset_clamps_to_zero_not_negative(self):
         reg = _loaded_registry()
-        poller = DeltaSnapshotter(reg)
-        poller.delta()
+        baseline = reg.snapshot()
         reg.reset()
         reg.counter("serve.requests").inc(1)
-        delta = poller.delta()
+        delta = snapshot_delta(baseline, reg.snapshot())
         assert delta["counters"]["serve.requests"] == 0  # shrank: clamped
 
     def test_gauges_pass_through_as_values(self):

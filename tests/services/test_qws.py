@@ -19,16 +19,23 @@ from repro.services.qws import (
     QWS_SCHEMA,
     ServiceDataset,
     _marginals,
+    _quantize_in_place,
     _quantized_marginals,
     extend_dataset,
     generate_qws,
-    quantize_raw,
 )
 
 #: The beta columns, as (column, scale, a, b).
 BETA_COLUMNS = [
     (j, *params) for j, (family, *params) in enumerate(_MARGINAL_SPECS) if family == "beta"
 ]
+
+
+def quantize_raw(raw):
+    """A rounded copy of ``raw``, at QWS measurement resolution."""
+    out = np.array(raw, dtype=np.float64)
+    _quantize_in_place(out)
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -62,6 +62,29 @@ BAD_QUERY_PARAMS = [
 ]
 
 
+#: Requests of the other ops whose whole-number parameters (``id``,
+#: ``partitions``, ``n``, ``since_seq``) have the wrong wire type.
+BAD_OP_PARAMS = [
+    pytest.param({"op": "remove", "dataset": "qws", "id": 2.7}, id="remove-fraction-id"),
+    pytest.param({"op": "remove", "dataset": "qws", "id": "1"}, id="remove-string-id"),
+    pytest.param({"op": "remove", "dataset": "qws", "id": True}, id="remove-bool-id"),
+    *(
+        pytest.param(
+            {"op": "register", "dataset": "r", "points": [[1, 2], [2, 1]],
+             "partitions": partitions},
+            id=f"register-{name}-partitions",
+        )
+        for name, partitions in (("bool", True), ("string", "8"), ("fraction", 2.5))
+    ),
+    pytest.param({"op": "events", "n": "5"}, id="events-string-n"),
+    pytest.param({"op": "events", "n": True}, id="events-bool-n"),
+    pytest.param({"op": "events", "n": 2.5}, id="events-fraction-n"),
+    pytest.param({"op": "events", "since_seq": "0"}, id="events-string-since-seq"),
+    pytest.param({"op": "events", "since_seq": True}, id="events-bool-since-seq"),
+    pytest.param({"op": "events", "since_seq": 0.5}, id="events-fraction-since-seq"),
+]
+
+
 def _service(n=50):
     service = SkylineService()
     service.register("qws", np.random.default_rng(0).random((n, 3)) + 0.01)
@@ -224,6 +247,15 @@ class TestDispatch:
         response = handle_request(_service(), {"op": op, "dataset": "qws", **params})
         assert response["ok"] is False and response["status"] == "error", response
 
+    @pytest.mark.parametrize("bad", BAD_OP_PARAMS)
+    def test_mistyped_op_params_are_error_responses(self, bad):
+        service = _service()
+        before = service.stats()["datasets"]
+        response = handle_request(service, dict(bad))
+        assert response["ok"] is False and response["status"] == "error", response
+        # Same datasets, sizes and generations: nothing was applied.
+        assert service.stats()["datasets"] == before
+
 
 class TestCoordinatorWireTypes:
     @pytest.fixture(scope="class")
@@ -241,6 +273,13 @@ class TestCoordinatorWireTypes:
         )
         assert response["ok"] is False and response["status"] == "error", response
         assert coordinator.stats()["datasets"]["qws"] == before
+
+    @pytest.mark.parametrize("bad", BAD_OP_PARAMS)
+    def test_mistyped_op_params_are_error_responses(self, coordinator, bad):
+        before = coordinator.stats()["datasets"]
+        response = handle_request(coordinator, dict(bad))
+        assert response["ok"] is False and response["status"] == "error", response
+        assert coordinator.stats()["datasets"] == before
 
     def test_generated_register_rejects_zero_dims(self, coordinator):
         response = handle_request(coordinator, {

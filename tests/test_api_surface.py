@@ -46,7 +46,6 @@ def test_top_level_quickstart_names():
 
     for name in (
         "run_mr_skyline",
-        "update_mr_skyline",
         "skyline",
         "generate_qws",
         "extend_dataset",

@@ -16,6 +16,13 @@ of the pipeline's driver and filter stage and each field of the engine's
 and the server's config objects must be set by some reachable module
 other than its own, as a call keyword or an attribute store, or be
 allowlisted with the reason it stays.
+
+A fourth check does the same for names: every public module-level
+function and class under ``src/repro`` must be named by some reachable
+module (its own included) in a load, an attribute or an import, register
+itself through ``@register``, or be allowlisted with the reason it stays.
+An import in a package ``__init__`` is a re-export, not a use, so a name
+does not live on because its package lists it.
 """
 
 from __future__ import annotations
@@ -226,3 +233,85 @@ def test_every_knob_is_set_by_an_entry_point(project):
     )
     stale = sorted(set(KNOB_ALLOWLIST) - unset)
     assert not stale, f"allowlisted knobs that are gone or now set: {stale}"
+
+
+#: Public names no entry point uses, each with the reason it stays.
+NAME_ALLOWLIST = {
+    "repro.core.dominance.dominance_matrix": (
+        "the O(n^2) oracle the dominated_mask tests check against"
+    ),
+    "repro.core.hyperspherical.from_hyperspherical": (
+        "the inverse of Eq. 1, for the transform's round-trip tests"
+    ),
+    "repro.core.hyperspherical.to_hyperspherical": (
+        "Eq. 1 in full: the oracle angle_columns is checked against bit for "
+        "bit, and the forward half of the round trip"
+    ),
+    "repro.observability.events.set_events": (
+        "tests/observability/conftest.py resets the process-wide event log"
+    ),
+    "repro.observability.metrics.set_metrics": (
+        "tests/observability/conftest.py resets the process-wide registry"
+    ),
+    "repro.observability.sanitizer.active": (
+        "tests/conftest.py reads the installed lock-order sanitizer"
+    ),
+}
+
+
+def _public_defs(project: Project) -> Dict[str, ast.AST]:
+    """``module.name -> node`` for every public module-level function and
+    class under ``src/repro``."""
+    defs: Dict[str, ast.AST] = {}
+    for module in project.modules.values():
+        if module.name.split(".")[0] != "repro":
+            continue
+        for node in module.tree.body:
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and not node.name.startswith("_"):
+                defs[f"{module.name}.{node.name}"] = node
+    return defs
+
+
+def _registered(node: ast.AST) -> bool:
+    """Decorated with ``@register``: the rule packs register themselves."""
+    return any(
+        (isinstance(d, ast.Name) and d.id == "register")
+        or (isinstance(d, ast.Attribute) and d.attr == "register")
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def _used_names(module: Module) -> Set[str]:
+    """Names ``module`` loads, reads as attributes or imports; a package
+    ``__init__``'s imports only re-export, so they are left out."""
+    reexports = os.path.basename(module.path) == "__init__.py"
+    found: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_name_is_used_by_an_entry_point(project):
+    # Matched by name, like the knobs: this finds the names nothing
+    # mentions at all, not every name that is only mentioned.
+    used: Set[str] = set()
+    for name in _reachable(project):
+        used |= _used_names(project.modules[name])
+    unused = {
+        qualname
+        for qualname, node in _public_defs(project).items()
+        if qualname.rsplit(".", 1)[1] not in used and not _registered(node)
+    }
+    assert not unused - set(NAME_ALLOWLIST), (
+        "public names no entry point uses (delete them or allowlist them "
+        f"with a reason): {sorted(unused - set(NAME_ALLOWLIST))}"
+    )
+    stale = sorted(set(NAME_ALLOWLIST) - unused)
+    assert not stale, f"allowlisted names that are gone or now used: {stale}"
